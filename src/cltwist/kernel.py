@@ -16,9 +16,12 @@ twist is a sign.  Four independent algorithms compute that sign:
 * :func:`twist_closed`    popcount formula; the fastest, and the default
 
 They are checked against each other exhaustively by the self-test and
-acceptance suites.  Everything here is a pure function; blades are
-plain non-negative ints, 64-bit masks by convention (generators e_1
-through e_64).
+acceptance suites.  Everything here is a pure function.
+
+Mask contract: blades are plain ints in ``[0, 2**64)``, one bit per
+generator e_1 through e_64.  Every function that takes a blade pair
+raises :class:`ValueError` for a mask that is negative or 2**64 or
+above, and likewise for a ``mu`` other than +1 or -1.
 """
 
 from __future__ import annotations
@@ -43,6 +46,14 @@ __all__ = [
 def _check_mu(mu: int) -> None:
     if mu != 1 and mu != -1:
         raise ValueError(f"mu must be +1 or -1, got {mu!r}")
+
+
+def _check_masks(p: int, q: int) -> None:
+    # A negative int shifts down to -1, so one test covers both ends.
+    if (p | q) >> 64:
+        raise ValueError(
+            f"blade masks must be in [0, 2**64), got p={p:#x}, q={q:#x}"
+        )
 
 
 def grade(p: int) -> int:
@@ -75,6 +86,7 @@ def twist_oracle(p: int, q: int, mu: int) -> int:
     kernels are validated against, not something to call in a loop.
     """
     _check_mu(mu)
+    _check_masks(p, q)
     seq = _generators(p) + _generators(q)
     sign = 1
     n = len(seq)
@@ -104,6 +116,7 @@ def twist_recursive(p: int, q: int, mu: int) -> int:
     a = 1.  Terminates when both masks reach zero.
     """
     _check_mu(mu)
+    _check_masks(p, q)
     sign = 1
     while p | q:
         a = p & 1
@@ -123,32 +136,20 @@ def twist_recursive(p: int, q: int, mu: int) -> int:
 # {A, -A, B, -B}.  Consuming the bit pair (p-bit, q-bit) moves
 # p-bit-th branch then q-bit-th leaf.  A negated state behaves like
 # the positive one with the running sign flipped, so the tables below
-# carry (next letter, sign factor).  Letter A means an even number of
-# p-bits consumed so far, B odd.  The component shape depends on mu,
-# so both automata ship and are picked at call time.
-_TREE_MU_POS = {
-    "A": {(0, 0): ("A", 1), (0, 1): ("A", 1), (1, 0): ("B", 1), (1, 1): ("B", 1)},
-    "B": {(0, 0): ("B", 1), (0, 1): ("B", -1), (1, 0): ("A", 1), (1, 1): ("A", -1)},
+# carry (next letter, sign factor).  Letter A (0) means an even number
+# of p-bits consumed so far, B (1) odd.  The component shape depends
+# on mu, so both automata ship and are picked at call time.
+# Index: letter << 2 | p_bit << 1 | q_bit.
+_FLAT_TREES = {
+    1: (
+        (0, 1), (0, 1), (1, 1), (1, 1),  # A: 00 01 10 11
+        (1, 1), (1, -1), (0, 1), (0, -1),  # B: 00 01 10 11
+    ),
+    -1: (
+        (0, 1), (0, 1), (1, 1), (1, -1),  # A: 00 01 10 11
+        (1, 1), (1, -1), (0, 1), (0, 1),  # B: 00 01 10 11
+    ),
 }
-_TREE_MU_NEG = {
-    "A": {(0, 0): ("A", 1), (0, 1): ("A", 1), (1, 0): ("B", 1), (1, 1): ("B", -1)},
-    "B": {(0, 0): ("B", 1), (0, 1): ("B", -1), (1, 0): ("A", 1), (1, 1): ("A", 1)},
-}
-
-TREES: Dict[int, dict] = {1: _TREE_MU_POS, -1: _TREE_MU_NEG}
-
-
-def _flatten(tree: dict) -> tuple:
-    # Index: letter << 2 | p_bit << 1 | q_bit, letter A = 0, B = 1.
-    flat = [None] * 8
-    for letter, moves in tree.items():
-        lbit = 0 if letter == "A" else 1
-        for (a, b), (nxt, s) in moves.items():
-            flat[lbit << 2 | a << 1 | b] = (0 if nxt == "A" else 1, s)
-    return tuple(flat)
-
-
-_FLAT_TREES = {mu: _flatten(t) for mu, t in TREES.items()}
 
 
 class TraceStep(NamedTuple):
@@ -174,6 +175,7 @@ def twist_tree(p: int, q: int, mu: int) -> int:
     final state matters.
     """
     _check_mu(mu)
+    _check_masks(p, q)
     flat = _FLAT_TREES[mu]
     letter = 0
     sign = 1
@@ -190,6 +192,7 @@ def tree_trace(p: int, q: int, mu: int) -> List[TraceStep]:
     is +1).  The last step's state decides the sign.
     """
     _check_mu(mu)
+    _check_masks(p, q)
     flat = _FLAT_TREES[mu]
     letter = 0
     sign = 1
@@ -203,23 +206,41 @@ def tree_trace(p: int, q: int, mu: int) -> List[TraceStep]:
     return steps
 
 
+def _parity_above(p):
+    """Mask whose bit k is the parity of the bits of ``p`` above k.
+
+    A parallel-prefix XOR (Warren, *Hacker's Delight*): six folds reach
+    across all 64 bits, so the cost does not depend on how wide ``p``
+    is.  A wider mask would come out wrong, hence the mask contract.
+    Only ``>>`` and ``^`` are used, so ``p`` may be a Python int or a
+    numpy ``uint64`` array.
+    """
+    x = p >> 1
+    x ^= x >> 1
+    x ^= x >> 2
+    x ^= x >> 4
+    x ^= x >> 8
+    x ^= x >> 16
+    x ^= x >> 32
+    return x
+
+
 def twist_closed(p: int, q: int, mu: int) -> int:
     """Product sign in closed form.
 
     The reordering sign is (-1)**inversions, an inversion being a
-    generator pair (i in p, k in q) with i above k; the cancellation
-    factor is mu**popcount(p & q).  Inversions are counted popcount by
-    popcount on shifted masks, so the loop runs once per bit of p
-    rather than once per generator pair.
+    generator pair (i in p, k in q) with i above k (Dorst, Fontijne &
+    Mann, *Geometric Algebra for Computer Science*); the cancellation
+    factor is mu**popcount(p & q).  Bit k of ``_parity_above(p)`` is the
+    parity of the generators of p above k, so the inversion parity is
+    one popcount of that mask against q: a fixed number of shifts for
+    any 64-bit masks, and no loop.
     """
     _check_mu(mu)
-    swaps = 0
-    t = p >> 1
-    while t:
-        swaps += (t & q).bit_count()
-        t >>= 1
-    if mu < 0 and (p & q).bit_count() & 1:
-        swaps += 1
+    _check_masks(p, q)
+    swaps = (_parity_above(p) & q).bit_count()
+    if mu < 0:
+        swaps += (p & q).bit_count()
     return -1 if swaps & 1 else 1
 
 

@@ -58,6 +58,9 @@ MAX_NAMED_GENERATOR = 35
 #: Width of a blade mask; the index form accepts any value below 2**64.
 MASK_BITS = 64
 
+#: Decimal digits of 2**64 - 1, the longest index-form subscript.
+_MAX_INDEX_DIGITS = len(str((1 << MASK_BITS) - 1))
+
 
 class NotationError(ValueError):
     """Base class for blade and expression text errors."""
@@ -111,7 +114,15 @@ def parse_blade(text: str) -> int:
             raise MalformedBladeError(
                 f"index form needs a decimal subscript: {text!r}"
             )
-        value = int(payload)
+        # Strip zeros and bound the length before int(), whose
+        # digit limit would otherwise raise a bare ValueError.
+        digits = payload.lstrip("0") or "0"
+        if len(digits) > _MAX_INDEX_DIGITS:
+            raise MalformedBladeError(
+                f"blade index of {len(digits)} digits does not fit in"
+                f" {MASK_BITS} bits"
+            )
+        value = int(digits)
         if value >> MASK_BITS:
             raise MalformedBladeError(
                 f"blade index {value} does not fit in {MASK_BITS} bits"
@@ -289,17 +300,24 @@ class _Parser:
             return Factor(None, self.blade())
         raise self.fail("expected a rational or a blade")
 
+    def integer(self) -> int:
+        tok = self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:  # past the interpreter's int-string digit limit
+            raise ExpressionSyntaxError(
+                f"number of {len(tok.text)} digits is too long", tok.offset
+            ) from None
+
     def rational(self) -> Fraction:
-        num_tok = self.advance()
-        num = int(num_tok.text)
+        num = self.integer()
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "/":
             self.advance()
             den_tok = self.peek()
             if den_tok.kind != "NUMBER":
                 raise self.fail("expected a denominator after '/'")
-            self.advance()
-            den = int(den_tok.text)
+            den = self.integer()
             if den == 0:
                 raise ExpressionSyntaxError(
                     "zero denominator", den_tok.offset

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernel import _parity_above, twist_closed
+
 __all__ = [
     "MAX_DIM",
     "SymbolicSign",
@@ -108,16 +110,13 @@ class SymbolicSign:
 
 
 def twist_symbolic(p: int, q: int) -> SymbolicSign:
-    """Symbolic twist of a blade pair, exact for any 64-bit masks."""
-    if p < 0 or q < 0:
-        raise ValueError("blade masks must be non-negative")
-    mu_power = (p & q).bit_count() & 1
-    swaps = 0
-    t = p >> 1
-    while t:
-        swaps += (t & q).bit_count()
-        t >>= 1
-    return SymbolicSign(-1 if swaps & 1 else 1, mu_power)
+    """Symbolic twist of a blade pair, exact for any 64-bit masks.
+
+    At mu = +1 the twist is the bare reordering sign; the mu power is
+    the parity of the shared generators.  Masks outside [0, 2**64)
+    raise ValueError.
+    """
+    return SymbolicSign(twist_closed(p, q, 1), (p & q).bit_count() & 1)
 
 
 def _check_dim(n: int, low: int = 1):
@@ -175,15 +174,15 @@ class TwistTable:
 
 def _direct_codes(n: int) -> np.ndarray:
     size = 1 << n
-    p = np.arange(size, dtype=np.uint32).reshape(-1, 1)
-    q = np.arange(size, dtype=np.uint32).reshape(1, -1)
-    mu_power = (np.bitwise_count(p & q) & 1).astype(np.int8)
-    inv = np.zeros((size, size), dtype=np.int8)
-    t = p >> 1
-    while t.any():
-        inv ^= (np.bitwise_count(t & q) & 1).astype(np.int8)
-        t = t >> 1
-    return inv | (mu_power << 1)
+    p = np.arange(size, dtype=np.uint64).reshape(-1, 1)
+    x = _parity_above(p)
+    # Masks stay below 2**MAX_DIM, so the size x size cells fit in
+    # 16 bits: a quarter of the memory of uint64 cells.
+    p, x = p.astype(np.uint16), x.astype(np.uint16)
+    q = np.arange(size, dtype=np.uint16)
+    neg = np.bitwise_count(x & q) & 1
+    mu_power = np.bitwise_count(p & q) & 1
+    return (neg | (mu_power << 1)).astype(np.int8)
 
 
 def table_direct(n: int) -> TwistTable:

@@ -95,6 +95,24 @@ class TestMul:
         assert run_cli("mul", "e_11") == 2
         assert "at byte 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("i_" + "7" * 5000, "5000 digits does not fit in 64 bits"),
+            ("7" * 5000 + " e_1", "5000 digits is too long"),
+        ],
+    )
+    def test_long_digit_string_exit_2(self, capsys, expr, message):
+        assert run_cli("mul", expr) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "at byte 0" in captured.err
+
+    def test_leading_zeros_in_index_form(self, capsys):
+        assert run_cli("mul", "i_" + "0" * 5000 + "1") == 0
+        assert capsys.readouterr().out == "e_{1}\n"
+
     def test_high_generator_falls_back_to_i_form(self, capsys):
         blade = 1 << 40  # generator 41, beyond the e-form alphabet
         assert run_cli("mul", f"i_1 * i_{blade}") == 0

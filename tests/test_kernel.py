@@ -15,9 +15,12 @@ from cltwist.kernel import (
     twist_recursive,
     twist_tree,
 )
+from cltwist.tables import twist_symbolic
 
 masks = st.integers(min_value=0, max_value=(1 << 64) - 1)
 mus = st.sampled_from([1, -1])
+# negative and wide ints as well as valid masks
+any_ints = st.one_of(masks, st.integers(), st.integers(min_value=1 << 64))
 
 
 def test_grade_basics():
@@ -60,6 +63,18 @@ def test_exhaustive_agreement_small():
             for q in range(32):
                 signs = {f(p, q, mu) for f in algos}
                 assert len(signs) == 1, (p, q, mu)
+
+
+def test_closed_every_fold_stage():
+    # one generator each side: the inversion bit travels through every
+    # shift of the parity folds, from both ends of the 64-bit mask
+    for k in range(64):
+        for j in range(64):
+            for mu in (1, -1):
+                p, q = 1 << k, 1 << j
+                assert twist_closed(p, q, mu) == twist_oracle(p, q, mu), (k, j, mu)
+    # all 63 generators above e_1 pass it
+    assert twist_closed((1 << 64) - 1, 1, 1) == -1
 
 
 @given(p=masks, q=masks, mu=mus)
@@ -154,6 +169,35 @@ def test_mu_validation(func):
         func(1, 2, 0)
     with pytest.raises(ValueError):
         func(1, 2, 2)
+
+
+SIGN_ENTRY_POINTS = {
+    **ALGORITHMS,
+    "tree_trace": tree_trace,
+    "blade_product": blade_product,
+    "twist_symbolic": lambda p, q, mu: twist_symbolic(p, q),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 64, 1 << 70])
+@pytest.mark.parametrize("name", list(SIGN_ENTRY_POINTS))
+def test_mask_validation(name, bad):
+    func = SIGN_ENTRY_POINTS[name]
+    for p, q in ((bad, 3), (3, bad)):
+        for mu in (1, -1):
+            with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
+                func(p, q, mu)
+
+
+@given(p=any_ints, q=any_ints, mu=mus)
+def test_algorithms_agree_or_all_reject(p, q, mu):
+    outcomes = set()
+    for func in ALGORITHMS.values():
+        try:
+            outcomes.add(func(p, q, mu))
+        except ValueError as exc:
+            outcomes.add(str(exc))
+    assert len(outcomes) == 1, outcomes
 
 
 def test_algorithms_registry():

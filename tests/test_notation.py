@@ -10,6 +10,7 @@ from cltwist.notation import (
     Factor,
     InvalidDigitError,
     MalformedBladeError,
+    NotationError,
     Term,
     UnknownTokenError,
     UnrepresentableError,
@@ -72,6 +73,17 @@ class TestParseBlade:
         with pytest.raises(MalformedBladeError):
             parse_blade("i_12a")
 
+    def test_index_form_long_digit_strings(self):
+        # past the interpreter's int-string digit limit
+        with pytest.raises(MalformedBladeError, match="5000 digits"):
+            parse_blade("i_" + "7" * 5000)
+        with pytest.raises(MalformedBladeError, match="21 digits"):
+            parse_blade("i_" + "1" * 21)
+        # leading zeros do not count towards the 20 digits of 2**64 - 1
+        assert parse_blade("i_" + "0" * 5000 + "1") == 1
+        assert parse_blade("i_" + "0" * 30) == 0
+        assert parse_blade(f"i_000{(1 << 64) - 1}") == (1 << 64) - 1
+
 
 class TestFormatBlade:
     def test_scalar(self):
@@ -109,6 +121,14 @@ def test_e_form_round_trip(mask):
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
 def test_i_form_round_trip(mask):
     assert parse_blade(format_blade(mask, style="i")) == mask
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789eiz_{}+-*/ é")))
+def test_parse_expression_raises_only_notation_errors(text):
+    try:
+        parse_expression(text)
+    except NotationError:
+        pass
 
 
 class TestParseExpression:
@@ -176,6 +196,17 @@ class TestParseExpression:
         with pytest.raises(ExpressionSyntaxError) as info:
             parse_expression("2 e_11")
         assert info.value.offset == 2
+
+    def test_long_number_is_syntax_error(self):
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_expression("7" * 5000 + " e_1")
+        assert info.value.offset == 0
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_expression("1/" + "3" * 5000)
+        assert info.value.offset == 2
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_expression("e_1 + i_" + "7" * 5000)
+        assert info.value.offset == 6
 
     def test_offsets_are_bytes(self):
         # multibyte character before the problem spot

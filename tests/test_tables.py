@@ -135,7 +135,7 @@ class TestGoldenTables:
         assert str(t[3, 3]) == "-1"
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [*range(1, 7), MAX_DIM])
 def test_blocks_equal_direct(n):
     assert table_blocks(n) == table_direct(n)
 
