@@ -9,12 +9,15 @@ Subcommands:
   selftest        exhaustive four-way and cocycle suites
   bench           time the sign algorithms on a fixed random workload
 
-Exit codes: 0 success, 1 self-test failure, 2 usage or parse error.
+Exit codes: 0 success, 1 self-test failure, 2 usage or parse error
+(also a ``mul`` result too long to print), 141 (128 + SIGPIPE) when
+stdout is closed before the output is written, as by ``| head``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -23,14 +26,13 @@ from . import selftest as selftest_mod
 from .kernel import ALGORITHMS, tree_trace
 from .multivector import Algebra
 from .notation import NotationError, UnrepresentableError
-from .tables import (
-    MAX_DIM,
-    render_block_letters,
-    render_table,
-    table_blocks,
-)
+from .tables import MAX_DIM, _letter_chunks, _table_chunks, table_blocks
 
 __all__ = ["main"]
+
+#: Exit status when stdout closes early: 128 + SIGPIPE, as a shell
+#: reports a process the signal killed.
+_EXIT_BROKEN_PIPE = 141
 
 _MU_VALUES = {"+1": 1, "-1": -1, "sym": None}
 
@@ -147,14 +149,16 @@ def _cmd_mul(args) -> int:
     except NotationError as exc:
         print(f"cltwist mul: {exc}", file=sys.stderr)
         return 2
-    if args.i_form:
-        print(value.format("i"))
-        return 0
     try:
-        print(value.format("e"))
-    except UnrepresentableError:
-        # generators past the e-form alphabet: fall back silently
-        print(value.format("i"))
+        try:
+            text = value.format("i" if args.i_form else "e")
+        except UnrepresentableError:
+            # generators past the e-form alphabet: fall back silently
+            text = value.format("i")
+    except ValueError as exc:  # a coefficient past the int-string digit limit
+        print(f"cltwist mul: {exc}", file=sys.stderr)
+        return 2
+    print(text)
     return 0
 
 
@@ -166,10 +170,14 @@ def _cmd_table(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        sys.stdout.write(render_block_letters(args.n, args.format))
-        return 0
-    table = table_blocks(args.n)
-    sys.stdout.write(render_table(table, args.format, _MU_VALUES[args.mu]))
+        chunks = _letter_chunks(args.n, args.format)
+    else:
+        table = table_blocks(args.n)
+        chunks = _table_chunks(table, args.format, _MU_VALUES[args.mu])
+    # str, not bytes to sys.stdout.buffer: callers may capture stdout
+    # with a text-only stream
+    for chunk in chunks:
+        sys.stdout.write(chunk.decode("ascii"))
     return 0
 
 
@@ -210,7 +218,19 @@ _DISPATCH = {
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return _DISPATCH[args.command](args)
+    try:
+        code = _DISPATCH[args.command](args)
+        # flush here, so that a closed pipe raises inside this try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the
+        # interpreter's flush at exit does not raise again and print a
+        # traceback (the recipe in the signal module's documentation).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

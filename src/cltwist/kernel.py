@@ -58,6 +58,7 @@ def _check_masks(p: int, q: int) -> None:
 
 def grade(p: int) -> int:
     """Number of generator factors of blade ``p``, i.e. its popcount."""
+    _check_masks(p, 0)
     return p.bit_count()
 
 
@@ -67,6 +68,7 @@ def grade_sign(p: int) -> int:
     This is the sign picked up when one generator anticommutes past
     every factor of ``p``.
     """
+    _check_masks(p, 0)
     return -1 if p.bit_count() & 1 else 1
 
 

@@ -19,6 +19,7 @@ of the generators, +1 or -1) and acts as the factory:
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple, Union
 
@@ -237,7 +238,12 @@ class Multivector:
     # --- rendering --------------------------------------------------------
 
     def format(self, style: str = "e") -> str:
-        """Canonical text; parses back to an equal multivector."""
+        """Canonical text; parses back to an equal multivector.
+
+        A coefficient with more digits than the interpreter's int-string
+        limit (``sys.get_int_max_str_digits()``), which ``parse`` would
+        refuse, raises ValueError naming that limit.
+        """
         if not self._coeffs:
             return "0"
         parts = []
@@ -250,7 +256,14 @@ class Multivector:
                 parts.append(" + ")
             blade = format_blade(mask, style) if mask else ""
             if coeff != 1 or not blade:
-                parts.append(str(coeff))
+                try:
+                    parts.append(str(coeff))
+                except ValueError:  # past the int-string digit limit
+                    raise ValueError(
+                        "a coefficient has more than"
+                        f" {sys.get_int_max_str_digits()} digits, the"
+                        " interpreter's limit for integer strings"
+                    ) from None
                 if blade:
                     parts.append(" ")
             parts.append(blade)

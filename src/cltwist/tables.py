@@ -239,16 +239,50 @@ def table_blocks(n: int) -> TwistTable:
 
 # --- rendering -------------------------------------------------------------
 
-def _entry_strings(codes: np.ndarray, mu) -> np.ndarray:
+#: Rows rendered per chunk: the working buffer and each chunk of text
+#: scale with it, not with the table.
+_CHUNK_ROWS = 256
+
+
+def _separator(format: str) -> str:
+    if format not in ("text", "csv"):
+        raise ValueError(f"format must be 'text' or 'csv', got {format!r}")
+    return " " if format == "text" else ","
+
+
+def _render_chunks(codes: np.ndarray, spell, sep: str):
+    """ASCII text of ``codes`` spelled through ``spell``, in row chunks.
+
+    Each code indexes a fixed-width bytes table of ``entry + sep`` (the
+    last column: ``entry + "\n"``) padded with NUL; deleting the NULs
+    from a chunk's bytes leaves exactly its text.
+    """
+    width = 1 + max(map(len, spell))
+    dtype = f"S{width}"
+    inner = np.array([(s + sep).encode("ascii") for s in spell], dtype)
+    last = np.array([(s + "\n").encode("ascii") for s in spell], dtype)
+    rows, cols = codes.shape
+    buf = np.empty((min(rows, _CHUNK_ROWS), cols), dtype)
+    for start in range(0, rows, _CHUNK_ROWS):
+        block = codes[start:start + _CHUNK_ROWS]
+        out = buf[:block.shape[0]]
+        np.take(inner, block[:, :-1], out=out[:, :-1])
+        np.take(last, block[:, -1], out=out[:, -1])
+        yield out.tobytes().translate(None, b"\0")
+
+
+def _table_chunks(table: TwistTable, format: str, mu):
+    """:func:`render_table` as an iterator of ASCII byte chunks."""
+    sep = _separator(format)
     if mu is None:
-        lut = np.array(_SPELL)
+        spell = _SPELL
     elif mu == 1:
-        lut = np.array(["1", "-1", "1", "-1"])
+        spell = ("1", "-1", "1", "-1")
     elif mu == -1:
-        lut = np.array(["1", "-1", "-1", "1"])
+        spell = ("1", "-1", "-1", "1")
     else:
         raise ValueError(f"mu must be +1, -1 or None, got {mu!r}")
-    return lut[codes]
+    return _render_chunks(table.codes, spell, sep)
 
 
 def render_table(table: TwistTable, format: str = "text", mu=None) -> str:
@@ -259,11 +293,7 @@ def render_table(table: TwistTable, format: str = "text", mu=None) -> str:
     {1, -1, m, -m}.  mu None keeps entries symbolic, +1 or -1
     substitutes numbers.
     """
-    if format not in ("text", "csv"):
-        raise ValueError(f"format must be 'text' or 'csv', got {format!r}")
-    sep = " " if format == "text" else ","
-    cells = _entry_strings(table.codes, mu)
-    return "".join(sep.join(row) + "\n" for row in cells)
+    return b"".join(_table_chunks(table, format, mu)).decode("ascii")
 
 
 _LETTER_SPELL = ("A", "-A", "mA", "-mA", "B", "-B", "mB", "-mB")
@@ -285,12 +315,13 @@ def block_letter_grid(n: int):
     return codes, letters
 
 
+def _letter_chunks(n: int, format: str):
+    """:func:`render_block_letters` as an iterator of ASCII byte chunks."""
+    sep = _separator(format)
+    codes, letters = block_letter_grid(n)
+    return _render_chunks(codes | (letters << 2), _LETTER_SPELL, sep)
+
+
 def render_block_letters(n: int, format: str = "text") -> str:
     """Half-resolution table of coefficiented letters, e.g. "-mB"."""
-    if format not in ("text", "csv"):
-        raise ValueError(f"format must be 'text' or 'csv', got {format!r}")
-    sep = " " if format == "text" else ","
-    codes, letters = block_letter_grid(n)
-    lut = np.array(_LETTER_SPELL)
-    cells = lut[codes | (letters << 2)]
-    return "".join(sep.join(row) + "\n" for row in cells)
+    return b"".join(_letter_chunks(n, format)).decode("ascii")

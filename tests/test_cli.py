@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from cltwist import cli, kernel
+from cltwist.tables import render_table, table_blocks
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = PYPROJECT.parent / "src"
 
 
 def run_cli(*argv):
@@ -109,6 +111,16 @@ class TestMul:
         assert message in captured.err
         assert "at byte 0" in captured.err
 
+    def test_result_past_digit_limit_exit_2(self, capsys):
+        # 3000-digit factors parse; their 6000-digit product cannot print
+        sevens = "7" * 3000
+        assert run_cli("mul", f"{sevens} * {sevens}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("cltwist mul: ")
+        assert f"{sys.get_int_max_str_digits()} digits" in captured.err
+
     def test_leading_zeros_in_index_form(self, capsys):
         assert run_cli("mul", "i_" + "0" * 5000 + "1") == 0
         assert capsys.readouterr().out == "e_{1}\n"
@@ -152,6 +164,29 @@ class TestTable:
     def test_default_mu_substitution(self, capsys):
         run_cli("table", "1")
         assert capsys.readouterr().out == "1 1\n1 -1\n"
+
+    def test_streamed_output_equals_render(self, capsys):
+        # n = 9 spans two 256-row chunks
+        assert run_cli("table", "9", "--format", "csv", "--mu", "+1") == 0
+        out = capsys.readouterr().out
+        assert out == render_table(table_blocks(9), "csv", 1)
+
+    def test_closed_pipe_exits_141_silently(self):
+        # the reader takes one line and goes away while the writer still
+        # has megabytes of table to send
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cltwist", "table", "11"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"1 1 1 ")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == b""  # no traceback
+        assert proc.returncode == 141
 
     def test_out_of_range(self, capsys):
         assert run_cli("table", "13") == 2

@@ -189,6 +189,18 @@ def test_mask_validation(name, bad):
                 func(p, q, mu)
 
 
+@pytest.mark.parametrize("bad", [-1, 1 << 64, 1 << 70])
+@pytest.mark.parametrize("func", [grade, grade_sign])
+def test_grade_mask_validation(func, bad):
+    with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
+        func(bad)
+
+
+def test_grade_accepts_widest_mask():
+    assert grade((1 << 64) - 1) == 64
+    assert grade_sign((1 << 64) - 1) == 1
+
+
 @given(p=any_ints, q=any_ints, mu=mus)
 def test_algorithms_agree_or_all_reject(p, q, mu):
     outcomes = set()

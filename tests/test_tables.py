@@ -15,7 +15,7 @@ from cltwist.tables import (
     table_direct,
     twist_symbolic,
 )
-from cltwist.tables import _grown_blocks
+from cltwist.tables import _SPELL, _grown_blocks
 
 masks = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -234,3 +234,38 @@ def test_large_table_row_zero():
     assert t.codes.shape == (1024, 1024)
     assert not t.codes[0].any()
     assert t.entry(1, 1) == SymbolicSign(1, 1)
+
+
+# --- the chunked renderer against a per-cell reference ---------------------
+
+def _reference_render(cells, spell, sep):
+    return "".join(
+        sep.join(spell[c] for c in row) + "\n" for row in cells.tolist()
+    )
+
+
+@pytest.mark.parametrize("mu", [None, 1, -1])
+@pytest.mark.parametrize("format, sep", [("text", " "), ("csv", ",")])
+@pytest.mark.parametrize("build", [table_direct, table_blocks])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_render_matches_reference(n, build, format, sep, mu):
+    # n >= 9 crosses the 256-row chunk boundary
+    table = build(n)
+    if mu is None:
+        spell = _SPELL
+    else:
+        spell = [
+            str(SymbolicSign.from_code(c).substitute(mu)) for c in range(4)
+        ]
+    expected = _reference_render(table.codes, spell, sep)
+    assert render_table(table, format, mu) == expected
+
+
+@pytest.mark.parametrize("format, sep", [("text", " "), ("csv", ",")])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_block_letters_match_reference(n, format, sep):
+    codes, letters = block_letter_grid(n)
+    coeff = {"1": "", "-1": "-", "m": "m", "-m": "-m"}
+    spell = [coeff[_SPELL[c & 3]] + "AB"[c >> 2] for c in range(8)]
+    expected = _reference_render(codes + 4 * letters, spell, sep)
+    assert render_block_letters(n, format) == expected
