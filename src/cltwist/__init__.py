@@ -5,10 +5,17 @@ e_k is a factor) and the geometric product is XOR of masks times a
 computed sign, the twist.  The package provides four independent
 implementations of the sign, exact rational multivectors, symbolic
 twist tables with a block-substitution generator, and a CLI.
+
+Only the tables and the self-test need numpy.  Their names are
+resolved on first access, so ``import cltwist`` and the sign,
+notation and multivector layers run without loading numpy.
 """
+
+from importlib import import_module
 
 from .kernel import (
     ALGORITHMS,
+    MAX_DIM,
     TraceStep,
     blade_product,
     grade,
@@ -30,17 +37,18 @@ from .notation import (
     parse_blade,
     parse_expression,
 )
-from .selftest import run_selftest
-from .tables import (
-    MAX_DIM,
-    SymbolicSign,
-    TwistTable,
-    render_block_letters,
-    render_table,
-    table_blocks,
-    table_direct,
-    twist_symbolic,
-)
+
+#: Public names loaded on first access, by the submodule defining them.
+_LAZY = {
+    "SymbolicSign": "tables",
+    "TwistTable": "tables",
+    "render_block_letters": "tables",
+    "render_table": "tables",
+    "table_blocks": "tables",
+    "table_direct": "tables",
+    "twist_symbolic": "tables",
+    "run_selftest": "selftest",
+}
 
 __version__ = "0.1.0"
 
@@ -76,3 +84,19 @@ __all__ = [
     "twist_tree",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

@@ -12,6 +12,9 @@ Subcommands:
 Exit codes: 0 success, 1 self-test failure, 2 usage or parse error
 (also a ``mul`` result too long to print), 141 (128 + SIGPIPE) when
 stdout is closed before the output is written, as by ``| head``.
+
+Only ``table`` and ``selftest`` need numpy; their handlers import the
+table and self-test modules, so the other commands never load it.
 """
 
 from __future__ import annotations
@@ -22,11 +25,9 @@ import sys
 from typing import List, Optional
 
 from . import bench as bench_mod
-from . import selftest as selftest_mod
-from .kernel import ALGORITHMS, tree_trace
+from .kernel import ALGORITHMS, MAX_DIM, tree_trace
 from .multivector import Algebra
 from .notation import NotationError, UnrepresentableError
-from .tables import MAX_DIM, _letter_chunks, _table_chunks, table_blocks
 
 __all__ = ["main"]
 
@@ -121,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="exhaustive consistency suites")
     p_self.add_argument(
-        "--n", type=_dim, default=selftest_mod.DEFAULT_N,
+        "--n", type=_dim, default=None,
         help="bit width: checks all pairs below 2**n (default 8)",
     )
 
@@ -163,6 +164,8 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import tables
+
     if args.blocks:
         if args.n < 2:
             print(
@@ -170,10 +173,10 @@ def _cmd_table(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        chunks = _letter_chunks(args.n, args.format)
+        chunks = tables._letter_chunks(args.n, args.format)
     else:
-        table = table_blocks(args.n)
-        chunks = _table_chunks(table, args.format, _MU_VALUES[args.mu])
+        table = tables.table_blocks(args.n)
+        chunks = tables._table_chunks(table, args.format, _MU_VALUES[args.mu])
     # str, not bytes to sys.stdout.buffer: callers may capture stdout
     # with a text-only stream
     for chunk in chunks:
@@ -193,7 +196,12 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    report = selftest_mod.run_selftest(args.n)
+    from . import selftest
+
+    # the default width is read here, not when the parser is built, so
+    # that parsing any command leaves numpy unloaded
+    n = selftest.DEFAULT_N if args.n is None else args.n
+    report = selftest.run_selftest(n)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1

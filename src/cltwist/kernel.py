@@ -42,6 +42,12 @@ __all__ = [
     "twist_tree",
 ]
 
+#: Largest width of a twist table or an exhaustive self-test: 4**12
+#: table entries is the in-memory ceiling.  It lives here, away from
+#: numpy, so that the CLI can check a width without loading the table
+#: layer; :mod:`cltwist.tables` re-exports it.
+MAX_DIM = 12
+
 
 def _check_mu(mu: int) -> None:
     if mu != 1 and mu != -1:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernel import _parity_above, twist_closed
+from .kernel import MAX_DIM, _parity_above, twist_closed
 
 __all__ = [
     "MAX_DIM",
@@ -37,9 +37,6 @@ __all__ = [
     "table_direct",
     "twist_symbolic",
 ]
-
-#: Largest table dimension; 4**12 entries is the in-memory ceiling.
-MAX_DIM = 12
 
 _SPELL = ("1", "-1", "m", "-m")
 
@@ -132,11 +129,22 @@ class TwistTable:
     __slots__ = ("n", "codes")
 
     def __init__(self, n: int, codes: np.ndarray):
+        # a copy, so that the caller's array cannot change the table
+        self._hold(n, codes.copy())
+
+    @classmethod
+    def _adopt(cls, n: int, codes: np.ndarray) -> "TwistTable":
+        """Table over ``codes`` itself, for an array a builder has just
+        made and keeps no other reference to."""
+        table = object.__new__(cls)
+        table._hold(n, codes)
+        return table
+
+    def _hold(self, n: int, codes: np.ndarray):
         _check_dim(n)
         size = 1 << n
         if codes.shape != (size, size) or codes.dtype != np.int8:
             raise ValueError("codes must be a 2**n square int8 array")
-        codes = codes.copy()
         codes.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "codes", codes)
@@ -188,11 +196,11 @@ def _direct_codes(n: int) -> np.ndarray:
 def table_direct(n: int) -> TwistTable:
     """Twist table built cell-by-cell from the closed form."""
     _check_dim(n)
-    return TwistTable(n, _direct_codes(n))
+    return TwistTable._adopt(n, _direct_codes(n))
 
 
-def _block_step(codes, letters):
-    """One substitution round: every cell becomes a 2x2 block.
+def _block_codes(codes, letters):
+    """Codes of one substitution round: every cell becomes a 2x2 block.
 
     Letters: 0 is A, 1 is B.  A coefficiented letter c*A becomes
     [[c, c], [c, mc]] with letters [[A, A], [B, B]], and c*B becomes
@@ -204,15 +212,22 @@ def _block_step(codes, letters):
     m = codes.shape[0]
     nc = np.empty((2 * m, 2 * m), dtype=np.int8)
     nc[0::2, 0::2] = codes
-    nc[0::2, 1::2] = codes ^ letters
     nc[1::2, 0::2] = codes
-    nc[1::2, 1::2] = codes ^ letters ^ 2
+    # written in place: no temporary the size of ``codes``
+    np.bitwise_xor(codes, letters, out=nc[0::2, 1::2])
+    np.bitwise_xor(nc[0::2, 1::2], 2, out=nc[1::2, 1::2])
+    return nc
+
+
+def _block_letters(letters):
+    """Letters of one substitution round (see :func:`_block_codes`)."""
+    m = letters.shape[0]
     nl = np.empty((2 * m, 2 * m), dtype=np.int8)
     nl[0::2, 0::2] = letters
     nl[0::2, 1::2] = letters
-    nl[1::2, 0::2] = letters ^ 1
-    nl[1::2, 1::2] = letters ^ 1
-    return nc, nl
+    np.bitwise_xor(letters, 1, out=nl[1::2, 0::2])
+    nl[1::2, 1::2] = nl[1::2, 0::2]
+    return nl
 
 
 def _grown_blocks(rounds: int):
@@ -220,7 +235,7 @@ def _grown_blocks(rounds: int):
     codes = np.zeros((1, 1), dtype=np.int8)
     letters = np.zeros((1, 1), dtype=np.int8)
     for _ in range(rounds):
-        codes, letters = _block_step(codes, letters)
+        codes, letters = _block_codes(codes, letters), _block_letters(letters)
     return codes, letters
 
 
@@ -229,12 +244,12 @@ def table_blocks(n: int) -> TwistTable:
 
     n - 1 substitution rounds produce the half-resolution letter grid;
     expanding each letter to its 2x2 seed matrix (which reuses the
-    same code arithmetic) yields the full table.
+    same code arithmetic) yields the full table.  That last round
+    needs no letters, so it builds none.
     """
     _check_dim(n)
     codes, letters = _grown_blocks(n - 1)
-    final, _ = _block_step(codes, letters)
-    return TwistTable(n, final)
+    return TwistTable._adopt(n, _block_codes(codes, letters))
 
 
 # --- rendering -------------------------------------------------------------

@@ -11,7 +11,6 @@ from cltwist import cli, kernel
 from cltwist.tables import render_table, table_blocks
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-SRC = PYPROJECT.parent / "src"
 
 
 def run_cli(*argv):
@@ -171,16 +170,12 @@ class TestTable:
         out = capsys.readouterr().out
         assert out == render_table(table_blocks(9), "csv", 1)
 
-    def test_closed_pipe_exits_141_silently(self):
+    def test_closed_pipe_exits_141_silently(self, child_env):
         # the reader takes one line and goes away while the writer still
         # has megabytes of table to send
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC), env.get("PYTHONPATH", "")]
-        )
         proc = subprocess.Popen(
             [sys.executable, "-m", "cltwist", "table", "11"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env,
         )
         assert proc.stdout.readline().startswith(b"1 1 1 ")
         proc.stdout.close()
@@ -319,25 +314,27 @@ def _write_launcher(bin_dir, entry_point):
     path.chmod(0o755)
 
 
-def test_console_script_installed(tmp_path):
+def test_console_script_installed(tmp_path, child_env):
     # What an install would put on PATH, built from the declaration in
     # pyproject.toml, so a source checkout checks it without installing.
     entry_point = _declared_console_script("cltwist")
     assert callable(entry_point.load())
     _write_launcher(tmp_path / "bin", entry_point)
-    env = dict(os.environ)
-    env["PATH"] = os.pathsep.join([str(tmp_path / "bin"), env.get("PATH", "")])
+    child_env["PATH"] = os.pathsep.join(
+        [str(tmp_path / "bin"), child_env.get("PATH", "")]
+    )
 
     out = subprocess.run(
         ["cltwist", "sign", "2636", "1143", "--mu", "-1"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env,
     )
     assert out.returncode == 0
     assert out.stdout == "-1\n"
 
     # exit code 2 reaches the shell only through main()'s return value
     out = subprocess.run(
-        ["cltwist", "mul", "e_21"], capture_output=True, text=True, env=env,
+        ["cltwist", "mul", "e_21"],
+        capture_output=True, text=True, env=child_env,
     )
     assert out.returncode == 2
     assert out.stderr != ""
@@ -346,19 +343,96 @@ def test_console_script_installed(tmp_path):
 @pytest.mark.skipif(
     shutil.which("cltwist") is None, reason="cltwist is not installed on PATH"
 )
-def test_console_script_on_path():
+def test_console_script_on_path(child_env):
     out = subprocess.run(
         ["cltwist", "sign", "2636", "1143", "--mu", "-1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert out.returncode == 0
     assert out.stdout == "-1\n"
 
 
-def test_python_dash_m_entry():
+def test_python_dash_m_entry(child_env):
     out = subprocess.run(
         [sys.executable, "-m", "cltwist", "mul", "e_134 * e_23", "--mu", "-1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert out.returncode == 0
     assert out.stdout == "e_{124}\n"
+
+
+# numpy is for the table and self-test layers only.  Each check runs in
+# a fresh interpreter, since this process has long since imported it.
+
+def _fresh_python(code, env):
+    """stdout of ``python -c code`` in a fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_import_leaves_numpy_unloaded(child_env):
+    out = _fresh_python(
+        "import sys, cltwist; print('numpy' in sys.modules)", child_env
+    )
+    assert out == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sign", "2636", "1143", "--mu", "-1"],
+        ["mul", "e_134 * e_23", "--mu", "-1"],
+        ["trace", "5", "3", "--mu", "+1"],
+        ["bench", "--pairs", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_leaves_numpy_unloaded(child_env, argv):
+    out = _fresh_python(
+        "import sys\n"
+        "from cltwist import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, 'numpy' in sys.modules)\n",
+        child_env,
+    )
+    assert out.splitlines()[-1] == "0 False"
+
+
+def test_star_import_and_dir_cover_all(child_env):
+    # dir() first: the star import caches every lazy name it binds
+    out = _fresh_python(
+        "import cltwist\n"
+        "print(sorted(set(cltwist.__all__) - set(dir(cltwist))))\n"
+        "names = {}\n"
+        "exec('from cltwist import *', names)\n"
+        "print(sorted(set(cltwist.__all__) - set(names)))\n",
+        child_env,
+    )
+    assert out == "[]\n[]\n"
+
+
+def test_lazy_name_is_the_submodule_object(child_env):
+    out = _fresh_python(
+        "import cltwist\n"
+        "table_direct = cltwist.table_direct\n"
+        "import cltwist.selftest, cltwist.tables\n"
+        "print(table_direct is cltwist.tables.table_direct,"
+        " cltwist.run_selftest is cltwist.selftest.run_selftest)\n",
+        child_env,
+    )
+    assert out == "True True\n"
+
+
+def test_unknown_name_raises_attribute_error(child_env):
+    out = _fresh_python(
+        "import cltwist\n"
+        "try:\n"
+        "    cltwist.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n",
+        child_env,
+    )
+    assert "no_such_name" in out

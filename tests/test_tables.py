@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -135,13 +137,25 @@ class TestGoldenTables:
         assert str(t[3, 3]) == "-1"
 
 
-@pytest.mark.parametrize("n", [*range(1, 7), MAX_DIM])
+@pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
 def test_blocks_equal_direct(n):
     assert table_blocks(n) == table_direct(n)
 
 
 def test_blocks_equal_direct_n8():
     assert table_blocks(8) == table_direct(8)
+
+
+def test_blocks_peak_memory():
+    # the 16 MiB result, plus the last round's codes and letters at a
+    # quarter of that each: no letters grid or copy at full size
+    tracemalloc.start()
+    try:
+        table_blocks(MAX_DIM)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << 20
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -215,6 +229,13 @@ class TestValidation:
             t.n = 3
         with pytest.raises(ValueError):
             t.codes[0, 0] = 1
+
+    def test_table_does_not_alias_caller_array(self):
+        codes = table_direct(3).codes.copy()
+        table = TwistTable(3, codes)
+        codes[:] = 3
+        assert table == table_direct(3)
+        assert codes.flags.writeable  # the caller's array stays theirs
 
     def test_codes_shape_checked(self):
         with pytest.raises(ValueError):
