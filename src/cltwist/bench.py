@@ -24,14 +24,12 @@ __all__ = ["BenchResult", "format_report", "make_workload", "run_bench"]
 DEFAULT_PAIRS = 1_000_000
 _SEED = 0x7715F  # fixed so the workload is reproducible
 
-MASK64 = (1 << 64) - 1
 
-
-def make_workload(pairs: int, seed: int = _SEED) -> Tuple[List[int], List[int]]:
+def make_workload(pairs: int) -> Tuple[List[int], List[int]]:
     """Deterministic list of ``pairs`` random 64-bit (p, q) inputs."""
     if pairs < 1:
         raise ValueError("need at least one pair")
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     ps = [rng.getrandbits(64) for _ in range(pairs)]
     qs = [rng.getrandbits(64) for _ in range(pairs)]
     return ps, qs
@@ -51,13 +49,10 @@ def _time_one(func, ps, qs, mu) -> float:
     return time.perf_counter() - t0
 
 
-def run_bench(pairs: int = DEFAULT_PAIRS, mu: int = -1,
-              algorithms=None) -> List[BenchResult]:
-    if algorithms is None:
-        algorithms = kernel.ALGORITHMS
+def run_bench(pairs: int = DEFAULT_PAIRS, mu: int = -1) -> List[BenchResult]:
     ps, qs = make_workload(pairs)
     results = []
-    for name, func in algorithms.items():
+    for name, func in kernel.ALGORITHMS.items():
         elapsed = _time_one(func, ps, qs, mu)
         results.append(BenchResult(name, pairs, elapsed * 1e9 / pairs))
     return results

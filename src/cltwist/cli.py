@@ -9,9 +9,15 @@ Subcommands:
   selftest        exhaustive four-way and cocycle suites
   bench           time the sign algorithms on a fixed random workload
 
-Exit codes: 0 success, 1 self-test failure, 2 usage or parse error
-(also a ``mul`` result too long to print), 141 (128 + SIGPIPE) when
-stdout is closed before the output is written, as by ``| head``.
+Exit codes: 0 success, 1 self-test failure, 2 usage error or input
+outside the library's contract (also a ``mul`` result too long to
+print), 141 (128 + SIGPIPE) when stdout is closed before the output is
+written, as by ``| head``.
+
+argparse checks only the syntax of the arguments.  Their ranges are
+checked by the library itself: a handler that gets a ValueError
+(NotationError is one) writes nothing to stdout, and :func:`main`
+prints ``cltwist <command>: <message>`` on one stderr line.
 
 Only ``table`` and ``selftest`` need numpy; their handlers import the
 table and self-test modules, so the other commands never load it.
@@ -25,9 +31,9 @@ import sys
 from typing import List, Optional
 
 from . import bench as bench_mod
-from .kernel import ALGORITHMS, MAX_DIM, tree_trace
+from .kernel import ALGORITHMS, tree_trace
 from .multivector import Algebra
-from .notation import NotationError, UnrepresentableError
+from .notation import UnrepresentableError
 
 __all__ = ["main"]
 
@@ -36,40 +42,6 @@ __all__ = ["main"]
 _EXIT_BROKEN_PIPE = 141
 
 _MU_VALUES = {"+1": 1, "-1": -1, "sym": None}
-
-
-def _u64(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
-    if value < 0 or value >> 64:
-        raise argparse.ArgumentTypeError(
-            f"blade index must be in 0..2**64-1, got {text}"
-        )
-    return value
-
-
-def _dim(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
-    if not 1 <= value <= MAX_DIM:
-        raise argparse.ArgumentTypeError(
-            f"dimension must be in 1..{MAX_DIM}, got {value}"
-        )
-    return value
-
-
-def _positive(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need a positive count, got {value}")
-    return value
 
 
 def _add_mu(parser, symbolic: bool = False):
@@ -88,8 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sign = sub.add_parser("sign", help="twist sign of a blade pair")
-    p_sign.add_argument("p", type=_u64)
-    p_sign.add_argument("q", type=_u64)
+    p_sign.add_argument("p", type=int)
+    p_sign.add_argument("q", type=int)
     _add_mu(p_sign)
     p_sign.add_argument(
         "--algo", choices=sorted(ALGORITHMS), default="closed",
@@ -105,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_table = sub.add_parser("table", help="print a twist table")
-    p_table.add_argument("n", type=_dim)
+    p_table.add_argument("n", type=int)
     _add_mu(p_table, symbolic=True)
     p_table.add_argument(
         "--format", choices=["text", "csv"], default="text",
@@ -116,19 +88,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_trace = sub.add_parser("trace", help="tree walk of a blade pair")
-    p_trace.add_argument("p", type=_u64)
-    p_trace.add_argument("q", type=_u64)
+    p_trace.add_argument("p", type=int)
+    p_trace.add_argument("q", type=int)
     _add_mu(p_trace)
 
     p_self = sub.add_parser("selftest", help="exhaustive consistency suites")
     p_self.add_argument(
-        "--n", type=_dim, default=None,
+        "--n", type=int, default=None,
         help="bit width: checks all pairs below 2**n (default 8)",
     )
 
     p_bench = sub.add_parser("bench", help="time the sign algorithms")
     p_bench.add_argument(
-        "--pairs", type=_positive, default=bench_mod.DEFAULT_PAIRS,
+        "--pairs", type=int, default=bench_mod.DEFAULT_PAIRS,
         help="workload size (default 1000000; the factor-list"
              " algorithm makes the full run take minutes)",
     )
@@ -144,21 +116,12 @@ def _cmd_sign(args) -> int:
 
 
 def _cmd_mul(args) -> int:
-    algebra = Algebra(_MU_VALUES[args.mu])
+    value = Algebra(_MU_VALUES[args.mu]).parse(args.expr)
     try:
-        value = algebra.parse(args.expr)
-    except NotationError as exc:
-        print(f"cltwist mul: {exc}", file=sys.stderr)
-        return 2
-    try:
-        try:
-            text = value.format("i" if args.i_form else "e")
-        except UnrepresentableError:
-            # generators past the e-form alphabet: fall back silently
-            text = value.format("i")
-    except ValueError as exc:  # a coefficient past the int-string digit limit
-        print(f"cltwist mul: {exc}", file=sys.stderr)
-        return 2
+        text = value.format("i" if args.i_form else "e")
+    except UnrepresentableError:
+        # generators past the e-form alphabet: fall back silently
+        text = value.format("i")
     print(text)
     return 0
 
@@ -167,12 +130,6 @@ def _cmd_table(args) -> int:
     from . import tables
 
     if args.blocks:
-        if args.n < 2:
-            print(
-                "cltwist table: --blocks needs a dimension of at least 2",
-                file=sys.stderr,
-            )
-            return 2
         chunks = tables._letter_chunks(args.n, args.format)
     else:
         table = tables.table_blocks(args.n)
@@ -230,6 +187,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         code = _DISPATCH[args.command](args)
         # flush here, so that a closed pipe raises inside this try
         sys.stdout.flush()
+    except ValueError as exc:
+        print(f"cltwist {args.command}: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader went away.  Point stdout at devnull so that the
         # interpreter's flush at exit does not raise again and print a

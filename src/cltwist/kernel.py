@@ -21,7 +21,9 @@ acceptance suites.  Everything here is a pure function.
 Mask contract: blades are plain ints in ``[0, 2**64)``, one bit per
 generator e_1 through e_64.  Every function that takes a blade pair
 raises :class:`ValueError` for a mask that is negative or 2**64 or
-above, and likewise for a ``mu`` other than +1 or -1.
+above, and likewise for a ``mu`` other than +1 or -1.  The other
+layers check their input with the same helpers, so each rule and its
+message is written once, here.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ __all__ = [
 
 #: Largest width of a twist table or an exhaustive self-test: 4**12
 #: table entries is the in-memory ceiling.  It lives here, away from
-#: numpy, so that the CLI can check a width without loading the table
-#: layer; :mod:`cltwist.tables` re-exports it.
+#: numpy, with the width check :func:`_check_dim`;
+#: :mod:`cltwist.tables` re-exports it.
 MAX_DIM = 12
 
 
@@ -59,6 +61,15 @@ def _check_masks(p: int, q: int) -> None:
     if (p | q) >> 64:
         raise ValueError(
             f"blade masks must be in [0, 2**64), got p={p:#x}, q={q:#x}"
+        )
+
+
+def _check_dim(n: int, low: int = 1) -> None:
+    """Table and self-test width: an int in ``low..MAX_DIM``."""
+    if not isinstance(n, int) or not low <= n <= MAX_DIM:
+        raise ValueError(
+            f"dimension must be an integer of at least {low} and at most"
+            f" {MAX_DIM}, got {n!r}"
         )
 
 

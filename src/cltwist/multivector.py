@@ -23,8 +23,8 @@ import sys
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple, Union
 
-from .kernel import blade_product
-from .notation import Expression, Factor, format_blade, parse_expression
+from .kernel import _check_masks, _check_mu, blade_product
+from .notation import Expression, format_blade, parse_expression
 
 __all__ = ["Algebra", "Multivector"]
 
@@ -37,9 +37,8 @@ class Algebra:
     __slots__ = ("_mu",)
 
     def __init__(self, mu: int = -1):
-        if mu != 1 and mu != -1:
-            raise ValueError(f"mu must be +1 or -1, got {mu!r}")
-        self._mu = mu
+        _check_mu(mu)
+        self._mu = int(mu)
 
     @property
     def mu(self) -> int:
@@ -63,18 +62,19 @@ class Algebra:
         return self._evaluate(parse_expression(text))
 
     def _evaluate(self, expr: Expression) -> "Multivector":
-        total = self.zero()
+        # Each term is a single monomial: fold its factors into one
+        # (sign, mask, coefficient), then sum the monomials in one dict.
+        out: Dict[int, Scalar] = {}
         for term in expr.terms:
-            acc = self.scalar(term.sign)
+            sign, mask, coeff = term.sign, 0, 1
             for factor in term.factors:
-                acc = acc * self._factor(factor)
-            total = total + acc
-        return total
-
-    def _factor(self, factor: Factor) -> "Multivector":
-        coeff = factor.coeff if factor.coeff is not None else Fraction(1)
-        mask = factor.blade if factor.blade is not None else 0
-        return self.blade(mask, coeff)
+                if factor.coeff is not None:
+                    coeff *= factor.coeff
+                if factor.blade is not None:
+                    s, mask = blade_product(mask, factor.blade, self._mu)
+                    sign *= s
+            out[mask] = out.get(mask, 0) + sign * coeff
+        return Multivector(self, out)
 
     def __eq__(self, other):
         return isinstance(other, Algebra) and other._mu == self._mu
@@ -102,13 +102,10 @@ class Multivector:
     def __init__(self, algebra: Algebra, coeffs: Dict[int, Scalar]):
         table: Dict[int, Fraction] = {}
         for mask, value in coeffs.items():
-            if mask < 0 or mask >> 64:
-                raise ValueError(f"blade mask {mask} out of range")
+            _check_masks(mask, 0)
             c = _as_fraction(value)
-            if c:
-                table[mask] = table.get(mask, Fraction(0)) + c
-        # canonical: zero coefficients never stored
-        table = {m: c for m, c in table.items() if c}
+            if c:  # canonical: zero coefficients never stored
+                table[mask] = c
         object.__setattr__(self, "_algebra", algebra)
         object.__setattr__(self, "_coeffs", table)
         object.__setattr__(

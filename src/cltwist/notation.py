@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from .kernel import _check_masks
+
 __all__ = [
     "Expression",
     "ExpressionSyntaxError",
@@ -155,10 +157,7 @@ def format_blade(p: int, style: str = "e") -> str:
     that it raises :class:`UnrepresentableError` and the index form
     must be used.
     """
-    if p < 0:
-        raise ValueError("blade mask must be non-negative")
-    if p >> MASK_BITS:
-        raise ValueError(f"blade mask {p} does not fit in {MASK_BITS} bits")
+    _check_masks(p, 0)
     if style == "i":
         return f"i_{p}"
     if style == "e":
@@ -218,25 +217,20 @@ class _Token:
     offset: int  # byte offset into the source
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
-
-
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
     pos = 0
+    offset = 0  # byte offset of text[pos], counted as the tokens pass
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise UnknownTokenError(
-                f"unknown token {text[pos]!r}", _byte_offset(text, pos)
-            )
+            raise UnknownTokenError(f"unknown token {text[pos]!r}", offset)
+        lexeme = m.group()
         if m.lastgroup != "WS":
-            tokens.append(
-                _Token(m.lastgroup, m.group(), _byte_offset(text, pos))
-            )
+            tokens.append(_Token(m.lastgroup, lexeme, offset))
+        offset += len(lexeme.encode("utf-8"))
         pos = m.end()
-    tokens.append(_Token("END", "", _byte_offset(text, len(text))))
+    tokens.append(_Token("END", "", offset))
     return tokens
 
 

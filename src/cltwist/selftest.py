@@ -115,10 +115,7 @@ def _cocycle_suite(table: np.ndarray, mu: int) -> Optional[Mismatch]:
 
 def run_selftest(n: int = DEFAULT_N, algorithms=None) -> SelftestReport:
     """Run both suites at width ``n`` (all masks below 2**n), both mu."""
-    if not isinstance(n, int) or not 1 <= n <= kernel.MAX_DIM:
-        raise ValueError(
-            f"selftest width must be in 1..{kernel.MAX_DIM}, got {n!r}"
-        )
+    kernel._check_dim(n)
     if algorithms is None:
         algorithms = kernel.ALGORITHMS
     size = 1 << n

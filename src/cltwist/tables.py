@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernel import MAX_DIM, _parity_above, twist_closed
+from .kernel import (
+    MAX_DIM, _check_dim, _check_mu, _parity_above, twist_closed,
+)
 
 __all__ = [
     "MAX_DIM",
@@ -84,8 +86,7 @@ class SymbolicSign:
 
     def substitute(self, mu: int) -> int:
         """Numeric value once mu is fixed to +1 or -1."""
-        if mu != 1 and mu != -1:
-            raise ValueError(f"mu must be +1 or -1, got {mu!r}")
+        _check_mu(mu)
         value = self.sign
         if self.mu_power:
             value *= mu
@@ -114,13 +115,6 @@ def twist_symbolic(p: int, q: int) -> SymbolicSign:
     raise ValueError.
     """
     return SymbolicSign(twist_closed(p, q, 1), (p & q).bit_count() & 1)
-
-
-def _check_dim(n: int, low: int = 1):
-    if not isinstance(n, int) or not low <= n <= MAX_DIM:
-        raise ValueError(
-            f"dimension must be an integer in {low}..{MAX_DIM}, got {n!r}"
-        )
 
 
 class TwistTable:
@@ -153,6 +147,12 @@ class TwistTable:
         raise AttributeError("TwistTable is immutable")
 
     def entry(self, p: int, q: int) -> SymbolicSign:
+        """Twist of (p, q); masks outside [0, 2**n) raise ValueError."""
+        # a negative int shifts down to -1, so one test covers both ends
+        if (p | q) >> self.n:
+            raise ValueError(
+                f"blade masks must be in [0, 2**{self.n}), got p={p}, q={q}"
+            )
         return SymbolicSign.from_code(int(self.codes[p, q]))
 
     def __getitem__(self, pq) -> SymbolicSign:
@@ -161,8 +161,7 @@ class TwistTable:
 
     def substitute(self, mu: int) -> np.ndarray:
         """int8 matrix of +-1 with mu fixed."""
-        if mu != 1 and mu != -1:
-            raise ValueError(f"mu must be +1 or -1, got {mu!r}")
+        _check_mu(mu)
         neg = self.codes & 1
         if mu == 1:
             return (1 - 2 * neg).astype(np.int8)
@@ -180,17 +179,28 @@ class TwistTable:
         return f"<TwistTable n={self.n} ({self.codes.shape[0]}x{self.codes.shape[1]})>"
 
 
+#: Rows per block of the direct build and of the renderer: working
+#: buffers scale with it, not with the table.
+_CHUNK_ROWS = 256
+
+
 def _direct_codes(n: int) -> np.ndarray:
     size = 1 << n
     p = np.arange(size, dtype=np.uint64).reshape(-1, 1)
     x = _parity_above(p)
-    # Masks stay below 2**MAX_DIM, so the size x size cells fit in
+    # Masks stay below 2**MAX_DIM, so the cells of a row block fit in
     # 16 bits: a quarter of the memory of uint64 cells.
     p, x = p.astype(np.uint16), x.astype(np.uint16)
     q = np.arange(size, dtype=np.uint16)
-    neg = np.bitwise_count(x & q) & 1
-    mu_power = np.bitwise_count(p & q) & 1
-    return (neg | (mu_power << 1)).astype(np.int8)
+    codes = np.empty((size, size), dtype=np.int8)
+    for start in range(0, size, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        neg = np.bitwise_count(x[rows] & q) & 1
+        mu_power = np.bitwise_count(p[rows] & q) & 1
+        np.bitwise_or(
+            neg, mu_power << 1, out=codes[rows], casting="unsafe"
+        )
+    return codes
 
 
 def table_direct(n: int) -> TwistTable:
@@ -253,11 +263,6 @@ def table_blocks(n: int) -> TwistTable:
 
 
 # --- rendering -------------------------------------------------------------
-
-#: Rows rendered per chunk: the working buffer and each chunk of text
-#: scale with it, not with the table.
-_CHUNK_ROWS = 256
-
 
 def _separator(format: str) -> str:
     if format not in ("text", "csv"):

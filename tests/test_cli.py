@@ -289,6 +289,33 @@ class TestDispatch:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "13"],
+        ["table", "1", "--blocks"],
+        ["selftest", "--n", "0"],
+        ["bench", "--pairs", "0"],
+        ["sign", str(1 << 64), "0"],
+        ["sign", "-5", "3"],
+        ["trace", "-1", "2"],
+        ["mul", "e_21"],
+    ],
+    ids=" ".join,
+)
+def test_input_outside_contract_is_one_error_line(capsys, argv):
+    # argparse checks syntax only; the library rejects the value and
+    # main reports it on one line, before anything reaches stdout
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"cltwist {argv[0]}: ")
+    assert "Traceback" not in captured.err
+    assert "usage:" not in captured.err
+
+
 def _declared_console_script(name):
     """The console-script entry point that pyproject.toml declares as *name*."""
     if sys.version_info >= (3, 11):

@@ -211,3 +211,70 @@ def test_additive_group(a):
 def test_repr_mentions_convention():
     assert "mu=-1" in repr(neg.blade(1))
     assert "mu=-1" in repr(neg)
+
+
+def test_float_mu_is_stored_as_int():
+    alg = Algebra(1.0)
+    assert alg.mu == 1 and type(alg.mu) is int
+    assert repr(alg) == "Algebra(mu=+1)"
+    assert "mu=+1" in repr(alg.blade(1))
+
+
+def _count_constructions(monkeypatch):
+    calls = []
+    real = Multivector.__init__
+
+    def counting(self, algebra, coeffs):
+        calls.append(1)
+        real(self, algebra, coeffs)
+
+    monkeypatch.setattr(Multivector, "__init__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("terms", [16, 256])
+def test_parse_builds_one_multivector(monkeypatch, terms):
+    # a sum evaluates into one table, not one multivector per term
+    text = " + ".join(f"{k + 1}/{k + 2} i_{k} * e_1" for k in range(terms))
+    calls = _count_constructions(monkeypatch)
+    value = neg.parse(text)
+    assert len(calls) <= 2
+    assert len(value) == terms
+
+
+_factors = st.tuples(
+    st.none() | st.fractions(min_value=0, max_value=9, max_denominator=5),
+    st.none() | st.integers(min_value=0, max_value=(1 << 12) - 1),
+).filter(lambda f: f != (None, None))
+_terms = st.tuples(
+    st.sampled_from([1, -1]), st.lists(_factors, min_size=1, max_size=4)
+)
+
+
+def _factor_text(coeff, mask):
+    parts = [] if coeff is None else [str(coeff)]
+    if mask is not None:
+        parts.append(f"i_{mask}")
+    return " ".join(parts)
+
+
+@settings(max_examples=60)
+@given(
+    algebra=st.sampled_from([neg, pos]),
+    terms=st.lists(_terms, min_size=1, max_size=6),
+)
+def test_parse_matches_public_fold(algebra, terms):
+    text = ""
+    expected = algebra.zero()
+    for sign, factors in terms:
+        op = ("-" if sign < 0 else "") if not text else (
+            " - " if sign < 0 else " + "
+        )
+        text += op + " * ".join(_factor_text(c, m) for c, m in factors)
+        product = algebra.scalar(sign)
+        for coeff, mask in factors:
+            product = product * algebra.blade(
+                0 if mask is None else mask, 1 if coeff is None else coeff
+            )
+        expected = expected + product
+    assert algebra.parse(text) == expected

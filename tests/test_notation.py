@@ -213,3 +213,17 @@ class TestParseExpression:
         with pytest.raises(UnknownTokenError) as info:
             parse_expression("é")
         assert info.value.offset == 0
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            # the Kelvin sign (3 bytes) is a subscript letter under
+            # IGNORECASE, and NBSP (2 bytes) is whitespace
+            ("e_\u212a + x", 8),
+            ("1 +\xa0e_1 + ?", 11),
+        ],
+    )
+    def test_offsets_count_bytes_of_earlier_tokens(self, text, offset):
+        with pytest.raises(UnknownTokenError) as info:
+            parse_expression(text)
+        assert info.value.offset == offset

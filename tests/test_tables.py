@@ -158,6 +158,17 @@ def test_blocks_peak_memory():
     assert peak <= 32 << 20
 
 
+def test_direct_peak_memory():
+    # the 16 MiB result, plus one block of rows of working arrays
+    tracemalloc.start()
+    try:
+        table_direct(MAX_DIM)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << 20
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_border_is_unit(n):
     t = table_direct(n)
@@ -242,6 +253,17 @@ class TestValidation:
             TwistTable(2, np.zeros((3, 3), dtype=np.int8))
         with pytest.raises(ValueError):
             TwistTable(1, np.zeros((2, 2), dtype=np.int16))
+
+
+@pytest.mark.parametrize("build", [table_direct, table_blocks])
+def test_entry_rejects_masks_outside_table(build):
+    t = build(3)
+    assert t.entry(7, 5) == twist_symbolic(7, 5)
+    for p, q in ((-1, 5), (5, -1), (8, 0), (0, 8), (1 << 64, 0)):
+        with pytest.raises(ValueError):
+            t.entry(p, q)
+        with pytest.raises(ValueError):
+            t[p, q]
 
 
 def test_tables_equal_and_not():
