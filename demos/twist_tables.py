@@ -15,13 +15,13 @@ for n in (1, 2, 3):
 
 # The same tables come out of a completely different construction:
 # start from the letter A and repeatedly substitute 2x2 blocks of
-# letters, then expand the letters at the end.
+# signed letters, then drop the letters at the end.
 for n in (1, 2, 3, 6, 8):
     assert table_blocks(n) == table_direct(n)
 print("block construction agrees with the closed form up to n = 8")
 print()
 
-# Halfway through the construction the table is a grid of signed
+# One round before the end the construction is a grid of signed
 # letters; A marks rows of even grade, B rows of odd grade.
 print("letter view, 4 generators:")
 print(render_block_letters(4))

@@ -101,8 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time the sign algorithms")
     p_bench.add_argument(
         "--pairs", type=int, default=bench_mod.DEFAULT_PAIRS,
-        help="workload size (default 1000000; the factor-list"
-             " algorithm makes the full run take minutes)",
+        help=f"workload size (default {bench_mod.DEFAULT_PAIRS})",
     )
     _add_mu(p_bench)
 

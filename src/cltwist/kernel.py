@@ -65,8 +65,8 @@ def _check_masks(p: int, q: int) -> None:
 
 
 def _check_dim(n: int, low: int = 1) -> None:
-    """Table and self-test width: an int in ``low..MAX_DIM``."""
-    if not isinstance(n, int) or not low <= n <= MAX_DIM:
+    """Table and self-test width: an int in ``low..MAX_DIM``, not a bool."""
+    if type(n) is bool or not isinstance(n, int) or not low <= n <= MAX_DIM:
         raise ValueError(
             f"dimension must be an integer of at least {low} and at most"
             f" {MAX_DIM}, got {n!r}"

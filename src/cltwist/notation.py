@@ -323,8 +323,6 @@ class _Parser:
         tok = self.advance()
         try:
             return parse_blade(tok.text)
-        except ExpressionSyntaxError:
-            raise
         except NotationError as exc:
             raise ExpressionSyntaxError(str(exc), tok.offset) from exc
 

@@ -118,6 +118,8 @@ def run_selftest(n: int = DEFAULT_N, algorithms=None) -> SelftestReport:
     kernel._check_dim(n)
     if algorithms is None:
         algorithms = kernel.ALGORITHMS
+    elif not algorithms:
+        raise ValueError("algorithms must name at least one sign function")
     size = 1 << n
     mismatches: List[Mismatch] = []
     for mu in (1, -1):

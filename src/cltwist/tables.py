@@ -13,12 +13,12 @@ provided and cross-checked by the test suite:
 
 * :func:`table_direct` evaluates the closed form for every cell;
 * :func:`table_blocks` grows the table by block substitution, doubling
-  the resolution per round starting from a single 2x2 seed.
+  the resolution per round starting from the single letter A.
 
-:func:`render_block_letters` shows the half-resolution view in which
-each cell is a signed letter such as ``-mB``: the letter records the
-row's grade parity and the coefficient is the twist of the halved
-indices.
+:func:`render_block_letters` shows that block construction after
+n - 1 rounds: a half-resolution grid in which each cell is a
+coefficiented letter such as ``-mB``.  The coefficient is the twist of
+the cell's indices and the letter records the row's grade parity.
 """
 
 from __future__ import annotations
@@ -184,7 +184,9 @@ class TwistTable:
 _CHUNK_ROWS = 256
 
 
-def _direct_codes(n: int) -> np.ndarray:
+def table_direct(n: int) -> TwistTable:
+    """Twist table built cell-by-cell from the closed form."""
+    _check_dim(n)
     size = 1 << n
     p = np.arange(size, dtype=np.uint64).reshape(-1, 1)
     x = _parity_above(p)
@@ -200,66 +202,49 @@ def _direct_codes(n: int) -> np.ndarray:
         np.bitwise_or(
             neg, mu_power << 1, out=codes[rows], casting="unsafe"
         )
-    return codes
+    return TwistTable._adopt(n, codes)
 
 
-def table_direct(n: int) -> TwistTable:
-    """Twist table built cell-by-cell from the closed form."""
-    _check_dim(n)
-    return TwistTable._adopt(n, _direct_codes(n))
+#: Spelling of a coefficiented letter: its code in bits 0-1, its
+#: letter in bit 2 (0 is A, 1 is B).
+_LETTER_SPELL = ("A", "-A", "mA", "-mA", "B", "-B", "mB", "-mB")
 
 
-def _block_codes(codes, letters):
-    """Codes of one substitution round: every cell becomes a 2x2 block.
+def _block_rounds(cells: np.ndarray, rounds: int) -> np.ndarray:
+    """Coefficiented letters after ``rounds`` rounds of block substitution.
 
-    Letters: 0 is A, 1 is B.  A coefficiented letter c*A becomes
-    [[c, c], [c, mc]] with letters [[A, A], [B, B]], and c*B becomes
-    [[c, -c], [c, -mc]] with letters [[B, B], [A, A]]; both collapse
-    to the same code arithmetic because the sign flips occur exactly
-    on B cells.  The final numeric expansion of A and B uses the same
-    formulas with the letters thrown away.
+    Each round turns every cell into a 2x2 block:
+
+        c*A  ->  [[cA,  cA], [cB,  mcB]]
+        c*B  ->  [[cB, -cB], [cA, -mcA]]
+
+    The right column negates exactly the B cells, which is
+    ``cells ^ (cells >> 2)``; the bottom row swaps the letter (xor 4)
+    and its right cell also takes a factor mu (xor 6).
     """
-    m = codes.shape[0]
-    nc = np.empty((2 * m, 2 * m), dtype=np.int8)
-    nc[0::2, 0::2] = codes
-    nc[1::2, 0::2] = codes
-    # written in place: no temporary the size of ``codes``
-    np.bitwise_xor(codes, letters, out=nc[0::2, 1::2])
-    np.bitwise_xor(nc[0::2, 1::2], 2, out=nc[1::2, 1::2])
-    return nc
-
-
-def _block_letters(letters):
-    """Letters of one substitution round (see :func:`_block_codes`)."""
-    m = letters.shape[0]
-    nl = np.empty((2 * m, 2 * m), dtype=np.int8)
-    nl[0::2, 0::2] = letters
-    nl[0::2, 1::2] = letters
-    np.bitwise_xor(letters, 1, out=nl[1::2, 0::2])
-    nl[1::2, 1::2] = nl[1::2, 0::2]
-    return nl
-
-
-def _grown_blocks(rounds: int):
-    """(codes, letters) after the given number of rounds from seed A."""
-    codes = np.zeros((1, 1), dtype=np.int8)
-    letters = np.zeros((1, 1), dtype=np.int8)
     for _ in range(rounds):
-        codes, letters = _block_codes(codes, letters), _block_letters(letters)
-    return codes, letters
+        m = cells.shape[0]
+        right = cells >> 2
+        right ^= cells
+        grown = np.empty((2 * m, 2 * m), dtype=np.int8)
+        grown[0::2, 0::2] = cells
+        grown[0::2, 1::2] = right
+        np.bitwise_xor(cells, 4, out=grown[1::2, 0::2])
+        np.bitwise_xor(right, 6, out=grown[1::2, 1::2])
+        cells = grown
+    return cells
 
 
 def table_blocks(n: int) -> TwistTable:
     """Twist table grown by block substitution from the letter A.
 
-    n - 1 substitution rounds produce the half-resolution letter grid;
-    expanding each letter to its 2x2 seed matrix (which reuses the
-    same code arithmetic) yields the full table.  That last round
-    needs no letters, so it builds none.
+    After n rounds each cell's coefficient is the twist of its indices;
+    dropping the letters leaves the table.
     """
     _check_dim(n)
-    codes, letters = _grown_blocks(n - 1)
-    return TwistTable._adopt(n, _block_codes(codes, letters))
+    cells = _block_rounds(np.zeros((1, 1), dtype=np.int8), n)
+    cells &= 3
+    return TwistTable._adopt(n, cells)
 
 
 # --- rendering -------------------------------------------------------------
@@ -316,30 +301,12 @@ def render_table(table: TwistTable, format: str = "text", mu=None) -> str:
     return b"".join(_table_chunks(table, format, mu)).decode("ascii")
 
 
-_LETTER_SPELL = ("A", "-A", "mA", "-mA", "B", "-B", "mB", "-mB")
-
-
-def block_letter_grid(n: int):
-    """Codes and letters of the half-resolution block view.
-
-    Cell (p, q) of the 2**(n-1) grid carries the twist of (p, q) as
-    its coefficient and letter A or B by the grade parity of p.
-    """
-    _check_dim(n, low=2)
-    codes = _direct_codes(n - 1)
-    size = 1 << (n - 1)
-    row_par = (np.bitwise_count(np.arange(size, dtype=np.uint32)) & 1)
-    letters = np.broadcast_to(
-        row_par.astype(np.int8).reshape(-1, 1), codes.shape
-    )
-    return codes, letters
-
-
 def _letter_chunks(n: int, format: str):
     """:func:`render_block_letters` as an iterator of ASCII byte chunks."""
     sep = _separator(format)
-    codes, letters = block_letter_grid(n)
-    return _render_chunks(codes | (letters << 2), _LETTER_SPELL, sep)
+    _check_dim(n, low=2)
+    cells = _block_rounds(np.zeros((1, 1), dtype=np.int8), n - 1)
+    return _render_chunks(cells, _LETTER_SPELL, sep)
 
 
 def render_block_letters(n: int, format: str = "text") -> str:

@@ -75,9 +75,14 @@ def test_mismatch_lines_precede_counts():
 
 
 def test_width_validation():
-    for bad in (0, 13, "8", 2.5):
+    for bad in (0, 13, "8", 2.5, True):
         with pytest.raises(ValueError):
             run_selftest(bad)
+
+
+def test_empty_algorithm_map_rejected():
+    with pytest.raises(ValueError):
+        run_selftest(3, algorithms={})
 
 
 def test_mismatch_describe_triple():

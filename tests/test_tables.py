@@ -10,14 +10,13 @@ from cltwist.tables import (
     MAX_DIM,
     SymbolicSign,
     TwistTable,
-    block_letter_grid,
     render_block_letters,
     render_table,
     table_blocks,
     table_direct,
     twist_symbolic,
 )
-from cltwist.tables import _SPELL, _grown_blocks
+from cltwist.tables import _LETTER_SPELL, _SPELL, _block_rounds
 
 masks = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -192,26 +191,59 @@ def test_substitution_is_int8_pm1():
     assert set(np.unique(s)) == {-1, 1}
 
 
+def _closed_form_letters(n):
+    """Letter view read off the closed form: the twist of (p, q) as the
+    coefficient, and letter A or B by the grade parity of row p."""
+    codes = table_direct(n - 1).codes
+    row_par = np.bitwise_count(np.arange(codes.shape[0], dtype=np.uint32)) & 1
+    letters = np.broadcast_to(
+        row_par.astype(np.int8).reshape(-1, 1), codes.shape
+    )
+    return codes, letters
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_letter_grid_against_substitution_rounds(n):
     # growing the blocks and reading the grid off the closed form must
     # agree; coefficients commute with the letters, so the order of
     # scaling and substitution cannot matter
-    grown_codes, grown_letters = _grown_blocks(n - 1)
-    codes, letters = block_letter_grid(n)
-    assert np.array_equal(grown_codes, codes)
-    assert np.array_equal(grown_letters, letters)
+    grown = _block_rounds(np.zeros((1, 1), dtype=np.int8), n - 1)
+    codes, letters = _closed_form_letters(n)
+    assert np.array_equal(grown & 3, codes)
+    assert np.array_equal(grown >> 2, letters)
 
 
 def test_letter_assignment_follows_grade_parity():
-    _, letters = block_letter_grid(4)
+    letters = _block_rounds(np.zeros((1, 1), dtype=np.int8), 3) >> 2
     for p in range(8):
         expected = p.bit_count() & 1
         assert (letters[p] == expected).all()
 
 
+def _times(c, f):
+    """Product of two spelled coefficients from {"", "-", "m", "-m"}."""
+    neg = c.startswith("-") != f.startswith("-")
+    mu = c.endswith("m") != f.endswith("m")
+    return "-" * neg + "m" * mu
+
+
+@pytest.mark.parametrize("c", ["", "-", "m", "-m"])
+@pytest.mark.parametrize("letter", ["A", "B"])
+def test_one_substitution_round(letter, c):
+    # the rule written out: c*A -> [[cA, cA], [cB, mcB]] and
+    # c*B -> [[cB, -cB], [cA, -mcA]]
+    if letter == "A":
+        rule = [[c + "A", c + "A"], [c + "B", _times(c, "m") + "B"]]
+    else:
+        rule = [[c + "B", _times(c, "-") + "B"],
+                [c + "A", _times(c, "-m") + "A"]]
+    cell = np.array([[_LETTER_SPELL.index(c + letter)]], dtype=np.int8)
+    grown = _block_rounds(cell, 1)
+    assert [[_LETTER_SPELL[x] for x in row] for row in grown.tolist()] == rule
+
+
 class TestValidation:
-    @pytest.mark.parametrize("bad", [0, 13, -1, 2.0, "3"])
+    @pytest.mark.parametrize("bad", [0, 13, -1, 2.0, "3", True])
     def test_dimension_range(self, bad):
         with pytest.raises(ValueError):
             table_direct(bad)
@@ -307,7 +339,7 @@ def test_render_matches_reference(n, build, format, sep, mu):
 @pytest.mark.parametrize("format, sep", [("text", " "), ("csv", ",")])
 @pytest.mark.parametrize("n", range(2, 11))
 def test_block_letters_match_reference(n, format, sep):
-    codes, letters = block_letter_grid(n)
+    codes, letters = _closed_form_letters(n)
     coeff = {"1": "", "-1": "-", "m": "m", "-m": "-m"}
     spell = [coeff[_SPELL[c & 3]] + "AB"[c >> 2] for c in range(8)]
     expected = _reference_render(codes + 4 * letters, spell, sep)
