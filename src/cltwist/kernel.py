@@ -21,9 +21,9 @@ acceptance suites.  Everything here is a pure function.
 Mask contract: blades are plain ints in ``[0, 2**64)``, one bit per
 generator e_1 through e_64.  Every function that takes a blade pair
 raises :class:`ValueError` for a mask that is negative or 2**64 or
-above, and likewise for a ``mu`` other than +1 or -1.  The other
-layers check their input with the same helpers, so each rule and its
-message is written once, here.
+above, and likewise for a ``mu`` other than +1 or -1, or a bool.  The
+other layers check their input with the same helpers, so each rule and
+its message is written once, here.
 """
 
 from __future__ import annotations
@@ -51,16 +51,21 @@ __all__ = [
 MAX_DIM = 12
 
 
+#: Width of a blade mask: one bit per generator e_1 through e_64.
+MASK_BITS = 64
+
+
 def _check_mu(mu: int) -> None:
-    if mu != 1 and mu != -1:
+    # True == 1, so a bool needs its own test; False already fails.
+    if mu is True or (mu != 1 and mu != -1):
         raise ValueError(f"mu must be +1 or -1, got {mu!r}")
 
 
-def _check_masks(p: int, q: int) -> None:
+def _check_masks(p: int, q: int, bits: int = MASK_BITS) -> None:
     # A negative int shifts down to -1, so one test covers both ends.
-    if (p | q) >> 64:
+    if (p | q) >> bits:
         raise ValueError(
-            f"blade masks must be in [0, 2**64), got p={p:#x}, q={q:#x}"
+            f"blade masks must be in [0, 2**{bits}), got p={p:#x}, q={q:#x}"
         )
 
 

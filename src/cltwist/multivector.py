@@ -97,7 +97,7 @@ def _as_fraction(value: Scalar) -> Fraction:
 class Multivector:
     """Immutable sparse sum of blades with Fraction coefficients."""
 
-    __slots__ = ("_algebra", "_coeffs", "_hash")
+    __slots__ = ("_algebra", "_coeffs")
 
     def __init__(self, algebra: Algebra, coeffs: Dict[int, Scalar]):
         table: Dict[int, Fraction] = {}
@@ -108,9 +108,6 @@ class Multivector:
                 table[mask] = c
         object.__setattr__(self, "_algebra", algebra)
         object.__setattr__(self, "_coeffs", table)
-        object.__setattr__(
-            self, "_hash", hash((algebra, frozenset(table.items())))
-        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -163,7 +160,7 @@ class Multivector:
         return NotImplemented
 
     def __hash__(self):
-        return self._hash
+        return hash((self._algebra, frozenset(self._coeffs.items())))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .kernel import _check_masks
+from .kernel import MASK_BITS, _check_masks
 
 __all__ = [
     "Expression",
@@ -56,9 +56,6 @@ _CHAR_TO_GEN = {c: k for k, c in enumerate(_SUBSCRIPTS, start=1)}
 
 #: Largest generator the subscript alphabet can name.
 MAX_NAMED_GENERATOR = 35
-
-#: Width of a blade mask; the index form accepts any value below 2**64.
-MASK_BITS = 64
 
 #: Decimal digits of 2**64 - 1, the longest index-form subscript.
 _MAX_INDEX_DIGITS = len(str((1 << MASK_BITS) - 1))

@@ -81,20 +81,19 @@ def _pairs_suite(n: int, mu: int, algorithms) -> Tuple[Optional[Mismatch], np.nd
     closed algorithm propagates there too.
     """
     size = 1 << n
-    names = list(algorithms)
-    funcs = [algorithms[name] for name in names]
-    closed_at = names.index("closed") if "closed" in names else 0
     table = np.empty((size, size), dtype=np.int8)
     first = None
     for p in range(size):
-        row = table[p]
-        for q in range(size):
-            signs = [f(p, q, mu) for f in funcs]
-            row[q] = signs[closed_at]
-            if first is None and any(s != signs[0] for s in signs):
-                first = Mismatch(
-                    "pairs", mu, (p, q), dict(zip(names, signs))
-                )
+        rows = {
+            name: [f(p, q, mu) for q in range(size)]
+            for name, f in algorithms.items()
+        }
+        ref, *others = rows.values()
+        table[p] = rows.get("closed", ref)
+        if first is None and any(row != ref for row in others):
+            columns = enumerate(zip(*rows.values()))
+            q, signs = next((q, s) for q, s in columns if len(set(s)) > 1)
+            first = Mismatch("pairs", mu, (p, q), dict(zip(rows, signs)))
     return first, table
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import (
-    MAX_DIM, _check_dim, _check_mu, _parity_above, twist_closed,
+    MAX_DIM, _check_dim, _check_masks, _check_mu, _parity_above, twist_closed,
 )
 
 __all__ = [
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _SPELL = ("1", "-1", "m", "-m")
+
+#: Value of each code once mu is fixed: ``_VALUE[mu][code]``.
+_VALUE = {1: (1, -1, 1, -1), -1: (1, -1, -1, 1)}
 
 
 class SymbolicSign:
@@ -87,10 +90,7 @@ class SymbolicSign:
     def substitute(self, mu: int) -> int:
         """Numeric value once mu is fixed to +1 or -1."""
         _check_mu(mu)
-        value = self.sign
-        if self.mu_power:
-            value *= mu
-        return value
+        return _VALUE[mu][self._code]
 
     def __eq__(self, other):
         if isinstance(other, SymbolicSign):
@@ -148,11 +148,7 @@ class TwistTable:
 
     def entry(self, p: int, q: int) -> SymbolicSign:
         """Twist of (p, q); masks outside [0, 2**n) raise ValueError."""
-        # a negative int shifts down to -1, so one test covers both ends
-        if (p | q) >> self.n:
-            raise ValueError(
-                f"blade masks must be in [0, 2**{self.n}), got p={p}, q={q}"
-            )
+        _check_masks(p, q, self.n)
         return SymbolicSign.from_code(int(self.codes[p, q]))
 
     def __getitem__(self, pq) -> SymbolicSign:
@@ -280,14 +276,9 @@ def _table_chunks(table: TwistTable, format: str, mu):
     """:func:`render_table` as an iterator of ASCII byte chunks."""
     sep = _separator(format)
     if mu is None:
-        spell = _SPELL
-    elif mu == 1:
-        spell = ("1", "-1", "1", "-1")
-    elif mu == -1:
-        spell = ("1", "-1", "-1", "1")
-    else:
-        raise ValueError(f"mu must be +1, -1 or None, got {mu!r}")
-    return _render_chunks(table.codes, spell, sep)
+        return _render_chunks(table.codes, _SPELL, sep)
+    _check_mu(mu)
+    return _render_chunks(table.codes, [str(v) for v in _VALUE[mu]], sep)
 
 
 def render_table(table: TwistTable, format: str = "text", mu=None) -> str:

@@ -163,12 +163,16 @@ def test_trace_state_strings():
     assert (step.bit_p, step.bit_q) == (1, 1)
 
 
-@pytest.mark.parametrize("func", list(ALGORITHMS.values()))
+@pytest.mark.parametrize(
+    "func", [*ALGORITHMS.values(), tree_trace, blade_product]
+)
 def test_mu_validation(func):
     with pytest.raises(ValueError):
         func(1, 2, 0)
     with pytest.raises(ValueError):
         func(1, 2, 2)
+    with pytest.raises(ValueError, match="got True"):
+        func(1, 2, True)
 
 
 SIGN_ENTRY_POINTS = {

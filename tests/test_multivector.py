@@ -46,6 +46,8 @@ class TestConstruction:
     def test_mu_validation(self):
         with pytest.raises(ValueError):
             Algebra(mu=0)
+        with pytest.raises(ValueError):
+            Algebra(mu=True)
 
     def test_immutable(self):
         v = neg.blade(3)

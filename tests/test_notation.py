@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cltwist import kernel, notation
 from cltwist.notation import (
     Expression,
     ExpressionSyntaxError,
@@ -83,6 +84,11 @@ class TestParseBlade:
         assert parse_blade("i_" + "0" * 5000 + "1") == 1
         assert parse_blade("i_" + "0" * 30) == 0
         assert parse_blade(f"i_000{(1 << 64) - 1}") == (1 << 64) - 1
+
+
+def test_mask_width_is_the_kernels():
+    assert notation.MASK_BITS is kernel.MASK_BITS == 64
+    assert "MASK_BITS" in notation.__all__
 
 
 class TestFormatBlade:

@@ -46,6 +46,26 @@ def test_fault_in_one_algorithm_is_caught():
     assert "tree=" in text and "oracle=" in text
 
 
+@pytest.mark.parametrize(
+    "faults, first",
+    [
+        ({(5, 3), (5, 9)}, (5, 3)),  # one row: the lowest q
+        ({(5, 9), (6, 1)}, (5, 9)),  # two rows: the earlier row
+    ],
+)
+def test_first_mismatch_in_row_major_order(faults, first):
+    def broken(p, q, mu):
+        sign = kernel.twist_tree(p, q, mu)
+        return -sign if (p, q) in faults else sign
+
+    algos = dict(kernel.ALGORITHMS, tree=broken)
+    report = run_selftest(4, algorithms=algos)
+    pairs = [m for m in report.mismatches if m.kind == "pairs"]
+    assert [m.indices for m in pairs] == [first, first]  # once per mu
+    assert [m.mu for m in pairs] == [1, -1]
+    assert pairs[0].signs["tree"] == -pairs[0].signs["oracle"]
+
+
 def test_fault_in_closed_breaks_cocycle_too():
     # the cocycle table is built from the closed algorithm, so a fault
     # there must surface even if every algorithm agrees

@@ -89,6 +89,10 @@ class TestSymbolicSign:
             SymbolicSign(1, 2)
         with pytest.raises(ValueError):
             SymbolicSign(1, 1).substitute(0)
+        with pytest.raises(ValueError):
+            SymbolicSign(1, 1).substitute(True)
+        with pytest.raises(ValueError):
+            table_direct(1).substitute(True)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -263,6 +267,8 @@ class TestValidation:
             render_table(t, "json", None)
         with pytest.raises(ValueError):
             render_table(t, "text", 2)
+        with pytest.raises(ValueError, match=r"mu must be \+1 or -1, got True"):
+            render_table(t, "text", True)
         with pytest.raises(ValueError):
             render_block_letters(2, "json")
 
@@ -292,7 +298,7 @@ def test_entry_rejects_masks_outside_table(build):
     t = build(3)
     assert t.entry(7, 5) == twist_symbolic(7, 5)
     for p, q in ((-1, 5), (5, -1), (8, 0), (0, 8), (1 << 64, 0)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*3\)"):
             t.entry(p, q)
         with pytest.raises(ValueError):
             t[p, q]
