@@ -31,7 +31,7 @@ import sys
 from typing import List, Optional
 
 from . import bench as bench_mod
-from .kernel import ALGORITHMS, tree_trace
+from .kernel import ALGORITHMS, DEFAULT_N, tree_trace
 from .multivector import Algebra
 from .notation import UnrepresentableError
 
@@ -94,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="exhaustive consistency suites")
     p_self.add_argument(
-        "--n", type=int, default=None,
-        help="bit width: checks all pairs below 2**n (default 8)",
+        "--n", type=int, default=DEFAULT_N,
+        help=f"bit width: checks all pairs below 2**n (default {DEFAULT_N})",
     )
 
     p_bench = sub.add_parser("bench", help="time the sign algorithms")
@@ -154,10 +154,7 @@ def _cmd_trace(args) -> int:
 def _cmd_selftest(args) -> int:
     from . import selftest
 
-    # the default width is read here, not when the parser is built, so
-    # that parsing any command leaves numpy unloaded
-    n = selftest.DEFAULT_N if args.n is None else args.n
-    report = selftest.run_selftest(n)
+    report = selftest.run_selftest(args.n)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
@@ -198,7 +195,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.close(devnull)
         return _EXIT_BROKEN_PIPE
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

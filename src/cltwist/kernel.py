@@ -20,10 +20,12 @@ acceptance suites.  Everything here is a pure function.
 
 Mask contract: blades are plain ints in ``[0, 2**64)``, one bit per
 generator e_1 through e_64.  Every function that takes a blade pair
-raises :class:`ValueError` for a mask that is negative or 2**64 or
-above, and likewise for a ``mu`` other than +1 or -1, or a bool.  The
-other layers check their input with the same helpers, so each rule and
-its message is written once, here.
+raises :class:`TypeError` for a mask that is not an int (a bool or a
+numpy integer included) and :class:`ValueError` for an int that is
+negative or 2**64 or above; likewise :class:`ValueError` for a ``mu``
+other than +1 or -1, or a bool (Python's or numpy's).  The other
+layers check their input with the same helpers, so each rule and its
+message is written once, here.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ __all__ = [
 #: :mod:`cltwist.tables` re-exports it.
 MAX_DIM = 12
 
+#: Width of the self-test when none is given (``run_selftest``,
+#: ``cltwist selftest``).
+DEFAULT_N = 8
+
 
 #: Width of a blade mask: one bit per generator e_1 through e_64.
 MASK_BITS = 64
@@ -57,11 +63,20 @@ MASK_BITS = 64
 
 def _check_mu(mu: int) -> None:
     # True == 1, so a bool needs its own test; False already fails.
-    if mu is True or (mu != 1 and mu != -1):
+    # Python's bool and numpy's are both named "bool"; an int +1 or -1
+    # never reaches the name test.
+    if mu != -1 and (
+        mu != 1 or type(mu) is not int and type(mu).__name__ == "bool"
+    ):
         raise ValueError(f"mu must be +1 or -1, got {mu!r}")
 
 
 def _check_masks(p: int, q: int, bits: int = MASK_BITS) -> None:
+    # Exactly int: a float, a bool or a numpy integer is turned away.
+    if type(p) is not int or type(q) is not int:
+        raise TypeError(
+            f"blade masks must be ints in [0, 2**{bits}), got p={p!r}, q={q!r}"
+        )
     # A negative int shifts down to -1, so one test covers both ends.
     if (p | q) >> bits:
         raise ValueError(

@@ -121,6 +121,7 @@ class Multivector:
         return self._algebra.mu
 
     def coefficient(self, mask: int) -> Fraction:
+        _check_masks(mask, 0)
         return self._coeffs.get(mask, Fraction(0))
 
     def terms(self) -> Iterator[Tuple[int, Fraction]]:

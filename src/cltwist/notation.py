@@ -207,15 +207,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # BLADE | NUMBER | OP | END
-    text: str
-    offset: int  # byte offset into the source
+def _tokenize(text: str) -> List[Tuple[str, str, int]]:
+    """``(kind, lexeme, byte offset)`` per token, then ``("END", "", n)``.
 
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
+    An operator's kind is the operator itself.  The whole text is
+    tokenized first, so an unknown character anywhere is reported before
+    any syntax error.
+    """
+    tokens = []
     pos = 0
     offset = 0  # byte offset of text[pos], counted as the tokens pass
     while pos < len(text):
@@ -223,105 +222,56 @@ def _tokenize(text: str) -> List[_Token]:
         if m is None:
             raise UnknownTokenError(f"unknown token {text[pos]!r}", offset)
         lexeme = m.group()
-        if m.lastgroup != "WS":
-            tokens.append(_Token(m.lastgroup, lexeme, offset))
+        kind = m.lastgroup
+        if kind != "WS":
+            tokens.append((lexeme if kind == "OP" else kind, lexeme, offset))
         offset += len(lexeme.encode("utf-8"))
         pos = m.end()
-    tokens.append(_Token("END", "", offset))
+    tokens.append(("END", "", offset))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: List[_Token]):
-        self.tokens = tokens
-        self.i = 0
+def _expected(what: str, token) -> ExpressionSyntaxError:
+    kind, lexeme, offset = token
+    found = "end of input" if kind == "END" else repr(lexeme)
+    return ExpressionSyntaxError(f"expected {what}, found {found}", offset)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _integer(token) -> int:
+    _, lexeme, offset = token
+    try:
+        return int(lexeme)
+    except ValueError:  # past the interpreter's int-string digit limit
+        raise ExpressionSyntaxError(
+            f"number of {len(lexeme)} digits is too long", offset
+        ) from None
 
-    def fail(self, message: str) -> ExpressionSyntaxError:
-        tok = self.peek()
-        what = f"{tok.text!r}" if tok.kind != "END" else "end of input"
-        return ExpressionSyntaxError(f"{message}, found {what}", tok.offset)
 
-    def expression(self) -> Expression:
-        terms = []
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text in "+-":
-            self.advance()
-            sign = -1 if tok.text == "-" else 1
-        terms.append(self.term(sign))
-        while True:
-            tok = self.peek()
-            if tok.kind == "END":
-                break
-            if tok.kind == "OP" and tok.text in "+-":
-                self.advance()
-                terms.append(self.term(-1 if tok.text == "-" else 1))
-            else:
-                raise self.fail("expected '+', '-' or end of expression")
-        return Expression(tuple(terms))
-
-    def term(self, sign: int) -> Term:
-        factors = [self.factor()]
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text == "*":
-                self.advance()
-                factors.append(self.factor())
-            else:
-                break
-        return Term(sign, tuple(factors))
-
-    def factor(self) -> Factor:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            coeff = self.rational()
-            nxt = self.peek()
-            if nxt.kind == "BLADE":
-                return Factor(coeff, self.blade())
-            return Factor(coeff, None)
-        if tok.kind == "BLADE":
-            return Factor(None, self.blade())
-        raise self.fail("expected a rational or a blade")
-
-    def integer(self) -> int:
-        tok = self.advance()
-        try:
-            return int(tok.text)
-        except ValueError:  # past the interpreter's int-string digit limit
-            raise ExpressionSyntaxError(
-                f"number of {len(tok.text)} digits is too long", tok.offset
-            ) from None
-
-    def rational(self) -> Fraction:
-        num = self.integer()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "/":
-            self.advance()
-            den_tok = self.peek()
-            if den_tok.kind != "NUMBER":
-                raise self.fail("expected a denominator after '/'")
-            den = self.integer()
+def _factor(token, tokens) -> Tuple[Factor, tuple]:
+    """The factor that starts at ``token``, and the token after it."""
+    coeff = None
+    if token[0] == "NUMBER":
+        num, den = _integer(token), 1
+        token = next(tokens)
+        if token[0] == "/":
+            token = next(tokens)
+            if token[0] != "NUMBER":
+                raise _expected("a denominator after '/'", token)
+            den = _integer(token)
             if den == 0:
-                raise ExpressionSyntaxError(
-                    "zero denominator", den_tok.offset
-                )
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def blade(self) -> int:
-        tok = self.advance()
+                raise ExpressionSyntaxError("zero denominator", token[2])
+            token = next(tokens)
+        coeff = Fraction(num, den)
+    kind, lexeme, offset = token
+    if kind == "BLADE":
         try:
-            return parse_blade(tok.text)
+            blade = parse_blade(lexeme)
         except NotationError as exc:
-            raise ExpressionSyntaxError(str(exc), tok.offset) from exc
+            raise ExpressionSyntaxError(str(exc), offset) from exc
+        return Factor(coeff, blade), next(tokens)
+    if coeff is None:
+        raise _expected("a rational or a blade", token)
+    return Factor(coeff, None), token
 
 
 def parse_expression(text: str) -> Expression:
@@ -330,4 +280,20 @@ def parse_expression(text: str) -> Expression:
     Raises :class:`ExpressionSyntaxError` (with a byte offset) on any
     input outside the grammar; never crashes on malformed text.
     """
-    return _Parser(_tokenize(text)).expression()
+    tokens = iter(_tokenize(text))
+    token = next(tokens)
+    terms = []
+    while True:
+        kind = token[0]
+        if kind == "+" or kind == "-":
+            token = next(tokens)
+        elif terms:
+            raise _expected("'+', '-' or end of expression", token)
+        factor, token = _factor(token, tokens)
+        factors = [factor]
+        while token[0] == "*":
+            factor, token = _factor(next(tokens), tokens)
+            factors.append(factor)
+        terms.append(Term(-1 if kind == "-" else 1, tuple(factors)))
+        if token[0] == "END":
+            return Expression(tuple(terms))

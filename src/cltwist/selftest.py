@@ -24,8 +24,6 @@ from . import kernel
 
 __all__ = ["Mismatch", "SelftestReport", "run_selftest"]
 
-DEFAULT_N = 8
-
 
 @dataclass(frozen=True)
 class Mismatch:
@@ -112,7 +110,7 @@ def _cocycle_suite(table: np.ndarray, mu: int) -> Optional[Mismatch]:
     return None
 
 
-def run_selftest(n: int = DEFAULT_N, algorithms=None) -> SelftestReport:
+def run_selftest(n: int = kernel.DEFAULT_N, algorithms=None) -> SelftestReport:
     """Run both suites at width ``n`` (all masks below 2**n), both mu."""
     kernel._check_dim(n)
     if algorithms is None:

@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,3 +19,16 @@ def child_env():
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     )
     return env
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """CPython's default int-string digit limit (4300) for one test.
+
+    Tests that cross the limit assume its default; this holds them to it
+    whatever PYTHONINTMAXSTRDIGITS the caller runs with.
+    """
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)

@@ -103,6 +103,7 @@ class TestMul:
             ("7" * 5000 + " e_1", "5000 digits is too long"),
         ],
     )
+    @pytest.mark.usefixtures("default_int_digit_limit")
     def test_long_digit_string_exit_2(self, capsys, expr, message):
         assert run_cli("mul", expr) == 2
         captured = capsys.readouterr()
@@ -110,6 +111,7 @@ class TestMul:
         assert message in captured.err
         assert "at byte 0" in captured.err
 
+    @pytest.mark.usefixtures("default_int_digit_limit")
     def test_result_past_digit_limit_exit_2(self, capsys):
         # 3000-digit factors parse; their 6000-digit product cannot print
         sevens = "7" * 3000

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,9 @@ from cltwist.kernel import (
     twist_recursive,
     twist_tree,
 )
-from cltwist.tables import twist_symbolic
+from cltwist.multivector import Algebra
+from cltwist.notation import format_blade
+from cltwist.tables import table_direct, twist_symbolic
 
 masks = st.integers(min_value=0, max_value=(1 << 64) - 1)
 mus = st.sampled_from([1, -1])
@@ -173,6 +176,8 @@ def test_mu_validation(func):
         func(1, 2, 2)
     with pytest.raises(ValueError, match="got True"):
         func(1, 2, True)
+    with pytest.raises(ValueError, match="got np.True_"):
+        func(1, 2, np.True_)
 
 
 SIGN_ENTRY_POINTS = {
@@ -198,6 +203,40 @@ def test_mask_validation(name, bad):
 def test_grade_mask_validation(func, bad):
     with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
         func(bad)
+
+
+#: Not exactly an int: each is a TypeError, whatever its value.
+NON_INT_MASKS = [1.0, "3", None, np.int64(3), True]
+
+
+@pytest.mark.parametrize("bad", NON_INT_MASKS, ids=repr)
+@pytest.mark.parametrize("name", list(SIGN_ENTRY_POINTS))
+def test_mask_type_validation(name, bad):
+    func = SIGN_ENTRY_POINTS[name]
+    for p, q in ((bad, 3), (3, bad)):
+        for mu in (1, -1):
+            with pytest.raises(
+                TypeError, match=r"must be ints in \[0, 2\*\*64\), got p="
+            ):
+                func(p, q, mu)
+
+
+SINGLE_MASK_ENTRY_POINTS = {
+    "grade": grade,
+    "grade_sign": grade_sign,
+    "format_blade": format_blade,
+    "Algebra.blade": Algebra(-1).blade,
+    "Multivector.coefficient": Algebra(-1).blade(3).coefficient,
+    "TwistTable.entry(p,0)": lambda p: table_direct(2).entry(p, 0),
+    "TwistTable.entry(0,q)": lambda q: table_direct(2).entry(0, q),
+}
+
+
+@pytest.mark.parametrize("bad", NON_INT_MASKS, ids=repr)
+@pytest.mark.parametrize("name", list(SINGLE_MASK_ENTRY_POINTS))
+def test_single_mask_type_validation(name, bad):
+    with pytest.raises(TypeError, match="blade masks must be ints in"):
+        SINGLE_MASK_ENTRY_POINTS[name](bad)
 
 
 def test_grade_accepts_widest_mask():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,12 +43,21 @@ class TestConstruction:
             neg.blade(-1)
         with pytest.raises(ValueError):
             neg.blade(1 << 64)
+        v = neg.blade(3)
+        for bad in (-1, 1 << 64):
+            with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
+                v.coefficient(bad)
 
     def test_mu_validation(self):
         with pytest.raises(ValueError):
             Algebra(mu=0)
         with pytest.raises(ValueError):
             Algebra(mu=True)
+        with pytest.raises(ValueError):
+            Algebra(mu=np.True_)
+        # a number equal to +1 or -1 that is not a bool is still a mu
+        assert Algebra(1.0) == pos
+        assert Algebra(np.int64(-1)) == neg
 
     def test_immutable(self):
         v = neg.blade(3)

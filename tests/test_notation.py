@@ -194,15 +194,33 @@ class TestParseExpression:
         assert "at byte 4" in str(info.value)
 
     def test_syntax_errors(self):
-        for bad in ("", "1 +", "* e_1", "e_1 e_2", "/3", "2 * * 3", "e_1 -"):
-            with pytest.raises(ExpressionSyntaxError):
+        a_factor = "expected a rational or a blade"
+        cases = [
+            ("", a_factor, "end of input", 0),
+            ("1 +", a_factor, "end of input", 3),
+            ("* e_1", a_factor, "'*'", 0),
+            ("e_1 e_2", "expected '+', '-' or end of expression", "'e_2'", 4),
+            ("/3", a_factor, "'/'", 0),
+            ("2 * * 3", a_factor, "'*'", 4),
+            ("e_1 -", a_factor, "end of input", 5),
+            ("3/", "expected a denominator after '/'", "end of input", 2),
+            ("3/e_1", "expected a denominator after '/'", "'e_1'", 2),
+        ]
+        for bad, expected, found, offset in cases:
+            with pytest.raises(ExpressionSyntaxError) as info:
                 parse_expression(bad)
+            assert type(info.value) is ExpressionSyntaxError
+            assert str(info.value) == (
+                f"{expected}, found {found} (at byte {offset})"
+            )
+            assert info.value.offset == offset
 
     def test_malformed_blade_inside_expression(self):
         with pytest.raises(ExpressionSyntaxError) as info:
             parse_expression("2 e_11")
         assert info.value.offset == 2
 
+    @pytest.mark.usefixtures("default_int_digit_limit")
     def test_long_number_is_syntax_error(self):
         with pytest.raises(ExpressionSyntaxError) as info:
             parse_expression("7" * 5000 + " e_1")
@@ -233,3 +251,56 @@ class TestParseExpression:
         with pytest.raises(UnknownTokenError) as info:
             parse_expression(text)
         assert info.value.offset == offset
+
+
+_SPACE = st.sampled_from(["", " ", "\t", " \n ", "\xa0"])
+
+
+def _spell_rational(draw, value):
+    scale = draw(st.integers(1, 3))
+    num, den = value.numerator * scale, value.denominator * scale
+    if den == 1 and draw(st.booleans()):
+        return str(num)
+    return f"{num}{draw(_SPACE)}/{draw(_SPACE)}{den}"
+
+
+def _spell_blade(draw, mask):
+    if 0 < mask < 1 << 35 and draw(st.booleans()):
+        letter, sub = "e", format_blade(mask)[3:-1]
+    else:
+        letter, sub = "i", "0" * draw(st.integers(0, 2)) + str(mask)
+    head = draw(st.sampled_from([letter, letter.upper()]))
+    body = draw(st.sampled_from(["_{%s}", "{%s}", "_%s", "%s"])) % sub
+    return head + (body.upper() if draw(st.booleans()) else body)
+
+
+@st.composite
+def _spelled_expressions(draw):
+    """An Expression, and one spelling of it with random whitespace."""
+    terms, parts = [], []
+    for k in range(draw(st.integers(1, 6))):
+        sign = draw(st.sampled_from([1, -1]))
+        if k or sign < 0 or draw(st.booleans()):
+            parts.append("-" if sign < 0 else "+")
+        factors = []
+        for j in range(draw(st.integers(1, 4))):
+            if j:
+                parts.append("*")
+            coeff = blade = None
+            shape = draw(st.sampled_from(["rational", "blade", "both"]))
+            if shape != "blade":
+                coeff = draw(st.fractions(min_value=0, max_denominator=10**6))
+                parts.append(_spell_rational(draw, coeff))
+            if shape != "rational":
+                blade = draw(st.integers(0, (1 << 64) - 1) | st.integers(0, 255))
+                parts.append(_spell_blade(draw, blade))
+            factors.append(Factor(coeff, blade))
+        terms.append(Term(sign, tuple(factors)))
+    text = draw(_SPACE) + "".join(part + draw(_SPACE) for part in parts)
+    return Expression(tuple(terms)), text
+
+
+@given(_spelled_expressions())
+def test_parse_expression_round_trip(case):
+    expr, text = case
+    assert parse_expression(text) == expr

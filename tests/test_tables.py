@@ -89,10 +89,11 @@ class TestSymbolicSign:
             SymbolicSign(1, 2)
         with pytest.raises(ValueError):
             SymbolicSign(1, 1).substitute(0)
-        with pytest.raises(ValueError):
-            SymbolicSign(1, 1).substitute(True)
-        with pytest.raises(ValueError):
-            table_direct(1).substitute(True)
+        for bad in (True, np.True_):
+            with pytest.raises(ValueError):
+                SymbolicSign(1, 1).substitute(bad)
+            with pytest.raises(ValueError):
+                table_direct(1).substitute(bad)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -269,6 +270,8 @@ class TestValidation:
             render_table(t, "text", 2)
         with pytest.raises(ValueError, match=r"mu must be \+1 or -1, got True"):
             render_table(t, "text", True)
+        with pytest.raises(ValueError, match=r"mu must be \+1 or -1, got np.True_"):
+            render_table(t, "text", np.True_)
         with pytest.raises(ValueError):
             render_block_letters(2, "json")
 
