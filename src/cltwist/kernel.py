@@ -16,7 +16,12 @@ twist is a sign.  Four independent algorithms compute that sign:
 * :func:`twist_closed`    popcount formula; the fastest, and the default
 
 They are checked against each other exhaustively by the self-test and
-acceptance suites.  Everything here is a pure function.
+acceptance suites.  Everything here is a pure function on Python ints,
+and this module never imports numpy.  Each algorithm also has an array
+form, following the same method over whole numpy grids of masks, in
+the private :mod:`cltwist._batch`; the self-test uses those for the
+built-in functions, while ``ALGORITHMS`` and the acceptance suites stay
+scalar.
 
 Mask contract: blades are plain ints in ``[0, 2**64)``, one bit per
 generator e_1 through e_64.  Every function that takes a blade pair

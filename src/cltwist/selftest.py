@@ -8,9 +8,25 @@ Two suites run back to back:
   satisfy s(p,q)*s(p^q,r) == s(q,r)*s(p,q^r) for every triple, which
   is associativity of the blade product.
 
-Both run at mu = +1 and mu = -1.  The algorithm map is a parameter so
+Both run at mu = +1 and mu = -1, over the grid of pairs in blocks of
+``tables._CHUNK_ROWS`` rows, so working memory does not grow with the
+table.  A built-in algorithm is evaluated a whole block at a time
+through its array form (:mod:`cltwist._batch`); any other function in
+the algorithm map is called pair by pair.  The map is a parameter so
 a harness can inject a faulty implementation and watch the suite
 catch it.
+
+Up to ``n = 10`` the cocycle suite checks every triple.  Above that it
+checks a bilinearity certificate instead, 2*n*4**n comparisons:
+
+    s(p^e_k, q) == s(p, q) * s(e_k, q)   and
+    s(p, q^e_k) == s(p, q) * s(p, e_k)
+
+for every p, q and generator e_k.  A table that passes is a
+bimultiplicative form, and a bimultiplicative form satisfies the
+cocycle identity on every triple (the twisted group algebra view of
+Albuquerque & Majid).  A failure is reported with its (p, k, q),
+followed by the first violating triple among the rows involved.
 """
 
 from __future__ import annotations
@@ -21,34 +37,63 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import kernel
+from ._batch import ARRAY_FORMS
+from .tables import _row_blocks
 
 __all__ = ["Mismatch", "SelftestReport", "run_selftest"]
+
+#: Widest table whose triples are all checked one by one; wider
+#: tables are certified bilinear instead.
+_TRIPLES_MAX_N = 10
+
+#: Sign of each parity an array form returns.
+_SIGNS = np.array([1, -1], dtype=np.int8)
+
+#: The identity each certificate kind checks, as ``describe`` spells it.
+_LINEAR_IN = {
+    "linear-p": "s(p^e_k,q) != s(p,q)*s(e_k,q)",
+    "linear-q": "s(p,q^e_k) != s(p,q)*s(p,e_k)",
+}
 
 
 @dataclass(frozen=True)
 class Mismatch:
-    """First failing case of a suite, with everything needed to rerun it."""
+    """First failing case of a suite, with everything needed to rerun it.
 
-    kind: str  # "pairs" or "triples"
+    ``kind`` is "pairs" (indices (p, q)), "triples" (p, q, r), or one
+    of the certificate's "linear-p" and "linear-q" (p, k, q), where
+    generator e_k is the mask ``1 << (k - 1)``.
+    """
+
+    kind: str
     mu: int
-    indices: Tuple[int, ...]  # (p, q) or (p, q, r)
+    indices: Tuple[int, ...]
     signs: Dict[str, int]  # per-algorithm signs for the pairs suite
 
     def describe(self) -> str:
+        names = ("p", "k", "q") if self.kind in _LINEAR_IN else ("p", "q", "r")
         idx = " ".join(
-            f"{name}={value}"
-            for name, value in zip(("p", "q", "r"), self.indices)
+            f"{name}={value}" for name, value in zip(names, self.indices)
         )
         if self.kind == "pairs":
             algs = " ".join(
                 f"{name}={sign:+d}" for name, sign in self.signs.items()
             )
             return f"mismatch: {idx} mu={self.mu:+d} {algs}"
-        return f"cocycle violation: {idx} mu={self.mu:+d}"
+        if self.kind == "triples":
+            return f"cocycle violation: {idx} mu={self.mu:+d}"
+        return (
+            f"bilinearity violation: {_LINEAR_IN[self.kind]} at {idx}"
+            f" mu={self.mu:+d}"
+        )
 
 
 @dataclass(frozen=True)
 class SelftestReport:
+    """Outcome of :func:`run_selftest`.  ``triple_count`` counts the
+    triples the cocycle suite covers: one by one up to n = 10, and
+    through the bilinearity certificate from n = 11."""
+
     n: int
     pair_count: int
     triple_count: int
@@ -67,47 +112,111 @@ class SelftestReport:
                 f"ok: {self.algorithm_count}x{self.pair_count} pairs"
                 f" x 2 mu, 0 mismatches"
             )
-            out.append(f"ok: {self.triple_count} triples x 2 mu, 0 mismatches")
+            if self.n > _TRIPLES_MAX_N:
+                out.append(
+                    f"ok: bilinearity certificate, 2x{self.n}x"
+                    f"{self.pair_count} checks x 2 mu, 0 mismatches"
+                )
+            else:
+                out.append(
+                    f"ok: {self.triple_count} triples x 2 mu, 0 mismatches"
+                )
         return out
+
+
+def _block_signs(f, p: np.ndarray, q: np.ndarray, mu: int, n: int):
+    """Signs of ``f`` on the grid ``p`` (a column) by ``q`` (a row)."""
+    form = ARRAY_FORMS.get(f)
+    if form is not None:
+        return _SIGNS[form(p, q, mu, n)]
+    qs = q.ravel().tolist()
+    return np.array([[f(a, b, mu) for b in qs] for a in p.ravel().tolist()])
 
 
 def _pairs_suite(n: int, mu: int, algorithms) -> Tuple[Optional[Mismatch], np.ndarray]:
     """Exhaustive four-way agreement below 2**n.
 
-    Returns the first mismatch (or None) and the closed-form sign
-    table, reused by the cocycle suite so an injected fault in the
-    closed algorithm propagates there too.
+    Returns the first mismatch in row-major order (or None) and the
+    closed-form sign table, reused by the cocycle suite so an injected
+    fault in the closed algorithm propagates there too.
     """
     size = 1 << n
     table = np.empty((size, size), dtype=np.int8)
+    names = list(algorithms)
+    kept = names.index("closed") if "closed" in algorithms else 0
+    masks = np.arange(size, dtype=np.uint64)
+    q = masks[None, :]
     first = None
-    for p in range(size):
-        rows = {
-            name: [f(p, q, mu) for q in range(size)]
-            for name, f in algorithms.items()
-        }
-        ref, *others = rows.values()
-        table[p] = rows.get("closed", ref)
-        if first is None and any(row != ref for row in others):
-            columns = enumerate(zip(*rows.values()))
-            q, signs = next((q, s) for q, s in columns if len(set(s)) > 1)
-            first = Mismatch("pairs", mu, (p, q), dict(zip(rows, signs)))
+    for rows in _row_blocks(size):
+        p = masks[rows, None]
+        blocks = [_block_signs(f, p, q, mu, n) for f in algorithms.values()]
+        table[rows] = blocks[kept]
+        if first is None:
+            ref, *others = blocks
+            bad = np.zeros(ref.shape, dtype=bool)
+            for block in others:
+                bad |= block != ref
+            if bad.any():
+                i, j = divmod(int(bad.argmax()), size)
+                signs = {name: int(b[i, j]) for name, b in zip(names, blocks)}
+                first = Mismatch("pairs", mu, (rows.start + i, j), signs)
     return first, table
 
 
-def _cocycle_suite(table: np.ndarray, mu: int) -> Optional[Mismatch]:
-    """All triples over the table's index range, vectorized row by row."""
+def _cocycle_suite(table: np.ndarray, mu: int, ps=None) -> Optional[Mismatch]:
+    """First triple (p, q, r) in row-major order whose cocycle identity
+    fails, with p in the ascending ``ps`` (default: every row).  The
+    q axis is walked in row blocks, each with its own grid of q^r."""
     size = table.shape[0]
     idx = np.arange(size)
-    xor_grid = idx[:, None] ^ idx[None, :]  # [q, r] -> q^r
-    for p in range(size):
-        # s(p,q)*s(p^q,r) vs s(q,r)*s(p,q^r) for all q, r
-        lhs = table[p, :, None] * table[p ^ idx, :]
-        rhs = table * table[p][xor_grid]
-        if not np.array_equal(lhs, rhs):
-            q, r = np.argwhere(lhs != rhs)[0]
-            return Mismatch("triples", mu, (p, int(q), int(r)), {})
-    return None
+    ps = range(size) if ps is None else ps
+    first = None
+    for rows in _row_blocks(size):
+        q = idx[rows]
+        xor_grid = q[:, None] ^ idx  # [q, r] -> q^r
+        block = table[rows]
+        for p in ps:
+            if first is not None and p >= first[0]:
+                break  # an earlier block already holds a smaller triple
+            # s(p,q)*s(p^q,r) vs s(q,r)*s(p,q^r) for q in block, all r
+            lhs = table[p, rows, None] * table[p ^ q]
+            rhs = block * table[p][xor_grid]
+            if not np.array_equal(lhs, rhs):
+                i, r = np.argwhere(lhs != rhs)[0]
+                first = (p, rows.start + int(i), int(r))
+                break
+    return None if first is None else Mismatch("triples", mu, first, {})
+
+
+def _bilinear_certificate(table: np.ndarray, mu: int) -> List[Mismatch]:
+    """Check that the table is bilinear, in row blocks.
+
+    Returns no mismatch, or the first failing (p, k, q) followed by the
+    first cocycle violation among the rows its identity involves (none
+    if those rows hold none).
+    """
+    size = table.shape[0]
+    idx = np.arange(size)
+    for rows in _row_blocks(size):
+        block = table[rows]
+        m = block.shape[0]
+        for k in range(size.bit_length() - 1):
+            e = 1 << k
+            # linear in p: s(p^e_k, q) == s(p, q) * s(e_k, q)
+            in_p = table[idx[rows] ^ e] != block * table[e]
+            # linear in q: s(p, q^e_k) == s(p, q) * s(p, e_k); the 4-d
+            # view pairs each column with its partner q^e_k
+            v = block.reshape(m, -1, 2, e)
+            in_q = v[:, :, ::-1] != v * block[:, e].reshape(m, 1, 1, 1)
+            for kind, bad in (("linear-p", in_p), ("linear-q", in_q)):
+                if bad.any():
+                    i, q = divmod(int(bad.argmax()), size)
+                    p = rows.start + i
+                    involved = {p, p ^ e, e} if kind == "linear-p" else {p}
+                    found = [Mismatch(kind, mu, (p, k + 1, q), {})]
+                    triple = _cocycle_suite(table, mu, sorted(involved))
+                    return found if triple is None else found + [triple]
+    return []
 
 
 def run_selftest(n: int = kernel.DEFAULT_N, algorithms=None) -> SelftestReport:
@@ -123,9 +232,12 @@ def run_selftest(n: int = kernel.DEFAULT_N, algorithms=None) -> SelftestReport:
         pair_miss, table = _pairs_suite(n, mu, algorithms)
         if pair_miss is not None:
             mismatches.append(pair_miss)
-        triple_miss = _cocycle_suite(table, mu)
-        if triple_miss is not None:
-            mismatches.append(triple_miss)
+        if n > _TRIPLES_MAX_N:
+            mismatches.extend(_bilinear_certificate(table, mu))
+        else:
+            triple_miss = _cocycle_suite(table, mu)
+            if triple_miss is not None:
+                mismatches.append(triple_miss)
     return SelftestReport(
         n=n,
         pair_count=size * size,

@@ -175,9 +175,16 @@ class TwistTable:
         return f"<TwistTable n={self.n} ({self.codes.shape[0]}x{self.codes.shape[1]})>"
 
 
-#: Rows per block of the direct build and of the renderer: working
-#: buffers scale with it, not with the table.
+#: Rows per block of the direct build, the renderer and the self-test:
+#: working buffers scale with it, not with the table.
 _CHUNK_ROWS = 256
+
+
+def _row_blocks(rows: int):
+    """Slices of at most ``_CHUNK_ROWS`` consecutive rows covering
+    ``range(rows)``, in order."""
+    for start in range(0, rows, _CHUNK_ROWS):
+        yield slice(start, min(start + _CHUNK_ROWS, rows))
 
 
 def table_direct(n: int) -> TwistTable:
@@ -191,8 +198,7 @@ def table_direct(n: int) -> TwistTable:
     p, x = p.astype(np.uint16), x.astype(np.uint16)
     q = np.arange(size, dtype=np.uint16)
     codes = np.empty((size, size), dtype=np.int8)
-    for start in range(0, size, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
+    for rows in _row_blocks(size):
         neg = np.bitwise_count(x[rows] & q) & 1
         mu_power = np.bitwise_count(p[rows] & q) & 1
         np.bitwise_or(
@@ -264,8 +270,8 @@ def _render_chunks(codes: np.ndarray, spell, sep: str):
     last = np.array([(s + "\n").encode("ascii") for s in spell], dtype)
     rows, cols = codes.shape
     buf = np.empty((min(rows, _CHUNK_ROWS), cols), dtype)
-    for start in range(0, rows, _CHUNK_ROWS):
-        block = codes[start:start + _CHUNK_ROWS]
+    for block_rows in _row_blocks(rows):
+        block = codes[block_rows]
         out = buf[:block.shape[0]]
         np.take(inner, block[:, :-1], out=out[:, :-1])
         np.take(last, block[:, -1], out=out[:, -1])

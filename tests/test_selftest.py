@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from cltwist import kernel
+from cltwist import _batch, kernel, selftest
 from cltwist.selftest import Mismatch, run_selftest
+from cltwist.tables import table_direct
 
 
 def test_clean_run():
@@ -108,3 +110,130 @@ def test_empty_algorithm_map_rejected():
 def test_mismatch_describe_triple():
     m = Mismatch("triples", -1, (1, 2, 3), {})
     assert m.describe() == "cocycle violation: p=1 q=2 r=3 mu=-1"
+
+
+def test_mixed_map_reports_plain_ints_in_map_order():
+    # array forms for the built-ins, the scalar loop for the injected one
+    def faulty(p, q, mu):
+        sign = kernel.twist_closed(p, q, mu)
+        return -sign if (p, q) == (5, 9) else sign
+
+    algos = {
+        "recursive": kernel.twist_recursive,
+        "faulty": faulty,
+        "closed": kernel.twist_closed,
+        "tree": kernel.twist_tree,
+        "oracle": kernel.twist_oracle,
+    }
+    report = run_selftest(4, algorithms=algos)
+    pairs = [m for m in report.mismatches if m.kind == "pairs"]
+    assert [m.indices for m in pairs] == [(5, 9), (5, 9)]
+    for m in pairs:
+        assert list(m.signs) == list(algos)
+        assert all(type(v) is int for v in m.indices)
+        assert all(type(v) is int for v in m.signs.values())
+        assert m.signs["faulty"] == -m.signs["closed"] == -m.signs["oracle"]
+
+
+def test_fault_in_an_array_form_found_in_a_later_row_block(monkeypatch):
+    # n = 9 walks two blocks of 256 rows; the fault sits in the second
+    def broken(p, q, mu, width):
+        parity = _batch.tree_parity(p, q, mu, width)
+        parity[(p == 300) & (q == 7)] ^= 1
+        return parity
+
+    monkeypatch.setitem(_batch.ARRAY_FORMS, kernel.twist_tree, broken)
+    report = run_selftest(9)
+    assert [m.kind for m in report.mismatches] == ["pairs", "pairs"]
+    for m in report.mismatches:
+        assert m.indices == (300, 7)
+        assert all(type(v) is int for v in m.indices)
+        assert m.signs["tree"] == -m.signs["closed"]
+
+
+def _first_triple(table):
+    """The cocycle search over whole rows at once: the reference the
+    row-blocked suite is compared against."""
+    size = table.shape[0]
+    idx = np.arange(size)
+    xor_grid = idx[:, None] ^ idx[None, :]
+    for p in range(size):
+        lhs = table[p, :, None] * table[p ^ idx, :]
+        rhs = table * table[p][xor_grid]
+        if not np.array_equal(lhs, rhs):
+            q, r = np.argwhere(lhs != rhs)[0]
+            return (p, int(q), int(r))
+    return None
+
+
+@pytest.mark.parametrize("cell", [(300, 5), (3, 400), (0, 511)])
+def test_blocked_cocycle_suite_finds_the_row_major_first_triple(cell):
+    table = table_direct(9).substitute(-1)
+    table[cell] *= -1
+    miss = selftest._cocycle_suite(table, -1)
+    assert miss.kind == "triples"
+    assert miss.indices == _first_triple(table)
+
+
+def _violates_cocycle(table, p, q, r):
+    s = lambda a, b: int(table[a, b])
+    return s(p, q) * s(p ^ q, r) != s(q, r) * s(p, q ^ r)
+
+
+def _quadratic_in_q(table):
+    # times (-1)**(p_1 q_1 q_2): still linear in p, no longer in q
+    idx = np.arange(table.shape[0])
+    odd = (idx[:, None] & idx[None, :] & 1) & (idx[None, :] >> 1)
+    return table * (1 - 2 * odd).astype(np.int8)
+
+
+@pytest.mark.parametrize("mu", [1, -1])
+@pytest.mark.parametrize(
+    "cell", [(5, 9), (0, 3), (31, 31), None],
+    ids=["cell-5-9", "cell-0-3", "cell-31-31", "quadratic-in-q"],
+)
+def test_certificate_names_its_failure_and_a_violating_triple(cell, mu):
+    table = table_direct(5).substitute(mu)
+    assert selftest._bilinear_certificate(table, mu) == []
+    if cell is None:
+        table, kind = _quadratic_in_q(table), "linear-q"
+    else:
+        table[cell] *= -1
+        kind = "linear-p"
+    linear, triple = selftest._bilinear_certificate(table, mu)
+    assert linear.kind == kind and linear.mu == mu
+    p, k, q = linear.indices
+    e = 1 << (k - 1)
+    if kind == "linear-p":
+        assert table[p ^ e, q] != table[p, q] * table[e, q]
+    else:
+        assert table[p, q ^ e] != table[p, q] * table[p, e]
+    assert triple.kind == "triples"
+    assert _violates_cocycle(table, *triple.indices)
+    assert all(type(v) is int for v in linear.indices + triple.indices)
+    assert linear.describe().startswith("bilinearity violation: s(")
+    assert f"p={p} k={k} q={q} mu={mu:+d}" in linear.describe()
+
+
+def test_certificate_failure_reaches_the_report(monkeypatch):
+    def broken(p, q, mu):
+        if (p, q) == (3, 5):
+            return -kernel.twist_closed(p, q, mu)
+        return kernel.twist_closed(p, q, mu)
+
+    monkeypatch.setattr(selftest, "_TRIPLES_MAX_N", 3)
+    report = run_selftest(4, algorithms={"closed": broken})
+    assert [m.kind for m in report.mismatches] == [
+        "linear-p", "triples", "linear-p", "triples",
+    ]
+    lines = report.lines()
+    assert lines[0].startswith("bilinearity violation:")
+    assert lines[1].startswith("cocycle violation:")
+
+
+def test_certificate_summary_above_width_10():
+    assert run_selftest(11).lines() == [
+        "ok: 4x4194304 pairs x 2 mu, 0 mismatches",
+        "ok: bilinearity certificate, 2x11x4194304 checks x 2 mu,"
+        " 0 mismatches",
+    ]
