@@ -16,8 +16,8 @@ the algorithm map is called pair by pair.  The map is a parameter so
 a harness can inject a faulty implementation and watch the suite
 catch it.
 
-Up to ``n = 10`` the cocycle suite checks every triple.  Above that it
-checks a bilinearity certificate instead, 2*n*4**n comparisons:
+At every width the cocycle suite checks a bilinearity certificate,
+2*n*4**n comparisons:
 
     s(p^e_k, q) == s(p, q) * s(e_k, q)   and
     s(p, q^e_k) == s(p, q) * s(p, e_k)
@@ -25,8 +25,11 @@ checks a bilinearity certificate instead, 2*n*4**n comparisons:
 for every p, q and generator e_k.  A table that passes is a
 bimultiplicative form, and a bimultiplicative form satisfies the
 cocycle identity on every triple (the twisted group algebra view of
-Albuquerque & Majid).  A failure is reported with its (p, k, q),
-followed by the first violating triple among the rows involved.
+Albuquerque & Majid), so the certificate covers all 8**n triples.  It
+is stricter than a search over the triples: a cocycle that is not
+bilinear fails it.  A failure is reported with its (p, k, q), followed
+by the first violating triple among the rows involved, if they hold
+one.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ from ._batch import ARRAY_FORMS
 from .tables import _row_blocks
 
 __all__ = ["Mismatch", "SelftestReport", "run_selftest"]
-
-#: Widest table whose triples are all checked one by one; wider
-#: tables are certified bilinear instead.
-_TRIPLES_MAX_N = 10
 
 #: Sign of each parity an array form returns.
 _SIGNS = np.array([1, -1], dtype=np.int8)
@@ -91,8 +90,8 @@ class Mismatch:
 @dataclass(frozen=True)
 class SelftestReport:
     """Outcome of :func:`run_selftest`.  ``triple_count`` counts the
-    triples the cocycle suite covers: one by one up to n = 10, and
-    through the bilinearity certificate from n = 11."""
+    triples the cocycle suite covers through the bilinearity
+    certificate."""
 
     n: int
     pair_count: int
@@ -112,15 +111,7 @@ class SelftestReport:
                 f"ok: {self.algorithm_count}x{self.pair_count} pairs"
                 f" x 2 mu, 0 mismatches"
             )
-            if self.n > _TRIPLES_MAX_N:
-                out.append(
-                    f"ok: bilinearity certificate, 2x{self.n}x"
-                    f"{self.pair_count} checks x 2 mu, 0 mismatches"
-                )
-            else:
-                out.append(
-                    f"ok: {self.triple_count} triples x 2 mu, 0 mismatches"
-                )
+            out.append(f"ok: {self.triple_count} triples x 2 mu, 0 mismatches")
         return out
 
 
@@ -137,8 +128,8 @@ def _pairs_suite(n: int, mu: int, algorithms) -> Tuple[Optional[Mismatch], np.nd
     """Exhaustive four-way agreement below 2**n.
 
     Returns the first mismatch in row-major order (or None) and the
-    closed-form sign table, reused by the cocycle suite so an injected
-    fault in the closed algorithm propagates there too.
+    closed-form sign table, reused by the bilinearity certificate so an
+    injected fault in the closed algorithm propagates there too.
     """
     size = 1 << n
     table = np.empty((size, size), dtype=np.int8)
@@ -153,7 +144,7 @@ def _pairs_suite(n: int, mu: int, algorithms) -> Tuple[Optional[Mismatch], np.nd
         table[rows] = blocks[kept]
         if first is None:
             ref, *others = blocks
-            bad = np.zeros(ref.shape, dtype=bool)
+            bad = ref * ref != 1  # a value that is not a sign
             for block in others:
                 bad |= block != ref
             if bad.any():
@@ -165,27 +156,22 @@ def _pairs_suite(n: int, mu: int, algorithms) -> Tuple[Optional[Mismatch], np.nd
 
 def _cocycle_suite(table: np.ndarray, mu: int, ps=None) -> Optional[Mismatch]:
     """First triple (p, q, r) in row-major order whose cocycle identity
-    fails, with p in the ascending ``ps`` (default: every row).  The
-    q axis is walked in row blocks, each with its own grid of q^r."""
+    fails, with p in the ascending ``ps`` (default: every row); the
+    certificate's reporter.  The q axis is walked in row blocks, each
+    with its own grid of q^r."""
     size = table.shape[0]
     idx = np.arange(size)
-    ps = range(size) if ps is None else ps
-    first = None
-    for rows in _row_blocks(size):
-        q = idx[rows]
-        xor_grid = q[:, None] ^ idx  # [q, r] -> q^r
-        block = table[rows]
-        for p in ps:
-            if first is not None and p >= first[0]:
-                break  # an earlier block already holds a smaller triple
+    for p in range(size) if ps is None else ps:
+        for rows in _row_blocks(size):
+            q = idx[rows]
             # s(p,q)*s(p^q,r) vs s(q,r)*s(p,q^r) for q in block, all r
             lhs = table[p, rows, None] * table[p ^ q]
-            rhs = block * table[p][xor_grid]
+            rhs = table[rows] * table[p][q[:, None] ^ idx]
             if not np.array_equal(lhs, rhs):
                 i, r = np.argwhere(lhs != rhs)[0]
-                first = (p, rows.start + int(i), int(r))
-                break
-    return None if first is None else Mismatch("triples", mu, first, {})
+                triple = (p, rows.start + int(i), int(r))
+                return Mismatch("triples", mu, triple, {})
+    return None
 
 
 def _bilinear_certificate(table: np.ndarray, mu: int) -> List[Mismatch]:
@@ -232,12 +218,7 @@ def run_selftest(n: int = kernel.DEFAULT_N, algorithms=None) -> SelftestReport:
         pair_miss, table = _pairs_suite(n, mu, algorithms)
         if pair_miss is not None:
             mismatches.append(pair_miss)
-        if n > _TRIPLES_MAX_N:
-            mismatches.extend(_bilinear_certificate(table, mu))
-        else:
-            triple_miss = _cocycle_suite(table, mu)
-            if triple_miss is not None:
-                mismatches.append(triple_miss)
+        mismatches.extend(_bilinear_certificate(table, mu))
     return SelftestReport(
         n=n,
         pair_count=size * size,

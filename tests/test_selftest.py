@@ -15,11 +15,15 @@ def test_clean_run():
     assert report.mismatches == ()
 
 
-def test_summary_lines():
-    lines = run_selftest(3).lines()
-    assert lines == [
-        "ok: 4x64 pairs x 2 mu, 0 mismatches",
-        "ok: 512 triples x 2 mu, 0 mismatches",
+@pytest.mark.parametrize(
+    "n, pairs, triples",
+    [(1, 4, 8), (3, 64, 512), (10, 1048576, 1073741824),
+     (11, 4194304, 8589934592)],
+)
+def test_summary_lines(n, pairs, triples):
+    assert run_selftest(n).lines() == [
+        f"ok: 4x{pairs} pairs x 2 mu, 0 mismatches",
+        f"ok: {triples} triples x 2 mu, 0 mismatches",
     ]
 
 
@@ -87,6 +91,19 @@ def test_single_algorithm_cannot_disagree_on_pairs():
     report = run_selftest(3, algorithms={"closed": kernel.twist_closed})
     assert report.ok
     assert report.algorithm_count == 1
+
+
+def test_a_value_that_is_not_a_sign_is_a_pairs_mismatch():
+    # one function cannot disagree with itself, and an all-zero table
+    # is trivially bilinear: only the pairs suite can catch this
+    report = run_selftest(3, algorithms={"closed": lambda p, q, mu: 0})
+    assert [(m.kind, m.indices) for m in report.mismatches] == [
+        ("pairs", (0, 0)), ("pairs", (0, 0)),
+    ]
+    assert report.lines() == [
+        "mismatch: p=0 q=0 mu=+1 closed=+0",
+        "mismatch: p=0 q=0 mu=-1 closed=+0",
+    ]
 
 
 def test_mismatch_lines_precede_counts():
@@ -180,6 +197,14 @@ def _violates_cocycle(table, p, q, r):
     return s(p, q) * s(p ^ q, r) != s(q, r) * s(p, q ^ r)
 
 
+def _identity_fails(table, linear):
+    p, k, q = linear.indices
+    e = 1 << (k - 1)
+    if linear.kind == "linear-p":
+        return table[p ^ e, q] != table[p, q] * table[e, q]
+    return table[p, q ^ e] != table[p, q] * table[p, e]
+
+
 def _quadratic_in_q(table):
     # times (-1)**(p_1 q_1 q_2): still linear in p, no longer in q
     idx = np.arange(table.shape[0])
@@ -202,12 +227,8 @@ def test_certificate_names_its_failure_and_a_violating_triple(cell, mu):
         kind = "linear-p"
     linear, triple = selftest._bilinear_certificate(table, mu)
     assert linear.kind == kind and linear.mu == mu
+    assert _identity_fails(table, linear)
     p, k, q = linear.indices
-    e = 1 << (k - 1)
-    if kind == "linear-p":
-        assert table[p ^ e, q] != table[p, q] * table[e, q]
-    else:
-        assert table[p, q ^ e] != table[p, q] * table[p, e]
     assert triple.kind == "triples"
     assert _violates_cocycle(table, *triple.indices)
     assert all(type(v) is int for v in linear.indices + triple.indices)
@@ -215,13 +236,12 @@ def test_certificate_names_its_failure_and_a_violating_triple(cell, mu):
     assert f"p={p} k={k} q={q} mu={mu:+d}" in linear.describe()
 
 
-def test_certificate_failure_reaches_the_report(monkeypatch):
+def test_certificate_failure_reaches_the_report():
     def broken(p, q, mu):
         if (p, q) == (3, 5):
             return -kernel.twist_closed(p, q, mu)
         return kernel.twist_closed(p, q, mu)
 
-    monkeypatch.setattr(selftest, "_TRIPLES_MAX_N", 3)
     report = run_selftest(4, algorithms={"closed": broken})
     assert [m.kind for m in report.mismatches] == [
         "linear-p", "triples", "linear-p", "triples",
@@ -231,9 +251,34 @@ def test_certificate_failure_reaches_the_report(monkeypatch):
     assert lines[1].startswith("cocycle violation:")
 
 
-def test_certificate_summary_above_width_10():
-    assert run_selftest(11).lines() == [
-        "ok: 4x4194304 pairs x 2 mu, 0 mismatches",
-        "ok: bilinearity certificate, 2x11x4194304 checks x 2 mu,"
-        " 0 mismatches",
-    ]
+def _coboundary_twisted(table):
+    # times (-1)**(f(p)+f(q)+f(p^q)) with f(p) = p_0 p_1 p_2: still a
+    # cocycle, since a coboundary is one, but no longer bilinear
+    idx = np.arange(table.shape[0])
+    f = (idx & 7) == 7
+    odd = f[:, None] ^ f[None, :] ^ f[idx[:, None] ^ idx[None, :]]
+    return table * (1 - 2 * odd).astype(np.int8)
+
+
+@pytest.mark.parametrize("mu", [1, -1])
+@pytest.mark.parametrize("n", [3, 5])
+def test_certificate_rejects_a_cocycle_that_is_not_bilinear(n, mu):
+    table = _coboundary_twisted(table_direct(n).substitute(mu))
+    assert selftest._cocycle_suite(table, mu) is None
+    [linear] = selftest._bilinear_certificate(table, mu)  # and no triple
+    assert linear.kind in ("linear-p", "linear-q") and linear.mu == mu
+    assert _identity_fails(table, linear)
+
+
+def test_selftest_rejects_a_cocycle_that_is_not_bilinear():
+    tables = {
+        mu: _coboundary_twisted(table_direct(3).substitute(mu))
+        for mu in (1, -1)
+    }
+    report = run_selftest(
+        3, algorithms={"closed": lambda p, q, mu: int(tables[mu][p, q])}
+    )
+    assert not report.ok
+    assert [m.mu for m in report.mismatches] == [1, -1]
+    assert all(m.kind.startswith("linear-") for m in report.mismatches)
+    assert report.lines()[0].startswith("bilinearity violation:")
