@@ -29,7 +29,8 @@ Albuquerque & Majid), so the certificate covers all 8**n triples.  It
 is stricter than a search over the triples: a cocycle that is not
 bilinear fails it.  A failure is reported with its (p, k, q), followed
 by the first violating triple among the rows involved, if they hold
-one.
+one.  Each reported line ends with the ``cltwist sign`` calls that
+rerun it.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ class Mismatch:
     signs: Dict[str, int]  # per-algorithm signs for the pairs suite
 
     def describe(self) -> str:
+        """One line naming the failure, ending in the ``cltwist sign``
+        calls that rerun it (none for a pairs mismatch between
+        algorithms the CLI does not know)."""
         names = ("p", "k", "q") if self.kind in _LINEAR_IN else ("p", "q", "r")
         idx = " ".join(
             f"{name}={value}" for name, value in zip(names, self.indices)
@@ -78,13 +82,39 @@ class Mismatch:
             algs = " ".join(
                 f"{name}={sign:+d}" for name, sign in self.signs.items()
             )
-            return f"mismatch: {idx} mu={self.mu:+d} {algs}"
-        if self.kind == "triples":
-            return f"cocycle violation: {idx} mu={self.mu:+d}"
-        return (
-            f"bilinearity violation: {_LINEAR_IN[self.kind]} at {idx}"
-            f" mu={self.mu:+d}"
+            text = f"mismatch: {idx} mu={self.mu:+d} {algs}"
+        elif self.kind == "triples":
+            text = f"cocycle violation: {idx} mu={self.mu:+d}"
+        else:
+            text = (
+                f"bilinearity violation: {_LINEAR_IN[self.kind]} at {idx}"
+                f" mu={self.mu:+d}"
+            )
+        calls = "; ".join(
+            f"cltwist sign {p} {q} --algo {algo} --mu {self.mu:+d}"
+            for p, q, algo in self._rerun()
         )
+        return f"{text} rerun: {calls}" if calls else text
+
+    def _rerun(self) -> List[Tuple[int, int, str]]:
+        """(p, q, algorithm) of each sign call that reproduces the
+        failure.  The cocycle and the certificate check the closed
+        algorithm's table, so their calls use it."""
+        if self.kind == "pairs":
+            p, q = self.indices
+            known = [name for name in self.signs if name in kernel.ALGORITHMS]
+            return [(p, q, name) for name in known]
+        if self.kind == "triples":
+            p, q, r = self.indices
+            pairs = [(p, q), (p ^ q, r), (q, r), (p, q ^ r)]
+        else:
+            p, k, q = self.indices
+            e = 1 << (k - 1)
+            if self.kind == "linear-p":
+                pairs = [(p ^ e, q), (p, q), (e, q)]
+            else:
+                pairs = [(p, q ^ e), (p, q), (p, e)]
+        return [(a, b, "closed") for a, b in pairs]
 
 
 @dataclass(frozen=True)

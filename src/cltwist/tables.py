@@ -11,7 +11,9 @@ whole table sit in a numpy int8 array of two-bit codes:
 and entry products become XOR.  Two independent constructions are
 provided and cross-checked by the test suite:
 
-* :func:`table_direct` evaluates the closed form for every cell;
+* :func:`table_direct` evaluates the closed form on the n generator
+  rows p = e_k only and XORs the other rows together from them, since
+  the twist is bilinear in p;
 * :func:`table_blocks` grows the table by block substitution, doubling
   the resolution per round starting from the single letter A.
 
@@ -52,9 +54,10 @@ class SymbolicSign:
     __slots__ = ("_code",)
 
     def __init__(self, sign: int = 1, mu_power: int = 0):
-        if sign != 1 and sign != -1:
+        # Exactly int: a float, a bool or a numpy integer is turned away.
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        if mu_power not in (0, 1):
+        if type(mu_power) is not int or mu_power not in (0, 1):
             raise ValueError(f"mu_power must be 0 or 1, got {mu_power!r}")
         object.__setattr__(self, "_code", (sign < 0) | (mu_power << 1))
 
@@ -63,7 +66,7 @@ class SymbolicSign:
 
     @classmethod
     def from_code(cls, code: int) -> "SymbolicSign":
-        if not 0 <= code <= 3:
+        if type(code) is not int or not 0 <= code <= 3:
             raise ValueError(f"code must be in 0..3, got {code!r}")
         return cls(-1 if code & 1 else 1, (code >> 1) & 1)
 
@@ -175,8 +178,8 @@ class TwistTable:
         return f"<TwistTable n={self.n} ({self.codes.shape[0]}x{self.codes.shape[1]})>"
 
 
-#: Rows per block of the direct build, the renderer and the self-test:
-#: working buffers scale with it, not with the table.
+#: Rows per block of the renderer and the self-test: working buffers
+#: scale with it, not with the table.
 _CHUNK_ROWS = 256
 
 
@@ -188,22 +191,27 @@ def _row_blocks(rows: int):
 
 
 def table_direct(n: int) -> TwistTable:
-    """Twist table built cell-by-cell from the closed form."""
+    """Twist table from the closed form on its generator rows.
+
+    The code of (p, q) is linear in p over GF(2): its negation bit is
+    the parity of ``_parity_above(p) & q`` and its mu bit that of
+    ``p & q``, both linear in p.  So row 0 is all zeros, the closed
+    form gives the n rows p = e_k, and each further row is an XOR of
+    rows already built: doubling k fills rows e_k .. 2e_k - 1 as
+    ``rows[0:e_k] ^ row(e_k)``.
+    """
     _check_dim(n)
     size = 1 << n
-    p = np.arange(size, dtype=np.uint64).reshape(-1, 1)
-    x = _parity_above(p)
-    # Masks stay below 2**MAX_DIM, so the cells of a row block fit in
-    # 16 bits: a quarter of the memory of uint64 cells.
-    p, x = p.astype(np.uint16), x.astype(np.uint16)
-    q = np.arange(size, dtype=np.uint16)
+    gens = np.left_shift(1, np.arange(n, dtype=np.uint64)).reshape(-1, 1)
+    q = np.arange(size, dtype=np.uint64)
+    neg = np.bitwise_count(_parity_above(gens) & q) & 1
+    mu_power = np.bitwise_count(gens & q) & 1
+    gen_rows = (neg | mu_power << 1).astype(np.int8)
     codes = np.empty((size, size), dtype=np.int8)
-    for rows in _row_blocks(size):
-        neg = np.bitwise_count(x[rows] & q) & 1
-        mu_power = np.bitwise_count(p[rows] & q) & 1
-        np.bitwise_or(
-            neg, mu_power << 1, out=codes[rows], casting="unsafe"
-        )
+    codes[0] = 0
+    for k, row in enumerate(gen_rows):
+        e = 1 << k
+        np.bitwise_xor(codes[:e], row, out=codes[e:2 * e])
     return TwistTable._adopt(n, codes)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cltwist import _batch, kernel, selftest
+from cltwist.cli import main
 from cltwist.selftest import Mismatch, run_selftest
 from cltwist.tables import table_direct
 
@@ -101,8 +102,10 @@ def test_a_value_that_is_not_a_sign_is_a_pairs_mismatch():
         ("pairs", (0, 0)), ("pairs", (0, 0)),
     ]
     assert report.lines() == [
-        "mismatch: p=0 q=0 mu=+1 closed=+0",
-        "mismatch: p=0 q=0 mu=-1 closed=+0",
+        "mismatch: p=0 q=0 mu=+1 closed=+0"
+        " rerun: cltwist sign 0 0 --algo closed --mu +1",
+        "mismatch: p=0 q=0 mu=-1 closed=+0"
+        " rerun: cltwist sign 0 0 --algo closed --mu -1",
     ]
 
 
@@ -126,7 +129,76 @@ def test_empty_algorithm_map_rejected():
 
 def test_mismatch_describe_triple():
     m = Mismatch("triples", -1, (1, 2, 3), {})
-    assert m.describe() == "cocycle violation: p=1 q=2 r=3 mu=-1"
+    assert m.describe() == (
+        "cocycle violation: p=1 q=2 r=3 mu=-1 rerun:"
+        " cltwist sign 1 2 --algo closed --mu -1;"
+        " cltwist sign 3 3 --algo closed --mu -1;"
+        " cltwist sign 2 3 --algo closed --mu -1;"
+        " cltwist sign 1 1 --algo closed --mu -1"
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, calls",
+    [
+        ("linear-p", ["13 9", "5 9", "8 9"]),
+        ("linear-q", ["5 1", "5 9", "5 8"]),
+    ],
+)
+def test_mismatch_describe_certificate_rerun(kind, calls):
+    # (p, k, q) = (5, 4, 9): e_4 is the mask 8
+    text = Mismatch(kind, 1, (5, 4, 9), {}).describe()
+    identity = selftest._LINEAR_IN[kind]
+    assert text.startswith(f"bilinearity violation: {identity} at p=5 k=4 q=9")
+    assert text.endswith(" rerun: " + "; ".join(
+        f"cltwist sign {pq} --algo closed --mu +1" for pq in calls
+    ))
+
+
+def test_pairs_rerun_names_only_algorithms_the_cli_knows():
+    signs = {"faulty": -1, "tree": 1, "closed": 1}
+    assert Mismatch("pairs", -1, (5, 9), signs).describe() == (
+        "mismatch: p=5 q=9 mu=-1 faulty=-1 tree=+1 closed=+1 rerun:"
+        " cltwist sign 5 9 --algo tree --mu -1;"
+        " cltwist sign 5 9 --algo closed --mu -1"
+    )
+    alone = Mismatch("pairs", 1, (5, 9), {"faulty": 0})
+    assert alone.describe() == "mismatch: p=5 q=9 mu=+1 faulty=+0"
+
+
+def _rerun_signs(line, capsys):
+    """Run each ``cltwist sign`` call at the end of ``line`` through the
+    CLI; the signs it prints, in order."""
+    signs = []
+    for call in line.split(" rerun: ")[1].split("; "):
+        argv = call.split()
+        assert argv[:2] == ["cltwist", "sign"]
+        assert main(argv[1:]) == 0
+        signs.append(int(capsys.readouterr().out))
+    return signs
+
+
+def test_every_failing_line_reruns_through_the_cli(capsys):
+    def broken(p, q, mu):
+        sign = kernel.twist_closed(p, q, mu)
+        return -sign if (p, q) == (3, 5) else sign
+
+    algos = dict(kernel.ALGORITHMS, closed=broken)
+    lines = run_selftest(4, algorithms=algos).lines()
+    kinds = [line.split(":")[0] for line in lines]
+    assert kinds == ["mismatch", "bilinearity violation",
+                     "cocycle violation"] * 2
+    for line, mu in zip(lines, [1] * 3 + [-1] * 3):
+        assert line.count(" rerun: ") == 1
+        assert line.endswith(f"--mu {mu:+d}")
+        signs = _rerun_signs(line, capsys)
+        # the calls run the true algorithms, so the identities now hold
+        if line.startswith("mismatch"):
+            assert signs == [kernel.twist_closed(3, 5, mu)] * 4
+        elif line.startswith("cocycle"):
+            assert signs[0] * signs[1] == signs[2] * signs[3]
+        else:
+            assert signs[0] == signs[1] * signs[2]
 
 
 def test_mixed_map_reports_plain_ints_in_map_order():

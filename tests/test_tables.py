@@ -89,6 +89,17 @@ class TestSymbolicSign:
             SymbolicSign(1, 2)
         with pytest.raises(ValueError):
             SymbolicSign(1, 1).substitute(0)
+        # exactly an int, as for masks: a float, a bool or a numpy
+        # integer is turned away
+        for bad in (1.0, -1.0, True, np.int8(1), "1"):
+            with pytest.raises(ValueError, match="sign must be"):
+                SymbolicSign(bad, 0)
+        for bad in (1.0, 0.0, True, False, np.int64(1), "0"):
+            with pytest.raises(ValueError, match="mu_power must be"):
+                SymbolicSign(1, bad)
+        for bad in (1.0, 0.0, True, np.int8(2), "2"):
+            with pytest.raises(ValueError, match="code must be"):
+                SymbolicSign.from_code(bad)
         for bad in (True, np.True_):
             with pytest.raises(ValueError):
                 SymbolicSign(1, 1).substitute(bad)
@@ -163,14 +174,38 @@ def test_blocks_peak_memory():
 
 
 def test_direct_peak_memory():
-    # the 16 MiB result, plus one block of rows of working arrays
+    # the 16 MiB result plus one row
     tracemalloc.start()
     try:
         table_direct(MAX_DIM)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 32 << 20
+    assert peak <= 20 << 20
+
+
+def _assert_cells_closed_form(codes, cells):
+    for p, q in cells:
+        assert int(codes[p, q]) == twist_symbolic(p, q).code, (p, q)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_direct_every_cell_is_the_closed_form(n):
+    # the build evaluates only the generator rows; every other cell is
+    # an XOR of rows, so pin each one to the scalar closed form
+    size = 1 << n
+    cells = [(p, q) for p in range(size) for q in range(size)]
+    _assert_cells_closed_form(table_direct(n).codes, cells)
+
+
+def test_direct_cells_at_max_dim_are_the_closed_form():
+    size = 1 << MAX_DIM
+    gens = [1 << k for k in range(MAX_DIM)]
+    rng = np.random.default_rng(12)
+    cells = [(e, q) for e in gens for q in range(size)]
+    cells += [(p, e) for e in gens for p in range(size)]
+    cells += rng.integers(0, size, size=(4096, 2)).tolist()
+    _assert_cells_closed_form(table_direct(MAX_DIM).codes, cells)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
