@@ -135,8 +135,8 @@ def _cmd_table(args) -> int:
         chunks = tables._table_chunks(table, args.format, _MU_VALUES[args.mu])
     # str, not bytes to sys.stdout.buffer: callers may capture stdout
     # with a text-only stream
-    for chunk in chunks:
-        sys.stdout.write(chunk.decode("ascii"))
+    for pieces in chunks:
+        sys.stdout.write("".join(pieces))
     return 0
 
 

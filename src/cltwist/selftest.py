@@ -4,9 +4,10 @@ Two suites run back to back:
 
 * four-way agreement: every registered sign algorithm is evaluated on
   every pair (p, q) below 2**n and the results must coincide;
-* cocycle: the signs gathered from the closed-form algorithm must
-  satisfy s(p,q)*s(p^q,r) == s(q,r)*s(p,q^r) for every triple, which
-  is associativity of the blade product.
+* cocycle: the signs gathered from the closed-form algorithm (the
+  map's first, if it has none) must satisfy
+  s(p,q)*s(p^q,r) == s(q,r)*s(p,q^r) for every triple, which is
+  associativity of the blade product.
 
 Both run at mu = +1 and mu = -1, over the grid of pairs in blocks of
 ``tables._CHUNK_ROWS`` rows, so working memory does not grow with the
@@ -35,7 +36,7 @@ rerun it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -69,11 +70,12 @@ class Mismatch:
     mu: int
     indices: Tuple[int, ...]
     signs: Dict[str, int]  # per-algorithm signs for the pairs suite
+    _algo: str = "closed"  # whose table the cocycle and certificate check
 
     def describe(self) -> str:
         """One line naming the failure, ending in the ``cltwist sign``
-        calls that rerun it (none for a pairs mismatch between
-        algorithms the CLI does not know)."""
+        calls that rerun it (none for algorithms the CLI does not
+        know)."""
         names = ("p", "k", "q") if self.kind in _LINEAR_IN else ("p", "q", "r")
         idx = " ".join(
             f"{name}={value}" for name, value in zip(names, self.indices)
@@ -98,12 +100,14 @@ class Mismatch:
 
     def _rerun(self) -> List[Tuple[int, int, str]]:
         """(p, q, algorithm) of each sign call that reproduces the
-        failure.  The cocycle and the certificate check the closed
-        algorithm's table, so their calls use it."""
+        failure.  The cocycle and the certificate check the table of
+        one algorithm, ``_algo``, so their calls use it."""
         if self.kind == "pairs":
             p, q = self.indices
             known = [name for name in self.signs if name in kernel.ALGORITHMS]
             return [(p, q, name) for name in known]
+        if self._algo not in kernel.ALGORITHMS:
+            return []
         if self.kind == "triples":
             p, q, r = self.indices
             pairs = [(p, q), (p ^ q, r), (q, r), (p, q ^ r)]
@@ -114,7 +118,7 @@ class Mismatch:
                 pairs = [(p ^ e, q), (p, q), (e, q)]
             else:
                 pairs = [(p, q ^ e), (p, q), (p, e)]
-        return [(a, b, "closed") for a, b in pairs]
+        return [(a, b, self._algo) for a, b in pairs]
 
 
 @dataclass(frozen=True)
@@ -154,17 +158,24 @@ def _block_signs(f, p: np.ndarray, q: np.ndarray, mu: int, n: int):
     return np.array([[f(a, b, mu) for b in qs] for a in p.ravel().tolist()])
 
 
+def _kept_algorithm(algorithms) -> str:
+    """The algorithm whose table the cocycle suite checks: closed if
+    the map has it, else the first."""
+    return "closed" if "closed" in algorithms else next(iter(algorithms))
+
+
 def _pairs_suite(n: int, mu: int, algorithms) -> Tuple[Optional[Mismatch], np.ndarray]:
     """Exhaustive four-way agreement below 2**n.
 
     Returns the first mismatch in row-major order (or None) and the
-    closed-form sign table, reused by the bilinearity certificate so an
-    injected fault in the closed algorithm propagates there too.
+    sign table of the algorithm :func:`_kept_algorithm` names, reused
+    by the bilinearity certificate so an injected fault in it
+    propagates there too.
     """
     size = 1 << n
     table = np.empty((size, size), dtype=np.int8)
     names = list(algorithms)
-    kept = names.index("closed") if "closed" in algorithms else 0
+    kept = names.index(_kept_algorithm(algorithms))
     masks = np.arange(size, dtype=np.uint64)
     q = masks[None, :]
     first = None
@@ -243,12 +254,14 @@ def run_selftest(n: int = kernel.DEFAULT_N, algorithms=None) -> SelftestReport:
     elif not algorithms:
         raise ValueError("algorithms must name at least one sign function")
     size = 1 << n
+    kept = _kept_algorithm(algorithms)
     mismatches: List[Mismatch] = []
     for mu in (1, -1):
         pair_miss, table = _pairs_suite(n, mu, algorithms)
         if pair_miss is not None:
             mismatches.append(pair_miss)
-        mismatches.extend(_bilinear_certificate(table, mu))
+        for miss in _bilinear_certificate(table, mu):
+            mismatches.append(replace(miss, _algo=kept))
     return SelftestReport(
         n=n,
         pair_count=size * size,

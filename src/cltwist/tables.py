@@ -21,9 +21,16 @@ provided and cross-checked by the test suite:
 n - 1 rounds: a half-resolution grid in which each cell is a
 coefficiented letter such as ``-mB``.  The coefficient is the twist of
 the cell's indices and the letter records the row's grade parity.
+
+The twist is a bicharacter, so a row's codes are linear in q as well:
+``codes[p, q ^ r] == codes[p, q] ^ codes[p, r]``.  The renderer uses
+it to spell each distinct leading block of columns once and build
+every row by joining shifted copies of its block.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -121,13 +128,23 @@ def twist_symbolic(p: int, q: int) -> SymbolicSign:
 
 
 class TwistTable:
-    """Dense table of symbolic twists for all blade pairs below 2**n."""
+    """Dense table of symbolic twists for all blade pairs below 2**n.
+
+    ``codes`` is a 2**n square numpy int8 array of codes in 0..3;
+    anything else raises TypeError (not an array) or ValueError.
+    """
 
     __slots__ = ("n", "codes")
 
     def __init__(self, n: int, codes: np.ndarray):
+        if not isinstance(codes, np.ndarray):
+            raise TypeError(
+                f"codes must be a numpy array, got {type(codes).__name__}"
+            )
         # a copy, so that the caller's array cannot change the table
         self._hold(n, codes.copy())
+        if (self.codes & ~3).any():
+            raise ValueError("codes must be in 0..3")
 
     @classmethod
     def _adopt(cls, n: int, codes: np.ndarray) -> "TwistTable":
@@ -266,7 +283,22 @@ def _separator(format: str) -> str:
 
 
 def _render_chunks(codes: np.ndarray, spell, sep: str):
-    """ASCII text of ``codes`` spelled through ``spell``, in row chunks.
+    """Text of ``codes`` spelled through ``spell``, in row chunks.
+
+    Each chunk is a list of str pieces that concatenate to the text of
+    up to ``_CHUNK_ROWS`` rows, so a caller that wants the whole text
+    joins every piece once.  A twist table, or a letter grid, is
+    spelled block by block (:func:`_block_chunks`); any other array
+    cell by cell (:func:`_cell_chunks`).  Both give the same text.
+    """
+    layout = _column_blocks(codes)
+    if layout is None:
+        return _cell_chunks(codes, spell, sep)
+    return _block_chunks(*layout, spell, sep)
+
+
+def _cell_chunks(codes: np.ndarray, spell, sep: str):
+    """Spell ``codes`` cell by cell, one piece per row chunk.
 
     Each code indexes a fixed-width bytes table of ``entry + sep`` (the
     last column: ``entry + "\n"``) padded with NUL; deleting the NULs
@@ -283,11 +315,73 @@ def _render_chunks(codes: np.ndarray, spell, sep: str):
         out = buf[:block.shape[0]]
         np.take(inner, block[:, :-1], out=out[:, :-1])
         np.take(last, block[:, -1], out=out[:, -1])
-        yield out.tobytes().translate(None, b"\0")
+        yield [out.tobytes().translate(None, b"\0").decode("ascii")]
+
+
+def _column_blocks(codes: np.ndarray):
+    """Split each row of ``codes`` into its first block and the shift of
+    every block, or None where that does not reproduce the row.
+
+    The blocks are B = 2**min(k, k // 2 + 1) columns wide for 2**k
+    columns.  A twist row is linear in q, so block j of row p is its
+    first block XORed by the shift ``codes[p, jB] ^ codes[p, 0]``; in a
+    letter grid the letter, bit 2, is constant along a row and cancels.
+    Returns the distinct first blocks, the index of each row's among
+    them, and the shifts, if every shift is in 0..3 (so that it leaves
+    bit 2 alone) and every block is its shifted first block, checked 8
+    cells per uint64 word (fewer in blocks narrower than 8).
+    """
+    rows, cols = codes.shape
+    k = cols.bit_length() - 1
+    width = 1 << min(k, k // 2 + 1)
+    shifts = codes[:, ::width] ^ codes[:, :1]
+    if (shifts & ~3).any():
+        return None
+    word = np.dtype(f"u{min(width, 8)}")
+    ones = word.type(int("01" * word.itemsize, 16))  # one 1 per byte
+    for block_rows in _row_blocks(rows):
+        block = np.ascontiguousarray(codes[block_rows]).view(word)
+        blocks = block.reshape(block.shape[0], -1, width // word.itemsize)
+        spread = shifts[block_rows].view(np.uint8).astype(word) * ones
+        if not np.array_equal(blocks, blocks[:, :1] ^ spread[:, :, None]):
+            return None
+    first = np.ascontiguousarray(codes[:, :width])
+    distinct, row_class = np.unique(
+        first.view(f"V{width}").ravel(), return_inverse=True
+    )
+    return distinct.view(np.int8).reshape(-1, width), row_class, shifts
+
+
+def _block_chunks(distinct: np.ndarray, row_class: np.ndarray,
+                  shifts: np.ndarray, spell, sep: str):
+    """Row chunks as pieces of a palette, one piece per column block.
+
+    Each distinct first block is spelled once in each of its 4 XOR
+    variants, ending in ``sep``, and again ending in a newline.  Piece
+    ``4 * class + shift`` of that palette spells a block; in the last
+    column the piece ``4 * classes`` further on, its newline copy.
+    """
+    classes, width = distinct.shape
+    variants = distinct[:, None, :] ^ np.arange(4, dtype=np.int8)[:, None]
+    text = _joined(_cell_chunks(variants.reshape(-1, width), spell, sep))
+    lines = text.split("\n")[:-1]
+    palette = np.array(
+        [line + sep for line in lines] + [line + "\n" for line in lines],
+        dtype=object,
+    )
+    for block_rows in _row_blocks(len(row_class)):
+        index = 4 * row_class[block_rows, None] + shifts[block_rows]
+        index[:, -1] += 4 * classes
+        yield palette[index].ravel().tolist()
+
+
+def _joined(chunks) -> str:
+    """The text of an iterator of chunks, joined in one pass."""
+    return "".join(chain.from_iterable(chunks))
 
 
 def _table_chunks(table: TwistTable, format: str, mu):
-    """:func:`render_table` as an iterator of ASCII byte chunks."""
+    """:func:`render_table` as an iterator of row chunks."""
     sep = _separator(format)
     if mu is None:
         return _render_chunks(table.codes, _SPELL, sep)
@@ -303,11 +397,11 @@ def render_table(table: TwistTable, format: str = "text", mu=None) -> str:
     {1, -1, m, -m}.  mu None keeps entries symbolic, +1 or -1
     substitutes numbers.
     """
-    return b"".join(_table_chunks(table, format, mu)).decode("ascii")
+    return _joined(_table_chunks(table, format, mu))
 
 
 def _letter_chunks(n: int, format: str):
-    """:func:`render_block_letters` as an iterator of ASCII byte chunks."""
+    """:func:`render_block_letters` as an iterator of row chunks."""
     sep = _separator(format)
     _check_dim(n, low=2)
     cells = _block_rounds(np.zeros((1, 1), dtype=np.int8), n - 1)
@@ -316,4 +410,4 @@ def _letter_chunks(n: int, format: str):
 
 def render_block_letters(n: int, format: str = "text") -> str:
     """Half-resolution table of coefficiented letters, e.g. "-mB"."""
-    return b"".join(_letter_chunks(n, format)).decode("ascii")
+    return _joined(_letter_chunks(n, format))

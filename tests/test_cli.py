@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cltwist import cli, kernel
-from cltwist.tables import render_table, table_blocks
+from cltwist.tables import render_block_letters, render_table, table_blocks
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -171,6 +171,15 @@ class TestTable:
         assert run_cli("table", "9", "--format", "csv", "--mu", "+1") == 0
         out = capsys.readouterr().out
         assert out == render_table(table_blocks(9), "csv", 1)
+
+    def test_streamed_letters_equal_render(self, capsys):
+        assert run_cli("table", "10", "--blocks") == 0
+        assert capsys.readouterr().out == render_block_letters(10)
+
+    def test_streamed_symbolic_equals_render(self, capsys):
+        assert run_cli("table", "10", "--mu", "sym") == 0
+        out = capsys.readouterr().out
+        assert out == render_table(table_blocks(10), "text", None)
 
     def test_closed_pipe_exits_141_silently(self, child_env):
         # the reader takes one line and goes away while the writer still

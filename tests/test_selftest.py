@@ -201,6 +201,34 @@ def test_every_failing_line_reruns_through_the_cli(capsys):
             assert signs[0] == signs[1] * signs[2]
 
 
+@pytest.mark.parametrize("name", ["tree", "faulty"])
+def test_certificate_reruns_the_algorithm_whose_table_it_checked(name, capsys):
+    # without "closed" in the map the cocycle checks the first
+    # algorithm's table, so the calls name it; an algorithm the CLI does
+    # not know gets no calls, as in the pairs suite
+    def bad(p, q, mu):
+        sign = kernel.twist_tree(p, q, mu)
+        return -sign if (p, q) == (3, 5) else sign
+
+    algos = {name: bad, "recursive": kernel.twist_recursive}
+    lines = run_selftest(3, algorithms=algos).lines()
+    assert [line.split(":")[0] for line in lines] == [
+        "mismatch", "bilinearity violation", "cocycle violation"] * 2
+    for line in lines[1:3] + lines[4:6]:
+        if name == "faulty":
+            assert " rerun: " not in line
+        else:
+            calls = line.split(" rerun: ")[1].split("; ")
+            assert all(" --algo tree --mu " in call for call in calls)
+            _rerun_signs(line, capsys)  # each call runs and exits 0
+    # with "closed" in the map its table is the one checked, so a fault
+    # in the first algorithm is a pairs mismatch only
+    report = run_selftest(
+        3, algorithms={"tree": bad, "closed": kernel.twist_closed}
+    )
+    assert [m.kind for m in report.mismatches] == ["pairs", "pairs"]
+
+
 def test_mixed_map_reports_plain_ints_in_map_order():
     # array forms for the built-ins, the scalar loop for the injected one
     def faulty(p, q, mu):

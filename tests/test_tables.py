@@ -16,7 +16,10 @@ from cltwist.tables import (
     table_direct,
     twist_symbolic,
 )
-from cltwist.tables import _LETTER_SPELL, _SPELL, _block_rounds
+from cltwist.tables import (
+    _LETTER_SPELL, _SPELL, _block_rounds, _column_blocks, _joined,
+    _render_chunks,
+)
 
 masks = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -329,6 +332,17 @@ class TestValidation:
             TwistTable(2, np.zeros((3, 3), dtype=np.int8))
         with pytest.raises(ValueError):
             TwistTable(1, np.zeros((2, 2), dtype=np.int16))
+        with pytest.raises(TypeError, match="numpy array, got list"):
+            TwistTable(1, [[0, 0], [0, 2]])
+        # codes outside 0..3: -1 rendered as "-m", 4..7 raised IndexError
+        # from the renderer
+        for bad in (-1, 4, 7, -128, 127):
+            codes = table_direct(3).codes.copy()
+            codes[5, 6] = bad
+            with pytest.raises(ValueError, match=r"codes must be in 0\.\.3"):
+                TwistTable(3, codes)
+        codes = np.full((4, 4), 3, dtype=np.int8)
+        assert TwistTable(2, codes).codes.max() == 3
 
 
 @pytest.mark.parametrize("build", [table_direct, table_blocks])
@@ -388,3 +402,67 @@ def test_block_letters_match_reference(n, format, sep):
     spell = [coeff[_SPELL[c & 3]] + "AB"[c >> 2] for c in range(8)]
     expected = _reference_render(codes + 4 * letters, spell, sep)
     assert render_block_letters(n, format) == expected
+
+
+# --- both render paths against the reference ---------------------------------
+
+_SPELLINGS = [_SPELL] + [
+    [str(SymbolicSign.from_code(c).substitute(mu)) for c in range(4)]
+    for mu in (1, -1)
+]
+
+
+def _assert_renders(cells, spellings, block_path):
+    """``_render_chunks`` spells ``cells`` as the per-cell reference
+    does, through the block path exactly when ``block_path``."""
+    assert (_column_blocks(cells) is not None) == block_path
+    for spell in spellings:
+        for sep in (" ", ","):
+            text = _joined(_render_chunks(cells, spell, sep))
+            assert text == _reference_render(cells, spell, sep)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_real_tables_take_the_block_path(n):
+    assert _column_blocks(table_direct(n).codes) is not None
+    assert _column_blocks(table_blocks(n).codes) is not None
+    letters = _block_rounds(np.zeros((1, 1), dtype=np.int8), n)
+    assert _column_blocks(letters) is not None
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_random_codes_render_cell_by_cell(n):
+    # n >= 9 crosses the 256-row chunk boundary; from n = 3 on a row has
+    # two column blocks, and random codes are not linear in q
+    size = 1 << n
+    rng = np.random.default_rng(n)
+    codes = rng.integers(0, 4, size=(size, size)).astype(np.int8)
+    _assert_renders(TwistTable(n, codes).codes, _SPELLINGS, n <= 2)
+
+
+@pytest.mark.parametrize(
+    "where", ["first column", "inner block", "last column"]
+)
+@pytest.mark.parametrize("n", range(1, 11))
+def test_a_flipped_cell_renders_cell_by_cell(n, where):
+    # one cell of a row past the first chunk (when there is one) breaks
+    # the row's linearity in q
+    size = 1 << n
+    p = size - 2 if size > 2 else 1
+    q = {"first column": 0, "inner block": size // 2 + 1,
+         "last column": size - 1}[where] % size
+    codes = table_direct(n).codes.copy()
+    codes[p, q] ^= 1 + p % 3
+    _assert_renders(TwistTable(n, codes).codes, _SPELLINGS, n <= 2)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_letter_grid_with_a_swapped_block_renders_cell_by_cell(n):
+    # XOR 4 swaps the letter of a whole column block: each block is
+    # still its row's first block XOR a constant, but that constant has
+    # bit 2 set and would spell the palette piece of another class
+    cells = _block_rounds(np.zeros((1, 1), dtype=np.int8), n)
+    size = cells.shape[0]
+    width = 1 << min(n, n // 2 + 1)
+    cells[size - 3 if size > 2 else 1, size - width:] ^= 4
+    _assert_renders(cells, [_LETTER_SPELL], n <= 2)
