@@ -12,6 +12,11 @@ cross-check:
 * :func:`tree_parity`      steps the twist-tree automaton, high bit first
 * :func:`closed_parity`    the parallel-prefix popcount formula
 
+The tree form takes three bit pairs per table lookup: its 256-entry
+table composes three steps of ``kernel._FLAT_TREES``, the automaton
+``twist_tree`` walks, and is built from that alone, so the form stays
+independent of the other three.
+
 :data:`ARRAY_FORMS` maps each scalar function in
 :data:`cltwist.kernel.ALGORITHMS` to its form.  A caller holding some
 other function (a wrapped or a deliberately faulty one) finds nothing
@@ -69,34 +74,45 @@ def recursive_parity(p, q, mu, width):
     return parity
 
 
-def _tree_step(flat) -> np.ndarray:
-    """``kernel._FLAT_TREES[mu]`` as one lookup on a uint8 state.
+def _tree_steps(flat) -> np.ndarray:
+    """Three steps of ``kernel._FLAT_TREES[mu]`` as one lookup on a
+    uint8 state.
 
     The state is ``neg << 1 | letter``, the running sign's parity and
-    the automaton's letter.  The index puts the bit pair above it,
-    ``p_bit << 3 | q_bit << 2 | state``, so that a step only ORs the
-    pair into the state before the lookup.
+    the automaton's letter.  The index puts three bit pairs above it,
+    ``p_bits << 5 | q_bits << 2 | state``, where ``p_bits`` and
+    ``q_bits`` hold the pairs' bits of p and q, highest first; the
+    entry is the state after stepping through the three pairs in that
+    order.
     """
-    step = np.empty(16, np.uint8)
-    for index in range(16):
-        pair, neg, letter = index >> 2, index >> 1 & 1, index & 1
-        nxt, sign = flat[letter << 2 | pair]
-        step[index] = (neg ^ (sign < 0)) << 1 | nxt
-    return step
+    steps = np.empty(256, np.uint8)
+    for index in range(256):
+        neg, letter = index >> 1 & 1, index & 1
+        for k in (2, 1, 0):
+            pair = (index >> (5 + k) & 1) << 1 | (index >> (2 + k) & 1)
+            letter, sign = flat[letter << 2 | pair]
+            neg ^= sign < 0
+        steps[index] = neg << 1 | letter
+    return steps
 
 
-_TREE_STEPS = {mu: _tree_step(flat) for mu, flat in kernel._FLAT_TREES.items()}
+_TREE_STEPS = {
+    mu: _tree_steps(flat) for mu, flat in kernel._FLAT_TREES.items()
+}
 
 
 def tree_parity(p, q, mu, width):
-    """Walk the twist tree from +A over the bit pairs, highest first;
-    the sign parity is the final state's negation bit."""
-    step = _TREE_STEPS[mu]
+    """Walk the twist tree from +A over the bit pairs, highest first,
+    three pairs per lookup; the sign parity is the final state's
+    negation bit.  The walk starts at the multiple of 3 at or above
+    ``width``: the zero pairs it adds on top leave +A as it is, at
+    either mu."""
+    steps = _TREE_STEPS[mu]
     state = _zeros(p, q)
-    for k in range(width - 1, -1, -1):
-        state |= ((p >> k) & 1).astype(np.uint8) << 3
-        state |= ((q >> k) & 1).astype(np.uint8) << 2
-        np.take(step, state, out=state)
+    for k in range(-(-width // 3) * 3 - 3, -1, -3):
+        state |= ((p >> k) & 7).astype(np.uint8) << 5
+        state |= ((q >> k) & 7).astype(np.uint8) << 2
+        np.take(steps, state, out=state, mode="clip")
     return state >> 1
 
 

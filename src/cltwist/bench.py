@@ -58,6 +58,32 @@ def run_bench(pairs: int = DEFAULT_PAIRS, mu: int = -1) -> List[BenchResult]:
     return results
 
 
+def _json_report(results: List[BenchResult], mu: int) -> str:
+    """One JSON object: the workload (seed, pairs, mu), ns/op per
+    algorithm, and the interpreter, platform, CPU count and numpy
+    version (null if numpy is not installed) it ran on.  numpy's
+    version is read from its metadata, so numpy stays unloaded."""
+    import json
+    import os
+    import platform
+    from importlib import metadata
+
+    try:
+        numpy_version = metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        numpy_version = None
+    return json.dumps({
+        "seed": _SEED,
+        "pairs": results[0].pairs,
+        "mu": mu,
+        "ns_per_op": {r.name: r.ns_per_op for r in results},
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "numpy": numpy_version,
+    })
+
+
 def format_report(results: List[BenchResult]) -> str:
     """One labeled throughput line per algorithm."""
     return "".join(

@@ -104,6 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"workload size (default {bench_mod.DEFAULT_PAIRS})",
     )
     _add_mu(p_bench)
+    p_bench.add_argument(
+        "--json", action="store_true",
+        help="print one JSON object with the timings and the platform",
+    )
 
     return parser
 
@@ -131,7 +135,7 @@ def _cmd_table(args) -> int:
     if args.blocks:
         chunks = tables._letter_chunks(args.n, args.format)
     else:
-        table = tables.table_blocks(args.n)
+        table = tables.table_direct(args.n)
         chunks = tables._table_chunks(table, args.format, _MU_VALUES[args.mu])
     # str, not bytes to sys.stdout.buffer: callers may capture stdout
     # with a text-only stream
@@ -161,8 +165,12 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    results = bench_mod.run_bench(args.pairs, _MU_VALUES[args.mu])
-    sys.stdout.write(bench_mod.format_report(results))
+    mu = _MU_VALUES[args.mu]
+    results = bench_mod.run_bench(args.pairs, mu)
+    if args.json:
+        print(bench_mod._json_report(results, mu))
+    else:
+        sys.stdout.write(bench_mod.format_report(results))
     return 0
 
 

@@ -224,12 +224,20 @@ def table_direct(n: int) -> TwistTable:
     neg = np.bitwise_count(_parity_above(gens) & q) & 1
     mu_power = np.bitwise_count(gens & q) & 1
     gen_rows = (neg | mu_power << 1).astype(np.int8)
-    codes = np.empty((size, size), dtype=np.int8)
-    codes[0] = 0
-    for k, row in enumerate(gen_rows):
+    return TwistTable._adopt(n, _doubled(gen_rows, size, np.bitwise_xor, 0))
+
+
+def _doubled(factors: np.ndarray, count: int, combine, unit) -> np.ndarray:
+    """Row i, for each i below the power of two ``count``, is ``unit``
+    combined with ``factors[k]`` for every bit k of i, built by
+    doublings: rows e .. 2e - 1 are ``combine(rows[0:e], factors[k])``
+    for e = 2**k."""
+    out = np.empty((count,) + factors.shape[1:], dtype=factors.dtype)
+    out[0] = unit
+    for k in range(count.bit_length() - 1):
         e = 1 << k
-        np.bitwise_xor(codes[:e], row, out=codes[e:2 * e])
-    return TwistTable._adopt(n, codes)
+        combine(out[:e], factors[k], out=out[e:2 * e])
+    return out
 
 
 #: Spelling of a coefficiented letter: its code in bits 0-1, its

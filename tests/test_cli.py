@@ -1,13 +1,16 @@
+import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
+from importlib import metadata
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
 
-from cltwist import cli, kernel
+from cltwist import bench, cli, kernel
 from cltwist.tables import render_block_letters, render_table, table_blocks
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -181,6 +184,16 @@ class TestTable:
         out = capsys.readouterr().out
         assert out == render_table(table_blocks(10), "text", None)
 
+    @pytest.mark.parametrize("mu", ["+1", "-1", "sym"])
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_output_equals_render_of_the_block_table(self, capsys, n, fmt, mu):
+        # the command builds with table_direct; table_blocks is the
+        # independent construction it must agree with
+        assert run_cli("table", str(n), "--format", fmt, "--mu", mu) == 0
+        out = capsys.readouterr().out
+        assert out == render_table(table_blocks(n), fmt, cli._MU_VALUES[mu])
+
     def test_closed_pipe_exits_141_silently(self, child_env):
         # the reader takes one line and goes away while the writer still
         # has megabytes of table to send
@@ -277,6 +290,40 @@ class TestBench:
     def test_pairs_validated(self, capsys):
         assert run_cli("bench", "--pairs", "0") == 2
         capsys.readouterr()
+
+    def test_json_report(self, child_env):
+        # a fresh interpreter, to see that numpy stays unloaded
+        out = _fresh_python(
+            "import sys\n"
+            "from cltwist import cli\n"
+            "argv = ['bench', '--pairs', '50', '--mu', '+1', '--json']\n"
+            "code = cli.main(argv)\n"
+            "print(code, 'numpy' in sys.modules)\n",
+            child_env,
+        )
+        *report, status = out.splitlines()
+        assert status == "0 False"
+        assert len(report) == 1
+        data = json.loads(report[0])
+        assert set(data) == {
+            "seed", "pairs", "mu", "ns_per_op", "python", "platform",
+            "cpu_count", "numpy",
+        }
+        workload = (data["seed"], data["pairs"], data["mu"])
+        assert workload == (bench._SEED, 50, 1)
+        assert list(data["ns_per_op"]) == list(kernel.ALGORITHMS)
+        assert all(v > 0 for v in data["ns_per_op"].values())
+        assert data["python"] == platform.python_version()
+        assert data["cpu_count"] == os.cpu_count()
+        assert data["numpy"] == metadata.version("numpy")
+
+    def test_json_numpy_version_null_without_numpy(self, monkeypatch):
+        def missing(name):
+            raise metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(metadata, "version", missing)
+        results = bench.run_bench(5, -1)
+        assert json.loads(bench._json_report(results, -1))["numpy"] is None
 
     def test_workload_is_deterministic(self):
         from cltwist.bench import make_workload

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -382,3 +384,81 @@ def test_selftest_rejects_a_cocycle_that_is_not_bilinear():
     assert [m.mu for m in report.mismatches] == [1, -1]
     assert all(m.kind.startswith("linear-") for m in report.mismatches)
     assert report.lines()[0].startswith("bilinearity violation:")
+
+
+def _flipped(table, cell):
+    out = table.copy()
+    out[cell] *= -1
+    return out
+
+
+def _certificate_cases(n, mu):
+    """(name, table) pairs for which the rebuild must decide as the
+    per-k scan does."""
+    table = table_direct(n).substitute(mu)
+    last = (1 << n) - 1
+    zero = table.copy()
+    zero[last // 2 + 1, last] = 0
+    return [
+        ("true", table),
+        ("row-0", _flipped(table, (0, last))),
+        ("column-0", _flipped(table, (last, 0))),
+        ("inner", _flipped(table, (last, last))),
+        ("quadratic-in-q", _quadratic_in_q(table)),
+        ("coboundary", _coboundary_twisted(table)),
+        ("zero-entry", zero),
+    ]
+
+
+@pytest.mark.parametrize("mu", [1, -1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_rebuild_decides_as_the_scan(n, mu):
+    cases = _certificate_cases(n, mu)
+    for name, table in cases:
+        scan = selftest._bilinear_scan(table, mu)
+        assert selftest._rebuilds(table) == (scan == []), name
+        assert selftest._bilinear_certificate(table, mu) == scan, name
+    # below n = 2 and n = 3 the quadratic and the coboundary factors
+    # are 1; at n = 1 the inner cell is the generator entry (1, 1),
+    # and either sign there is bilinear
+    passing = ["true"]
+    if n == 1:
+        passing += ["inner", "quadratic-in-q"]
+    if n < 3:
+        passing += ["coboundary"]
+    assert [name for name, table in cases
+            if selftest._rebuilds(table)] == passing
+
+
+@pytest.mark.parametrize("mu", [1, -1])
+@pytest.mark.parametrize("cell", [(300, 5), (256, 256), (511, 300), (5, 300)])
+def test_rebuild_decides_as_the_scan_across_row_blocks(cell, mu):
+    # n = 9: two blocks of 256 rows; row 256 starts the second
+    table = table_direct(9).substitute(mu)
+    assert selftest._rebuilds(table)
+    assert selftest._bilinear_scan(table, mu) == []
+    table[cell] *= -1
+    assert not selftest._rebuilds(table)
+    scan = selftest._bilinear_scan(table, mu)
+    assert scan and selftest._bilinear_certificate(table, mu) == scan
+
+
+def test_certificate_of_a_table_the_rebuild_rejects_is_the_scan():
+    # all zeros satisfies every identity, 0 == 0 * 0, though its
+    # generator entries are not signs: the scan decides, and passes it
+    table = np.zeros((8, 8), dtype=np.int8)
+    assert not selftest._rebuilds(table)
+    assert selftest._bilinear_scan(table, 1) == []
+    assert selftest._bilinear_certificate(table, 1) == []
+
+
+def test_selftest_peak_memory():
+    # the suites work in row blocks: the 4 MiB int8 table at n = 11 and
+    # the buffers of one block
+    tracemalloc.start()
+    try:
+        run_selftest(11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 << 20
