@@ -30,12 +30,15 @@ Albuquerque & Majid), so the certificate covers all 8**n triples.  It
 is stricter than a search over the triples: a cocycle that is not
 bilinear fails it.
 
-A table of signs passes every one of those identities exactly when it
-is the bimultiplicative form of its n*n generator entries s(e_j, e_i).
-So the certificate first rebuilds the table from them and compares, in
-row blocks: each generator row from its generator columns, the first
-block by the row doublings ``tables.table_direct`` uses, and each
-later block as the first one times the rebuilt row at its start.  Only
+The suites keep the checked table as sign parities, 1 where s is
+negative: {+1, -1} under multiplication is Z/2 under XOR, so each
+identity compares parities with XOR, and bimultiplicative means
+GF(2)-bilinear.  A parity table passes every identity exactly when it
+is the bilinear form of its n*n generator entries s(e_j, e_i).  So the
+certificate first rebuilds the table from them and compares, in row
+blocks: each generator row from its generator columns, the first block
+by the XOR row doublings ``tables.table_direct`` uses, and each later
+block as the first one XORed with the rebuilt row at its start.  Only
 a table that does not rebuild goes to the per-k scan of the
 identities, which names the first failing (p, k, q), followed by the
 first violating triple among the rows involved, if they hold one.
@@ -45,7 +48,6 @@ Each reported line ends with the ``cltwist sign`` calls that rerun it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -88,7 +90,7 @@ class Mismatch:
         )
         if self.kind == "pairs":
             algs = " ".join(
-                f"{name}={sign:+d}" for name, sign in self.signs.items()
+                f"{name}={sign:+}" for name, sign in self.signs.items()
             )
             text = f"mismatch: {idx} mu={self.mu:+d} {algs}"
         elif self.kind == "triples":
@@ -174,12 +176,14 @@ def _pairs_suite(n: int, mu: int, algorithms) -> Tuple[Optional[Mismatch], np.nd
     """Exhaustive four-way agreement below 2**n.
 
     Returns the first mismatch in row-major order (or None) and the
-    sign table of the algorithm :func:`_kept_algorithm` names, reused
-    by the bilinearity certificate so an injected fault in it
-    propagates there too.
+    table of the algorithm :func:`_kept_algorithm` names as uint8 sign
+    parities (1 where a value is negative), reused by the bilinearity
+    certificate so an injected fault in it propagates there too.  A
+    value that is not a sign is a pairs mismatch; the parity keeps
+    only its sign bit.
     """
     size = 1 << n
-    table = np.empty((size, size), dtype=np.int8)
+    table = np.empty((size, size), dtype=np.uint8)
     names = list(algorithms)
     kept = names.index(_kept_algorithm(algorithms))
     masks = np.arange(size, dtype=np.uint64)
@@ -188,7 +192,7 @@ def _pairs_suite(n: int, mu: int, algorithms) -> Tuple[Optional[Mismatch], np.nd
     for rows in _row_blocks(size):
         p = masks[rows, None]
         blocks = [_block_signs(f, p, q, mu, n) for f in algorithms.values()]
-        table[rows] = blocks[kept]
+        table[rows] = blocks[kept] < 0
         if first is None:
             ref, *others = blocks
             bad = ref * ref != 1  # a value that is not a sign
@@ -196,24 +200,24 @@ def _pairs_suite(n: int, mu: int, algorithms) -> Tuple[Optional[Mismatch], np.nd
                 bad |= block != ref
             if bad.any():
                 i, j = divmod(int(bad.argmax()), size)
-                signs = {name: int(b[i, j]) for name, b in zip(names, blocks)}
+                signs = {name: b.item(i, j) for name, b in zip(names, blocks)}
                 first = Mismatch("pairs", mu, (rows.start + i, j), signs)
     return first, table
 
 
-def _cocycle_suite(table: np.ndarray, mu: int, ps=None) -> Optional[Mismatch]:
+def _cocycle_suite(table: np.ndarray, mu: int, ps) -> Optional[Mismatch]:
     """First triple (p, q, r) in row-major order whose cocycle identity
-    fails, with p in the ascending ``ps`` (default: every row); the
+    fails in the parity table, with p in the ascending ``ps``; the
     certificate's reporter.  The q axis is walked in row blocks, each
     with its own grid of q^r."""
     size = table.shape[0]
     idx = np.arange(size)
-    for p in range(size) if ps is None else ps:
+    for p in ps:
         for rows in _row_blocks(size):
             q = idx[rows]
             # s(p,q)*s(p^q,r) vs s(q,r)*s(p,q^r) for q in block, all r
-            lhs = table[p, rows, None] * table[p ^ q]
-            rhs = table[rows] * table[p][q[:, None] ^ idx]
+            lhs = table[p, rows, None] ^ table[p ^ q]
+            rhs = table[rows] ^ table[p][q[:, None] ^ idx]
             if not np.array_equal(lhs, rhs):
                 i, r = np.argwhere(lhs != rhs)[0]
                 triple = (p, rows.start + int(i), int(r))
@@ -222,30 +226,25 @@ def _cocycle_suite(table: np.ndarray, mu: int, ps=None) -> Optional[Mismatch]:
 
 
 def _rebuilds(table: np.ndarray) -> bool:
-    """Whether the table is the bimultiplicative form of its generator
-    entries ``table[e_j, e_i]``, each of them +1 or -1, compared in row
-    blocks.
+    """Whether the parity table is the GF(2)-bilinear form of its
+    generator entries ``table[e_j, e_i]``, compared in row blocks.
 
-    A generator row must be the product of its own generator columns,
-    the rows of the first block the products of their generator rows,
-    and each later block the first one times the product of the
-    generator rows at its start.  A table of signs passes exactly when
-    it passes every (p, k, q) identity of the certificate.
+    A generator row must be the XOR of its own generator columns, the
+    rows of the first block the XORs of their generator rows, and each
+    later block the first one XORed with the generator rows at its
+    start.  A table of parities passes exactly when it passes every
+    (p, k, q) identity of the certificate.
     """
     size = table.shape[0]
     gens = 1 << np.arange(size.bit_length() - 1)
     gen_rows = table[gens]
-    corners = gen_rows[:, gens]
-    if not ((corners == 1) | (corners == -1)).all():
-        return False
-    span = partial(_doubled, combine=np.multiply, unit=1)
-    if not np.array_equal(span(corners.T, size), gen_rows.T):
+    if not np.array_equal(_doubled(gen_rows[:, gens].T, size), gen_rows.T):
         return False
     head_rows = min(size, _CHUNK_ROWS)
-    head = span(gen_rows, head_rows)
-    starts = span(gen_rows[head_rows.bit_length() - 1:], size // head_rows)
+    head = _doubled(gen_rows, head_rows)
+    starts = _doubled(gen_rows[head_rows.bit_length() - 1:], size // head_rows)
     return all(
-        np.array_equal(table[rows], head * start)
+        np.array_equal(table[rows], head ^ start)
         for rows, start in zip(_row_blocks(size), starts)
     )
 
@@ -272,11 +271,11 @@ def _bilinear_scan(table: np.ndarray, mu: int) -> List[Mismatch]:
         for k in range(size.bit_length() - 1):
             e = 1 << k
             # linear in p: s(p^e_k, q) == s(p, q) * s(e_k, q)
-            in_p = table[idx[rows] ^ e] != block * table[e]
+            in_p = table[idx[rows] ^ e] != block ^ table[e]
             # linear in q: s(p, q^e_k) == s(p, q) * s(p, e_k); the 4-d
             # view pairs each column with its partner q^e_k
             v = block.reshape(m, -1, 2, e)
-            in_q = v[:, :, ::-1] != v * block[:, e].reshape(m, 1, 1, 1)
+            in_q = v[:, :, ::-1] != v ^ block[:, e].reshape(m, 1, 1, 1)
             for kind, bad in (("linear-p", in_p), ("linear-q", in_q)):
                 if bad.any():
                     i, q = divmod(int(bad.argmax()), size)

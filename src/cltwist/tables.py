@@ -224,19 +224,19 @@ def table_direct(n: int) -> TwistTable:
     neg = np.bitwise_count(_parity_above(gens) & q) & 1
     mu_power = np.bitwise_count(gens & q) & 1
     gen_rows = (neg | mu_power << 1).astype(np.int8)
-    return TwistTable._adopt(n, _doubled(gen_rows, size, np.bitwise_xor, 0))
+    return TwistTable._adopt(n, _doubled(gen_rows, size))
 
 
-def _doubled(factors: np.ndarray, count: int, combine, unit) -> np.ndarray:
-    """Row i, for each i below the power of two ``count``, is ``unit``
-    combined with ``factors[k]`` for every bit k of i, built by
-    doublings: rows e .. 2e - 1 are ``combine(rows[0:e], factors[k])``
-    for e = 2**k."""
+def _doubled(factors: np.ndarray, count: int) -> np.ndarray:
+    """Row i, for each i below the power of two ``count``, is the XOR of
+    ``factors[k]`` over every bit k of i (zeros for i = 0), built by
+    doublings: rows e .. 2e - 1 are ``rows[0:e] ^ factors[k]`` for
+    e = 2**k."""
     out = np.empty((count,) + factors.shape[1:], dtype=factors.dtype)
-    out[0] = unit
+    out[0] = 0
     for k in range(count.bit_length() - 1):
         e = 1 << k
-        combine(out[:e], factors[k], out=out[e:2 * e])
+        np.bitwise_xor(out[:e], factors[k], out=out[e:2 * e])
     return out
 
 

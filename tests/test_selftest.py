@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -109,6 +112,43 @@ def test_a_value_that_is_not_a_sign_is_a_pairs_mismatch():
         "mismatch: p=0 q=0 mu=-1 closed=+0"
         " rerun: cltwist sign 0 0 --algo closed --mu -1",
     ]
+
+
+def _pairs_lines(p, q, signs):
+    """The two pairs lines, at mu = +1 and -1, of a mismatch at (p, q)
+    whose algorithms return the spelled ``signs`` at both mu."""
+    algs = " ".join(f"{name}={sign}" for name, sign in signs.items())
+    return [
+        f"mismatch: p={p} q={q} mu={mu:+d} {algs} rerun: " + "; ".join(
+            f"cltwist sign {p} {q} --algo {name} --mu {mu:+d}"
+            for name in signs
+        )
+        for mu in (1, -1)
+    ]
+
+
+@pytest.mark.parametrize("value", [2**70, 255])
+def test_a_value_too_big_for_a_sign_is_only_a_pairs_mismatch(value):
+    # the certificate reads the value's sign bit, so a positive value
+    # everywhere is the all-+1 table: bilinear, with nothing to wrap
+    def big(p, q, mu):
+        return value
+
+    alone = run_selftest(2, algorithms={"closed": big})
+    assert alone.lines() == _pairs_lines(0, 0, {"closed": f"+{value}"})
+    four = run_selftest(2, algorithms=dict(kernel.ALGORITHMS, closed=big))
+    assert four.lines() == _pairs_lines(0, 0, {
+        "oracle": "+1", "recursive": "+1", "tree": "+1", "closed": f"+{value}",
+    })
+
+
+def test_a_value_that_is_not_an_integer_is_reported_exactly():
+    half = run_selftest(1, algorithms={"closed": lambda p, q, mu: 0.5})
+    assert half.lines() == _pairs_lines(0, 0, {"closed": "+0.5"})
+    algos = dict(kernel.ALGORITHMS, tree=lambda p, q, mu: -0.75)
+    assert run_selftest(1, algorithms=algos).lines() == _pairs_lines(0, 0, {
+        "oracle": "+1", "recursive": "+1", "tree": "-0.75", "closed": "+1",
+    })
 
 
 def test_mismatch_lines_precede_counts():
@@ -285,13 +325,18 @@ def _first_triple(table):
     return None
 
 
+def _parities(signs):
+    """The uint8 sign parities of a table of +-1: 1 where negative."""
+    return (signs < 0).astype(np.uint8)
+
+
 @pytest.mark.parametrize("cell", [(300, 5), (3, 400), (0, 511)])
 def test_blocked_cocycle_suite_finds_the_row_major_first_triple(cell):
-    table = table_direct(9).substitute(-1)
-    table[cell] *= -1
-    miss = selftest._cocycle_suite(table, -1)
+    signs = table_direct(9).substitute(-1)
+    signs[cell] *= -1
+    miss = selftest._cocycle_suite(_parities(signs), -1, range(512))
     assert miss.kind == "triples"
-    assert miss.indices == _first_triple(table)
+    assert miss.indices == _first_triple(signs)
 
 
 def _violates_cocycle(table, p, q, r):
@@ -320,19 +365,19 @@ def _quadratic_in_q(table):
     ids=["cell-5-9", "cell-0-3", "cell-31-31", "quadratic-in-q"],
 )
 def test_certificate_names_its_failure_and_a_violating_triple(cell, mu):
-    table = table_direct(5).substitute(mu)
-    assert selftest._bilinear_certificate(table, mu) == []
+    signs = table_direct(5).substitute(mu)
+    assert selftest._bilinear_certificate(_parities(signs), mu) == []
     if cell is None:
-        table, kind = _quadratic_in_q(table), "linear-q"
+        signs, kind = _quadratic_in_q(signs), "linear-q"
     else:
-        table[cell] *= -1
+        signs[cell] *= -1
         kind = "linear-p"
-    linear, triple = selftest._bilinear_certificate(table, mu)
+    linear, triple = selftest._bilinear_certificate(_parities(signs), mu)
     assert linear.kind == kind and linear.mu == mu
-    assert _identity_fails(table, linear)
+    assert _identity_fails(signs, linear)
     p, k, q = linear.indices
     assert triple.kind == "triples"
-    assert _violates_cocycle(table, *triple.indices)
+    assert _violates_cocycle(signs, *triple.indices)
     assert all(type(v) is int for v in linear.indices + triple.indices)
     assert linear.describe().startswith("bilinearity violation: s(")
     assert f"p={p} k={k} q={q} mu={mu:+d}" in linear.describe()
@@ -365,11 +410,12 @@ def _coboundary_twisted(table):
 @pytest.mark.parametrize("mu", [1, -1])
 @pytest.mark.parametrize("n", [3, 5])
 def test_certificate_rejects_a_cocycle_that_is_not_bilinear(n, mu):
-    table = _coboundary_twisted(table_direct(n).substitute(mu))
-    assert selftest._cocycle_suite(table, mu) is None
+    signs = _coboundary_twisted(table_direct(n).substitute(mu))
+    table = _parities(signs)
+    assert selftest._cocycle_suite(table, mu, range(1 << n)) is None
     [linear] = selftest._bilinear_certificate(table, mu)  # and no triple
     assert linear.kind in ("linear-p", "linear-q") and linear.mu == mu
-    assert _identity_fails(table, linear)
+    assert _identity_fails(signs, linear)
 
 
 def test_selftest_rejects_a_cocycle_that_is_not_bilinear():
@@ -393,21 +439,19 @@ def _flipped(table, cell):
 
 
 def _certificate_cases(n, mu):
-    """(name, table) pairs for which the rebuild must decide as the
-    per-k scan does."""
+    """(name, parity table) pairs for which the rebuild must decide as
+    the per-k scan does."""
     table = table_direct(n).substitute(mu)
     last = (1 << n) - 1
-    zero = table.copy()
-    zero[last // 2 + 1, last] = 0
-    return [
+    cases = [
         ("true", table),
         ("row-0", _flipped(table, (0, last))),
         ("column-0", _flipped(table, (last, 0))),
         ("inner", _flipped(table, (last, last))),
         ("quadratic-in-q", _quadratic_in_q(table)),
         ("coboundary", _coboundary_twisted(table)),
-        ("zero-entry", zero),
     ]
+    return [(name, _parities(signs)) for name, signs in cases]
 
 
 @pytest.mark.parametrize("mu", [1, -1])
@@ -434,26 +478,54 @@ def test_rebuild_decides_as_the_scan(n, mu):
 @pytest.mark.parametrize("cell", [(300, 5), (256, 256), (511, 300), (5, 300)])
 def test_rebuild_decides_as_the_scan_across_row_blocks(cell, mu):
     # n = 9: two blocks of 256 rows; row 256 starts the second
-    table = table_direct(9).substitute(mu)
+    table = _parities(table_direct(9).substitute(mu))
     assert selftest._rebuilds(table)
     assert selftest._bilinear_scan(table, mu) == []
-    table[cell] *= -1
+    table[cell] ^= 1
     assert not selftest._rebuilds(table)
     scan = selftest._bilinear_scan(table, mu)
     assert scan and selftest._bilinear_certificate(table, mu) == scan
 
 
-def test_certificate_of_a_table_the_rebuild_rejects_is_the_scan():
-    # all zeros satisfies every identity, 0 == 0 * 0, though its
-    # generator entries are not signs: the scan decides, and passes it
-    table = np.zeros((8, 8), dtype=np.int8)
-    assert not selftest._rebuilds(table)
-    assert selftest._bilinear_scan(table, 1) == []
-    assert selftest._bilinear_certificate(table, 1) == []
+def _bits(count, width):
+    """Bit j of each i below ``count``, for j below ``width``."""
+    return (np.arange(count)[:, None] >> np.arange(width)) & 1
+
+
+def _bilinear_forms(n):
+    """Every GF(2)-bilinear parity table at width n, the parity of the
+    sum of p_j q_i c[j, i], one per n*n generator matrix c."""
+    masks = _bits(1 << n, n)
+    mats = _bits(1 << n * n, n * n).reshape(-1, n, n)
+    forms = np.einsum("pj,cji,qi->cpq", masks, mats, masks)
+    return (forms & 1).astype(np.uint8)
+
+
+def test_rebuild_accepts_exactly_the_bilinear_parity_tables():
+    # all 65,536 parity tables at n = 2, cell c of table i being bit c
+    # of i: the rebuild passes exactly the 16 bilinear forms
+    tables = _bits(1 << 16, 16).astype(np.uint8).reshape(-1, 4, 4)
+    passing = [i for i, table in enumerate(tables)
+               if selftest._rebuilds(table)]
+    assert passing == sorted(
+        int(form.ravel() @ (1 << np.arange(16))) for form in _bilinear_forms(2)
+    )
+    # at n = 2 and n = 3 the rebuild and the per-k scan each pass
+    # exactly the bilinear forms, among all of them and 2,000 seeded
+    # random tables
+    rng = np.random.default_rng(20261019)
+    for n in (2, 3):
+        forms = _bilinear_forms(n)
+        bilinear = {form.tobytes() for form in forms}
+        randoms = rng.integers(0, 2, (2000,) + forms.shape[1:], np.uint8)
+        for table in np.concatenate([forms, randoms]):
+            expected = table.tobytes() in bilinear
+            assert selftest._rebuilds(table) == expected
+            assert (selftest._bilinear_scan(table, 1) == []) == expected
 
 
 def test_selftest_peak_memory():
-    # the suites work in row blocks: the 4 MiB int8 table at n = 11 and
+    # the suites work in row blocks: the 4 MiB uint8 table at n = 11 and
     # the buffers of one block
     tracemalloc.start()
     try:
@@ -462,3 +534,71 @@ def test_selftest_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 24 << 20
+
+
+def _fault_corpus(count=120, seed=20261019):
+    """Seeded fault maps at n = 1..7: (n, algorithms, broken array form).
+
+    Each map flips one or two cells to the opposite sign, at one mu or
+    both, in one algorithm: through a scalar wrapper in the map, or
+    through an array form patched in for a built-in (then the third
+    item is ``(function, form)``, else None).  Maps hold all four
+    algorithms, the faulty one alone, or it and one other.
+    """
+    rng = random.Random(seed)
+    names = list(kernel.ALGORITHMS)
+    for i in range(count):
+        n = 1 + i % 7
+        size = 1 << n
+        name = rng.choice(names)
+        cells = {(rng.randrange(size), rng.randrange(size))
+                 for _ in range(rng.choice((1, 2)))}
+        mus = rng.choice(((1,), (-1,), (1, -1)))
+        shape = rng.choice(("all", "alone", "pair"))
+        if shape == "all":
+            algos = dict(kernel.ALGORITHMS)
+        elif shape == "alone":
+            algos = {name: kernel.ALGORITHMS[name]}
+        else:
+            other = rng.choice([m for m in names if m != name])
+            algos = {name: kernel.ALGORITHMS[name],
+                     other: kernel.ALGORITHMS[other]}
+        true = kernel.ALGORITHMS[name]
+        if rng.random() < 0.5:
+            def scalar(p, q, mu, true=true, cells=cells, mus=mus):
+                sign = true(p, q, mu)
+                return -sign if mu in mus and (p, q) in cells else sign
+
+            yield n, {**algos, name: scalar}, None
+        else:
+            def form(p, q, mu, width, true=_batch.ARRAY_FORMS[true],
+                     cells=cells, mus=mus):
+                parity = true(p, q, mu, width)
+                if mu in mus:
+                    for a, b in cells:
+                        parity[(p == a) & (q == b)] ^= 1
+                return parity
+
+            yield n, algos, (true, form)
+
+
+#: sha256 of the JSON list of ``lines()`` of every report of the fault
+#: corpus, recorded with the int8 sign table the certificate checked
+#: before it read sign parities: a report of a +-1-valued algorithm
+#: does not depend on how the certificate stores the table.
+_CORPUS_SHA256 = (
+    "7f6cb1201cfaa48f89aa2e675a2f582e7e5f267b994f74ca26208888d12bed3a"
+)
+
+
+def test_fault_corpus_reports_are_unchanged():
+    reports = []
+    for n, algos, patch in _fault_corpus():
+        with pytest.MonkeyPatch.context() as mp:
+            if patch is not None:
+                mp.setitem(_batch.ARRAY_FORMS, *patch)
+            reports.append(run_selftest(n, algorithms=algos).lines())
+    kinds = {line.split(":")[0] for lines in reports for line in lines}
+    assert kinds == {"mismatch", "bilinearity violation", "cocycle violation"}
+    text = json.dumps(reports).encode("ascii")
+    assert hashlib.sha256(text).hexdigest() == _CORPUS_SHA256
