@@ -30,18 +30,21 @@ Albuquerque & Majid), so the certificate covers all 8**n triples.  It
 is stricter than a search over the triples: a cocycle that is not
 bilinear fails it.
 
-The suites keep the checked table as sign parities, 1 where s is
-negative: {+1, -1} under multiplication is Z/2 under XOR, so each
-identity compares parities with XOR, and bimultiplicative means
-GF(2)-bilinear.  A parity table passes every identity exactly when it
-is the bilinear form of its n*n generator entries s(e_j, e_i).  So the
-certificate first rebuilds the table from them and compares, in row
-blocks: each generator row from its generator columns, the first block
-by the XOR row doublings ``tables.table_direct`` uses, and each later
-block as the first one XORed with the rebuilt row at its start.  Only
-a table that does not rebuild goes to the per-k scan of the
-identities, which names the first failing (p, k, q), followed by the
-first violating triple among the rows involved, if they hold one.
+Both suites work on sign parities, 1 where s is negative: {+1, -1}
+under multiplication is Z/2 under XOR, so every comparison is an XOR
+of parities, and bimultiplicative means GF(2)-bilinear.  The array
+forms return parities; only a function called pair by pair returns
+values, and the pairs suite also flags any of those that is not a
+sign, reporting it exactly as returned.  A parity table passes every
+identity exactly when it is the bilinear form of its n*n generator
+entries s(e_j, e_i).  So the certificate first rebuilds the table from
+them and compares, in row blocks: the generator rows from the
+generator matrix, the first block by the XOR row doublings
+``tables.table_direct`` uses, and each later block as the first one
+XORed with the rebuilt row at its start.  Only a table that does not
+rebuild goes to the per-k scan of the identities, which names the
+first failing (p, k, q), followed by the first violating triple among
+the rows involved, if they hold one.
 Each reported line ends with the ``cltwist sign`` calls that rerun it.
 """
 
@@ -77,7 +80,9 @@ class Mismatch:
     kind: str
     mu: int
     indices: Tuple[int, ...]
-    signs: Dict[str, int]  # per-algorithm signs for the pairs suite
+    # per-algorithm values for the pairs suite: +-1 for an array form,
+    # else exactly what the function returned
+    signs: Dict[str, object]
     _algo: str = "closed"  # whose table the cocycle and certificate check
 
     def describe(self) -> str:
@@ -157,50 +162,56 @@ class SelftestReport:
         return out
 
 
-def _block_signs(f, p: np.ndarray, q: np.ndarray, mu: int, n: int):
-    """Signs of ``f`` on the grid ``p`` (a column) by ``q`` (a row)."""
+def _block(f, p: np.ndarray, q: np.ndarray, mu: int, n: int):
+    """``f`` on the grid ``p`` (a column) by ``q`` (a row), as uint8 sign
+    parities (1 where a value is negative) and the values themselves.
+
+    An array form gives its parities as they come and no values.  Any
+    other function is called once per pair, in row-major order, on
+    plain int masks; its values come back in an object array, each one
+    exactly as returned, and its parities are their sign bits.
+    """
     form = ARRAY_FORMS.get(f)
     if form is not None:
-        return 1 - 2 * form(p, q, mu, n).view(np.int8)
-    qs = q.ravel().tolist()
-    return np.array([[f(a, b, mu) for b in qs] for a in p.ravel().tolist()])
+        return form(p, q, mu, n), None
+    values = np.frompyfunc(f, 3, 1)(p, q, mu)
+    return (values < 0).view(np.uint8), values
 
 
-def _kept_algorithm(algorithms) -> str:
-    """The algorithm whose table the cocycle suite checks: closed if
-    the map has it, else the first."""
-    return "closed" if "closed" in algorithms else next(iter(algorithms))
-
-
-def _pairs_suite(n: int, mu: int, algorithms) -> Tuple[Optional[Mismatch], np.ndarray]:
+def _pairs_suite(
+    n: int, mu: int, algorithms, kept: str
+) -> Tuple[Optional[Mismatch], np.ndarray]:
     """Exhaustive four-way agreement below 2**n.
 
     Returns the first mismatch in row-major order (or None) and the
-    table of the algorithm :func:`_kept_algorithm` names as uint8 sign
-    parities (1 where a value is negative), reused by the bilinearity
+    parity table of the algorithm ``kept``, reused by the bilinearity
     certificate so an injected fault in it propagates there too.  A
-    value that is not a sign is a pairs mismatch; the parity keeps
-    only its sign bit.
+    cell mismatches where some algorithm's parity differs from that
+    table's (XOR) or where a value from the scalar path is not a sign;
+    the parity keeps only its sign bit.
     """
     size = 1 << n
     table = np.empty((size, size), dtype=np.uint8)
-    names = list(algorithms)
-    kept = names.index(_kept_algorithm(algorithms))
     masks = np.arange(size, dtype=np.uint64)
     q = masks[None, :]
     first = None
     for rows in _row_blocks(size):
         p = masks[rows, None]
-        blocks = [_block_signs(f, p, q, mu, n) for f in algorithms.values()]
-        table[rows] = blocks[kept] < 0
+        blocks = {
+            name: _block(f, p, q, mu, n) for name, f in algorithms.items()
+        }
+        ref = table[rows] = blocks[kept][0]
         if first is None:
-            ref, *others = blocks
-            bad = ref * ref != 1  # a value that is not a sign
-            for block in others:
-                bad |= block != ref
+            bad = np.zeros_like(ref)
+            for parity, values in blocks.values():
+                bad |= parity ^ ref
+                if values is not None:
+                    bad |= values * values != 1  # a value that is not a sign
             if bad.any():
                 i, j = divmod(int(bad.argmax()), size)
-                signs = {name: b.item(i, j) for name, b in zip(names, blocks)}
+                signs = {name: 1 - 2 * parity.item(i, j) if values is None
+                         else values[i, j]
+                         for name, (parity, values) in blocks.items()}
                 first = Mismatch("pairs", mu, (rows.start + i, j), signs)
     return first, table
 
@@ -229,17 +240,16 @@ def _rebuilds(table: np.ndarray) -> bool:
     """Whether the parity table is the GF(2)-bilinear form of its
     generator entries ``table[e_j, e_i]``, compared in row blocks.
 
-    A generator row must be the XOR of its own generator columns, the
-    rows of the first block the XORs of their generator rows, and each
-    later block the first one XORed with the generator rows at its
-    start.  A table of parities passes exactly when it passes every
-    (p, k, q) identity of the certificate.
+    The generator rows are rebuilt from the n*n generator matrix, the
+    rows of the first block as the XORs of their generator rows, and
+    each later block as the first one XORed with the generator rows at
+    its start; every row, the generator rows included, must match.  A
+    table of parities passes exactly when it passes every (p, k, q)
+    identity of the certificate.
     """
     size = table.shape[0]
     gens = 1 << np.arange(size.bit_length() - 1)
-    gen_rows = table[gens]
-    if not np.array_equal(_doubled(gen_rows[:, gens].T, size), gen_rows.T):
-        return False
+    gen_rows = _doubled(table[gens][:, gens].T, size).T
     head_rows = min(size, _CHUNK_ROWS)
     head = _doubled(gen_rows, head_rows)
     starts = _doubled(gen_rows[head_rows.bit_length() - 1:], size // head_rows)
@@ -247,13 +257,6 @@ def _rebuilds(table: np.ndarray) -> bool:
         np.array_equal(table[rows], head ^ start)
         for rows, start in zip(_row_blocks(size), starts)
     )
-
-
-def _bilinear_certificate(table: np.ndarray, mu: int) -> List[Mismatch]:
-    """Check that the table is bilinear: no mismatch if it rebuilds from
-    its generator entries (:func:`_rebuilds`), else what the per-k scan
-    (:func:`_bilinear_scan`) finds."""
-    return [] if _rebuilds(table) else _bilinear_scan(table, mu)
 
 
 def _bilinear_scan(table: np.ndarray, mu: int) -> List[Mismatch]:
@@ -295,13 +298,14 @@ def run_selftest(n: int = kernel.DEFAULT_N, algorithms=None) -> SelftestReport:
     elif not algorithms:
         raise ValueError("algorithms must name at least one sign function")
     size = 1 << n
-    kept = _kept_algorithm(algorithms)
+    # the cocycle suite checks the closed form's table, if it is there
+    kept = "closed" if "closed" in algorithms else next(iter(algorithms))
     mismatches: List[Mismatch] = []
     for mu in (1, -1):
-        pair_miss, table = _pairs_suite(n, mu, algorithms)
+        pair_miss, table = _pairs_suite(n, mu, algorithms, kept)
         if pair_miss is not None:
             mismatches.append(pair_miss)
-        for miss in _bilinear_certificate(table, mu):
+        for miss in [] if _rebuilds(table) else _bilinear_scan(table, mu):
             mismatches.append(replace(miss, _algo=kept))
     return SelftestReport(
         n=n,

@@ -68,6 +68,32 @@ def test_exhaustive_agreement_small():
                 assert len(signs) == 1, (p, q, mu)
 
 
+def test_tree_transitions():
+    # letter A (0) or B (1) is the parity of the p bits read so far, high
+    # bit first: a p bit toggles it, a q bit passes exactly those p bits,
+    # and a p bit and a q bit at the same place square to mu.  By
+    # induction on the bits read, twist_tree is then the inversion parity
+    # times mu**popcount(p & q) at every width.
+    for mu in (1, -1):
+        for letter in (0, 1):
+            for a in (0, 1):
+                for b in (0, 1):
+                    step = kernel._FLAT_TREES[mu][letter << 2 | a << 1 | b]
+                    factor = (-1) ** (b & letter) * mu ** (a & b)
+                    assert step == (letter ^ a, factor), (mu, letter, a, b)
+
+
+@pytest.mark.parametrize("name", list(ALGORITHMS))
+def test_every_accepted_mu_gives_an_int(name):
+    # _check_mu accepts each of these, and the sign is a plain int
+    # whatever numeric type mu has
+    for mu in (1, -1, 1.0, -1.0, np.int64(-1)):
+        for p, q in ((3, 3), (5, 9), (0, 0)):
+            sign = ALGORITHMS[name](p, q, mu)
+            assert type(sign) is int, (mu, p, q)
+            assert sign == ALGORITHMS[name](p, q, int(mu))
+
+
 def test_closed_every_fold_stage():
     # one generator each side: the inversion bit travels through every
     # shift of the parity folds, from both ends of the 64-bit mask

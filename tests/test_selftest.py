@@ -151,6 +151,46 @@ def test_a_value_that_is_not_an_integer_is_reported_exactly():
     })
 
 
+def test_a_value_is_reported_as_returned_whatever_its_block_holds():
+    # values of other types in the same block, or too big for an int64,
+    # must not turn a returned int into a float
+    def tree(p, q, mu):
+        if (p, q) == (1, 2):
+            return -kernel.twist_tree(p, q, mu)
+        return 0.5 if (p, q) == (3, 3) else kernel.twist_tree(p, q, mu)
+
+    def closed(p, q, mu):
+        return 2**63 if (p, q) == (3, 3) else kernel.twist_closed(p, q, mu)
+
+    report = run_selftest(2, dict(kernel.ALGORITHMS, tree=tree))
+    assert report.lines() == _pairs_lines(1, 2, {
+        "oracle": "+1", "recursive": "+1", "tree": "-1", "closed": "+1",
+    })
+    assert all(type(m.signs["tree"]) is int for m in report.mismatches)
+    lines = run_selftest(2, dict(kernel.ALGORITHMS, closed=closed)).lines()
+    assert [line for line in lines if line.startswith("mismatch")] == (
+        _pairs_lines(3, 3, {"oracle": "-1", "recursive": "-1", "tree": "-1",
+                            "closed": f"+{2**63}"})
+    )
+
+
+def test_scalar_path_calls_once_per_pair_in_row_major_order():
+    # n = 9 spans two blocks of 256 rows; the masks arrive as plain ints
+    expected = ((p, q, mu) for mu in (1, -1)
+                for p in range(512) for q in range(512))
+    wrong = []
+
+    def recorded(p, q, mu):
+        call = (p, q, mu)
+        if type(p) is not int or type(q) is not int or call != next(expected):
+            wrong.append(call)
+        return kernel.twist_closed(p, q, mu)
+
+    assert run_selftest(9, algorithms={"recorded": recorded}).ok
+    assert not wrong, wrong[:5]
+    assert next(expected, None) is None
+
+
 def test_mismatch_lines_precede_counts():
     algos = dict(kernel.ALGORITHMS, tree=_broken_tree)
     lines = run_selftest(4, algorithms=algos).lines()
@@ -330,6 +370,14 @@ def _parities(signs):
     return (signs < 0).astype(np.uint8)
 
 
+def _certificate(table, mu):
+    """What ``run_selftest`` reports for a parity table: nothing if it
+    rebuilds from its generator entries, else the per-k scan."""
+    if selftest._rebuilds(table):
+        return []
+    return selftest._bilinear_scan(table, mu)
+
+
 @pytest.mark.parametrize("cell", [(300, 5), (3, 400), (0, 511)])
 def test_blocked_cocycle_suite_finds_the_row_major_first_triple(cell):
     signs = table_direct(9).substitute(-1)
@@ -366,13 +414,13 @@ def _quadratic_in_q(table):
 )
 def test_certificate_names_its_failure_and_a_violating_triple(cell, mu):
     signs = table_direct(5).substitute(mu)
-    assert selftest._bilinear_certificate(_parities(signs), mu) == []
+    assert _certificate(_parities(signs), mu) == []
     if cell is None:
         signs, kind = _quadratic_in_q(signs), "linear-q"
     else:
         signs[cell] *= -1
         kind = "linear-p"
-    linear, triple = selftest._bilinear_certificate(_parities(signs), mu)
+    linear, triple = _certificate(_parities(signs), mu)
     assert linear.kind == kind and linear.mu == mu
     assert _identity_fails(signs, linear)
     p, k, q = linear.indices
@@ -413,7 +461,7 @@ def test_certificate_rejects_a_cocycle_that_is_not_bilinear(n, mu):
     signs = _coboundary_twisted(table_direct(n).substitute(mu))
     table = _parities(signs)
     assert selftest._cocycle_suite(table, mu, range(1 << n)) is None
-    [linear] = selftest._bilinear_certificate(table, mu)  # and no triple
+    [linear] = _certificate(table, mu)  # and no triple
     assert linear.kind in ("linear-p", "linear-q") and linear.mu == mu
     assert _identity_fails(signs, linear)
 
@@ -461,7 +509,7 @@ def test_rebuild_decides_as_the_scan(n, mu):
     for name, table in cases:
         scan = selftest._bilinear_scan(table, mu)
         assert selftest._rebuilds(table) == (scan == []), name
-        assert selftest._bilinear_certificate(table, mu) == scan, name
+        assert _certificate(table, mu) == scan, name
     # below n = 2 and n = 3 the quadratic and the coboundary factors
     # are 1; at n = 1 the inner cell is the generator entry (1, 1),
     # and either sign there is bilinear
@@ -484,7 +532,7 @@ def test_rebuild_decides_as_the_scan_across_row_blocks(cell, mu):
     table[cell] ^= 1
     assert not selftest._rebuilds(table)
     scan = selftest._bilinear_scan(table, mu)
-    assert scan and selftest._bilinear_certificate(table, mu) == scan
+    assert scan and _certificate(table, mu) == scan
 
 
 def _bits(count, width):
