@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, Tuple, Union
 
 from .kernel import _check_masks, _check_mu, blade_product
-from .notation import Expression, format_blade, parse_expression
+from .notation import Expression, _check_style, format_blade, parse_expression
 
 __all__ = ["Algebra", "Multivector"]
 
@@ -235,10 +235,13 @@ class Multivector:
     def format(self, style: str = "e") -> str:
         """Canonical text; parses back to an equal multivector.
 
-        A coefficient with more digits than the interpreter's int-string
-        limit (``sys.get_int_max_str_digits()``), which ``parse`` would
-        refuse, raises ValueError naming that limit.
+        ``style`` spells the blades as in ``format_blade``: "e" or "i",
+        any other raises ValueError, whatever the terms.  A coefficient
+        with more digits than the interpreter's int-string limit
+        (``sys.get_int_max_str_digits()``), which ``parse`` would refuse,
+        raises ValueError naming that limit.
         """
+        _check_style(style)
         if not self._coeffs:
             return "0"
         parts = []

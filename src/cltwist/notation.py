@@ -155,21 +155,26 @@ def format_blade(p: int, style: str = "e") -> str:
     must be used.
     """
     _check_masks(p, 0)
+    _check_style(style)
     if style == "i":
         return f"i_{p}"
-    if style == "e":
-        if p == 0:
-            return "1"
-        if p.bit_length() > MAX_NAMED_GENERATOR:
-            raise UnrepresentableError(
-                f"blade {p} uses generators above {MAX_NAMED_GENERATOR};"
-                " use the index form"
-            )
-        chars = "".join(
-            _SUBSCRIPTS[k] for k in range(p.bit_length()) if (p >> k) & 1
+    if p == 0:
+        return "1"
+    if p.bit_length() > MAX_NAMED_GENERATOR:
+        raise UnrepresentableError(
+            f"blade {p} uses generators above {MAX_NAMED_GENERATOR};"
+            " use the index form"
         )
-        return "e_{" + chars + "}"
-    raise ValueError(f"unknown blade style {style!r}")
+    chars = "".join(
+        _SUBSCRIPTS[k] for k in range(p.bit_length()) if (p >> k) & 1
+    )
+    return "e_{" + chars + "}"
+
+
+def _check_style(style: str):
+    """ValueError unless ``style`` is a blade style, "e" or "i"."""
+    if style not in ("e", "i"):
+        raise ValueError(f"unknown blade style {style!r}")
 
 
 # --- expression parsing ---------------------------------------------------

@@ -38,10 +38,9 @@ values, and the pairs suite also flags any of those that is not a
 sign, reporting it exactly as returned.  A parity table passes every
 identity exactly when it is the bilinear form of its n*n generator
 entries s(e_j, e_i).  So the certificate first rebuilds the table from
-them and compares, in row blocks: the generator rows from the
-generator matrix, the first block by the XOR row doublings
-``tables.table_direct`` uses, and each later block as the first one
-XORed with the rebuilt row at its start.  Only a table that does not
+them and compares, with ``tables._rebuilds``: the XOR row doublings
+``tables.table_direct`` uses, and the same test the ``TwistTable``
+constructor puts to a caller's codes.  Only a table that does not
 rebuild goes to the per-k scan of the identities, which names the
 first failing (p, k, q), followed by the first violating triple among
 the rows involved, if they hold one.
@@ -57,7 +56,7 @@ import numpy as np
 
 from . import kernel
 from ._batch import ARRAY_FORMS
-from .tables import _CHUNK_ROWS, _doubled, _row_blocks
+from .tables import _rebuilds, _row_blocks
 
 __all__ = ["Mismatch", "SelftestReport", "run_selftest"]
 
@@ -234,29 +233,6 @@ def _cocycle_suite(table: np.ndarray, mu: int, ps) -> Optional[Mismatch]:
                 triple = (p, rows.start + int(i), int(r))
                 return Mismatch("triples", mu, triple, {})
     return None
-
-
-def _rebuilds(table: np.ndarray) -> bool:
-    """Whether the parity table is the GF(2)-bilinear form of its
-    generator entries ``table[e_j, e_i]``, compared in row blocks.
-
-    The generator rows are rebuilt from the n*n generator matrix, the
-    rows of the first block as the XORs of their generator rows, and
-    each later block as the first one XORed with the generator rows at
-    its start; every row, the generator rows included, must match.  A
-    table of parities passes exactly when it passes every (p, k, q)
-    identity of the certificate.
-    """
-    size = table.shape[0]
-    gens = 1 << np.arange(size.bit_length() - 1)
-    gen_rows = _doubled(table[gens][:, gens].T, size).T
-    head_rows = min(size, _CHUNK_ROWS)
-    head = _doubled(gen_rows, head_rows)
-    starts = _doubled(gen_rows[head_rows.bit_length() - 1:], size // head_rows)
-    return all(
-        np.array_equal(table[rows], head ^ start)
-        for rows, start in zip(_row_blocks(size), starts)
-    )
 
 
 def _bilinear_scan(table: np.ndarray, mu: int) -> List[Mismatch]:

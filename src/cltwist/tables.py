@@ -23,8 +23,11 @@ coefficiented letter such as ``-mB``.  The coefficient is the twist of
 the cell's indices and the letter records the row's grade parity.
 
 The twist is a bicharacter, so a row's codes are linear in q as well:
-``codes[p, q ^ r] == codes[p, q] ^ codes[p, r]``.  The renderer uses
-it to spell each distinct leading block of columns once and build
+``codes[p, q ^ r] == codes[p, q] ^ codes[p, r]``.  Every
+:class:`TwistTable` is bilinear: the builders make it so, and the
+constructor checks a caller's array once, with the test the
+self-test's certificate uses (:func:`_rebuilds`).  The renderer relies
+on it to spell each distinct leading block of columns once and build
 every row by joining shifted copies of its block.
 """
 
@@ -130,8 +133,9 @@ def twist_symbolic(p: int, q: int) -> SymbolicSign:
 class TwistTable:
     """Dense table of symbolic twists for all blade pairs below 2**n.
 
-    ``codes`` is a 2**n square numpy int8 array of codes in 0..3;
-    anything else raises TypeError (not an array) or ValueError.
+    ``codes`` is a 2**n square numpy int8 array of codes in 0..3,
+    bilinear in p and in q under XOR as every twist is; anything else
+    raises TypeError (not an array) or ValueError.
     """
 
     __slots__ = ("n", "codes")
@@ -145,6 +149,8 @@ class TwistTable:
         self._hold(n, codes.copy())
         if (self.codes & ~3).any():
             raise ValueError("codes must be in 0..3")
+        if not _rebuilds(self.codes):
+            raise ValueError("codes must be bilinear in p and in q under XOR")
 
     @classmethod
     def _adopt(cls, n: int, codes: np.ndarray) -> "TwistTable":
@@ -178,11 +184,7 @@ class TwistTable:
     def substitute(self, mu: int) -> np.ndarray:
         """int8 matrix of +-1 with mu fixed."""
         _check_mu(mu)
-        neg = self.codes & 1
-        if mu == 1:
-            return (1 - 2 * neg).astype(np.int8)
-        mup = self.codes >> 1
-        return (1 - 2 * (neg ^ mup)).astype(np.int8)
+        return np.array(_VALUE[mu], np.int8).take(self.codes)
 
     def __eq__(self, other):
         if isinstance(other, TwistTable):
@@ -240,6 +242,31 @@ def _doubled(factors: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _rebuilds(table: np.ndarray) -> bool:
+    """Whether the square table, of codes or of sign parities, is the
+    GF(2)-bilinear form of its generator entries ``table[e_j, e_i]``,
+    compared in row blocks.
+
+    The generator rows are rebuilt from the n*n generator matrix, the
+    rows of the first block as the XORs of their generator rows, and
+    each later block as the first one XORed with the generator rows at
+    its start; every row, the generator rows included, must match.  A
+    table passes exactly when it is linear in p and in q: when
+    ``table[p ^ r, q] == table[p, q] ^ table[r, q]`` and
+    ``table[p, q ^ r] == table[p, q] ^ table[p, r]`` for all p, q, r.
+    """
+    size = table.shape[0]
+    gens = 1 << np.arange(size.bit_length() - 1)
+    gen_rows = _doubled(table[gens][:, gens].T, size).T
+    head_rows = min(size, _CHUNK_ROWS)
+    head = _doubled(gen_rows, head_rows)
+    starts = _doubled(gen_rows[head_rows.bit_length() - 1:], size // head_rows)
+    return all(
+        np.array_equal(table[rows], head ^ start)
+        for rows, start in zip(_row_blocks(size), starts)
+    )
+
+
 #: Spelling of a coefficiented letter: its code in bits 0-1, its
 #: letter in bit 2 (0 is A, 1 is B).
 _LETTER_SPELL = ("A", "-A", "mA", "-mA", "B", "-B", "mB", "-mB")
@@ -291,18 +318,15 @@ def _separator(format: str) -> str:
 
 
 def _render_chunks(codes: np.ndarray, spell, sep: str):
-    """Text of ``codes`` spelled through ``spell``, in row chunks.
+    """Text of ``codes``, a twist table or a letter grid, spelled
+    through ``spell`` block by block (:func:`_block_chunks`), in row
+    chunks.
 
     Each chunk is a list of str pieces that concatenate to the text of
     up to ``_CHUNK_ROWS`` rows, so a caller that wants the whole text
-    joins every piece once.  A twist table, or a letter grid, is
-    spelled block by block (:func:`_block_chunks`); any other array
-    cell by cell (:func:`_cell_chunks`).  Both give the same text.
+    joins every piece once.
     """
-    layout = _column_blocks(codes)
-    if layout is None:
-        return _cell_chunks(codes, spell, sep)
-    return _block_chunks(*layout, spell, sep)
+    return _block_chunks(*_column_blocks(codes), spell, sep)
 
 
 def _cell_chunks(codes: np.ndarray, spell, sep: str):
@@ -327,32 +351,21 @@ def _cell_chunks(codes: np.ndarray, spell, sep: str):
 
 
 def _column_blocks(codes: np.ndarray):
-    """Split each row of ``codes`` into its first block and the shift of
-    every block, or None where that does not reproduce the row.
+    """Split each row of ``codes``, a twist table or a letter grid, into
+    its first block and the shift of every block.
 
     The blocks are B = 2**min(k, k // 2 + 1) columns wide for 2**k
-    columns.  A twist row is linear in q, so block j of row p is its
-    first block XORed by the shift ``codes[p, jB] ^ codes[p, 0]``; in a
-    letter grid the letter, bit 2, is constant along a row and cancels.
+    columns.  A twist row is linear in q, so ``codes[p, 0]`` is 0 and
+    block j of row p is its first block XORed by the shift
+    ``codes[p, jB]``, a code in 0..3.  A letter grid holds a twist
+    table's codes plus its letter, bit 2, which is constant along a
+    row, so the shift ``codes[p, jB] ^ codes[p, 0]`` cancels it.
     Returns the distinct first blocks, the index of each row's among
-    them, and the shifts, if every shift is in 0..3 (so that it leaves
-    bit 2 alone) and every block is its shifted first block, checked 8
-    cells per uint64 word (fewer in blocks narrower than 8).
+    them, and the shifts.
     """
-    rows, cols = codes.shape
-    k = cols.bit_length() - 1
+    k = codes.shape[1].bit_length() - 1
     width = 1 << min(k, k // 2 + 1)
     shifts = codes[:, ::width] ^ codes[:, :1]
-    if (shifts & ~3).any():
-        return None
-    word = np.dtype(f"u{min(width, 8)}")
-    ones = word.type(int("01" * word.itemsize, 16))  # one 1 per byte
-    for block_rows in _row_blocks(rows):
-        block = np.ascontiguousarray(codes[block_rows]).view(word)
-        blocks = block.reshape(block.shape[0], -1, width // word.itemsize)
-        spread = shifts[block_rows].view(np.uint8).astype(word) * ones
-        if not np.array_equal(blocks, blocks[:, :1] ^ spread[:, :, None]):
-            return None
     first = np.ascontiguousarray(codes[:, :width])
     distinct, row_class = np.unique(
         first.view(f"V{width}").ravel(), return_inverse=True

@@ -190,6 +190,12 @@ class TestFormatting:
         assert v.format("i") == "i_2636"
         assert v.format("e") == "e_{347ac}"
 
+    @pytest.mark.parametrize("v", [neg.zero(), neg.scalar(1), neg.blade(1)])
+    def test_unknown_style_raises(self, v):
+        # also without a blade term, where no blade is spelled
+        with pytest.raises(ValueError, match="unknown blade style 'x'"):
+            v.format("x")
+
 
 @settings(max_examples=60)
 @given(v=multivectors(neg))

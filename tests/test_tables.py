@@ -17,8 +17,7 @@ from cltwist.tables import (
     twist_symbolic,
 )
 from cltwist.tables import (
-    _LETTER_SPELL, _SPELL, _block_rounds, _column_blocks, _joined,
-    _render_chunks,
+    _LETTER_SPELL, _SPELL, _block_rounds, _column_blocks, _doubled,
 )
 
 masks = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -341,8 +340,10 @@ class TestValidation:
             codes[5, 6] = bad
             with pytest.raises(ValueError, match=r"codes must be in 0\.\.3"):
                 TwistTable(3, codes)
-        codes = np.full((4, 4), 3, dtype=np.int8)
-        assert TwistTable(2, codes).codes.max() == 3
+        # codes in 0..3 that are not bilinear
+        with pytest.raises(ValueError, match="codes must be bilinear"):
+            TwistTable(2, np.full((4, 4), 3, dtype=np.int8))
+        assert TwistTable(2, table_direct(2).codes).codes.max() == 3
 
 
 @pytest.mark.parametrize("build", [table_direct, table_blocks])
@@ -377,6 +378,25 @@ def _reference_render(cells, spell, sep):
     )
 
 
+def _spelling(mu):
+    """Spelling of codes 0..3: symbolic for mu None, else the values."""
+    if mu is None:
+        return _SPELL
+    return [str(SymbolicSign.from_code(c).substitute(mu)) for c in range(4)]
+
+
+#: Spelling of a letter grid's cells, coefficient in bits 0-1 and
+#: letter in bit 2.
+_LETTERS = [
+    {"1": "", "-1": "-", "m": "m", "-m": "-m"}[_SPELL[c & 3]] + "AB"[c >> 2]
+    for c in range(8)
+]
+
+#: Rows checked at n = 11 and 12: both sides of the first 256-row chunk
+#: boundary, and the last.
+_TOP_ROWS = [0, 1, 255, 256, 257, -1]
+
+
 @pytest.mark.parametrize("mu", [None, 1, -1])
 @pytest.mark.parametrize("format, sep", [("text", " "), ("csv", ",")])
 @pytest.mark.parametrize("build", [table_direct, table_blocks])
@@ -384,13 +404,7 @@ def _reference_render(cells, spell, sep):
 def test_render_matches_reference(n, build, format, sep, mu):
     # n >= 9 crosses the 256-row chunk boundary
     table = build(n)
-    if mu is None:
-        spell = _SPELL
-    else:
-        spell = [
-            str(SymbolicSign.from_code(c).substitute(mu)) for c in range(4)
-        ]
-    expected = _reference_render(table.codes, spell, sep)
+    expected = _reference_render(table.codes, _spelling(mu), sep)
     assert render_table(table, format, mu) == expected
 
 
@@ -398,46 +412,86 @@ def test_render_matches_reference(n, build, format, sep, mu):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_block_letters_match_reference(n, format, sep):
     codes, letters = _closed_form_letters(n)
-    coeff = {"1": "", "-1": "-", "m": "m", "-m": "-m"}
-    spell = [coeff[_SPELL[c & 3]] + "AB"[c >> 2] for c in range(8)]
-    expected = _reference_render(codes + 4 * letters, spell, sep)
+    expected = _reference_render(codes + 4 * letters, _LETTERS, sep)
     assert render_block_letters(n, format) == expected
 
 
-# --- both render paths against the reference ---------------------------------
+@pytest.mark.parametrize("mu", [None, 1, -1])
+@pytest.mark.parametrize("format, sep", [("text", " "), ("csv", ",")])
+@pytest.mark.parametrize("build", [table_direct, table_blocks])
+@pytest.mark.parametrize("n", [11, 12])
+def test_render_rows_at_top_widths(n, build, format, sep, mu):
+    table = build(n)
+    lines = render_table(table, format, mu).splitlines(keepends=True)
+    assert len(lines) == 1 << n
+    expected = _reference_render(table.codes[_TOP_ROWS], _spelling(mu), sep)
+    assert "".join(lines[p] for p in _TOP_ROWS) == expected
 
-_SPELLINGS = [_SPELL] + [
-    [str(SymbolicSign.from_code(c).substitute(mu)) for c in range(4)]
-    for mu in (1, -1)
-]
 
-
-def _assert_renders(cells, spellings, block_path):
-    """``_render_chunks`` spells ``cells`` as the per-cell reference
-    does, through the block path exactly when ``block_path``."""
-    assert (_column_blocks(cells) is not None) == block_path
-    for spell in spellings:
-        for sep in (" ", ","):
-            text = _joined(_render_chunks(cells, spell, sep))
-            assert text == _reference_render(cells, spell, sep)
+@pytest.mark.parametrize("format, sep", [("text", " "), ("csv", ",")])
+@pytest.mark.parametrize("n", [11, 12])
+def test_block_letters_rows_at_top_widths(n, format, sep):
+    codes, letters = _closed_form_letters(n)
+    lines = render_block_letters(n, format).splitlines(keepends=True)
+    assert len(lines) == codes.shape[0]
+    cells = codes[_TOP_ROWS] + 4 * letters[_TOP_ROWS]
+    expected = _reference_render(cells, _LETTERS, sep)
+    assert "".join(lines[p] for p in _TOP_ROWS) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_real_tables_take_the_block_path(n):
-    assert _column_blocks(table_direct(n).codes) is not None
-    assert _column_blocks(table_blocks(n).codes) is not None
+    # the renderer trusts its input: every column block of a built table
+    # or a letter grid is its row's first block XORed by a code in 0..3
     letters = _block_rounds(np.zeros((1, 1), dtype=np.int8), n)
-    assert _column_blocks(letters) is not None
+    for cells in (table_direct(n).codes, table_blocks(n).codes, letters):
+        distinct, row_class, shifts = _column_blocks(cells)
+        assert not (shifts & ~3).any()
+        blocks = distinct[row_class][:, None, :] ^ shifts[:, :, None]
+        assert np.array_equal(blocks.reshape(cells.shape), cells)
+
+
+# --- the constructor's bilinearity check -------------------------------------
+
+def _bilinear(codes):
+    """Brute force: ``codes[p ^ r, q] == codes[p, q] ^ codes[r, q]`` and
+    ``codes[p, q ^ r] == codes[p, q] ^ codes[p, r]`` for all p, q, r,
+    taking r in turn and stopping at the first that fails."""
+    idx = np.arange(codes.shape[0])
+    return all(
+        np.array_equal(codes[idx ^ r], codes ^ codes[r])
+        and np.array_equal(codes[:, idx ^ r], codes ^ codes[:, r, None])
+        for r in idx
+    )
+
+
+def _assert_renders(table):
+    for mu in (None, 1, -1):
+        for format, sep in (("text", " "), ("csv", ",")):
+            expected = _reference_render(table.codes, _spelling(mu), sep)
+            assert render_table(table, format, mu) == expected
+
+
+def _takes_exactly_bilinear(codes) -> bool:
+    """Whether ``TwistTable`` takes ``codes``: it must raise ValueError
+    exactly when they are not bilinear, and a table it takes must
+    render as the cell-by-cell reference does."""
+    n = codes.shape[0].bit_length() - 1
+    if not _bilinear(codes):
+        with pytest.raises(ValueError, match="codes must be bilinear"):
+            TwistTable(n, codes)
+        return False
+    _assert_renders(TwistTable(n, codes))
+    return True
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_random_codes_render_cell_by_cell(n):
-    # n >= 9 crosses the 256-row chunk boundary; from n = 3 on a row has
-    # two column blocks, and random codes are not linear in q
+    # n >= 9 crosses the 256-row chunk boundary
     size = 1 << n
     rng = np.random.default_rng(n)
     codes = rng.integers(0, 4, size=(size, size)).astype(np.int8)
-    _assert_renders(TwistTable(n, codes).codes, _SPELLINGS, n <= 2)
+    _takes_exactly_bilinear(codes)
 
 
 @pytest.mark.parametrize(
@@ -445,24 +499,24 @@ def test_random_codes_render_cell_by_cell(n):
 )
 @pytest.mark.parametrize("n", range(1, 11))
 def test_a_flipped_cell_renders_cell_by_cell(n, where):
-    # one cell of a row past the first chunk (when there is one) breaks
-    # the row's linearity in q
+    # one cell of a row past the first chunk (when there is one); only
+    # the generator entry of n = 1 leaves a bilinear table
     size = 1 << n
     p = size - 2 if size > 2 else 1
     q = {"first column": 0, "inner block": size // 2 + 1,
          "last column": size - 1}[where] % size
     codes = table_direct(n).codes.copy()
     codes[p, q] ^= 1 + p % 3
-    _assert_renders(TwistTable(n, codes).codes, _SPELLINGS, n <= 2)
+    assert _takes_exactly_bilinear(codes) == (n == 1 and q == 1)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_letter_grid_with_a_swapped_block_renders_cell_by_cell(n):
-    # XOR 4 swaps the letter of a whole column block: each block is
-    # still its row's first block XOR a constant, but that constant has
-    # bit 2 set and would spell the palette piece of another class
-    cells = _block_rounds(np.zeros((1, 1), dtype=np.int8), n)
-    size = cells.shape[0]
-    width = 1 << min(n, n // 2 + 1)
-    cells[size - 3 if size > 2 else 1, size - width:] ^= 4
-    _assert_renders(cells, [_LETTER_SPELL], n <= 2)
+def test_any_bilinear_table_renders(n):
+    # a random generator matrix, which the builders never make (its
+    # diagonal need not be the blade squares), expanded by XOR along q
+    # and then along p
+    size = 1 << n
+    rng = np.random.default_rng(100 + n)
+    gens = rng.integers(0, 4, size=(n, n)).astype(np.int8)
+    codes = _doubled(_doubled(gens.T, size).T, size)
+    _assert_renders(TwistTable(n, codes))
