@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 self-test failure, 2 usage error or input
 outside the library's contract (also a ``mul`` result too long to
-print), 141 (128 + SIGPIPE) when stdout is closed before the output is
-written, as by ``| head``.
+print), 74 (sysexits ``EX_IOERR``) when writing stdout fails, as on a
+full disk, 141 (128 + SIGPIPE) when stdout is closed before the output
+is written, as by ``| head``.
 
 argparse checks only the syntax of the arguments.  Their ranges are
 checked by the library itself: a handler that gets a ValueError
@@ -40,6 +41,9 @@ __all__ = ["main"]
 #: Exit status when stdout closes early: 128 + SIGPIPE, as a shell
 #: reports a process the signal killed.
 _EXIT_BROKEN_PIPE = 141
+
+#: Exit status when writing stdout fails otherwise: sysexits EX_IOERR.
+_EXIT_IO_ERROR = 74
 
 _MU_VALUES = {"+1": 1, "-1": -1, "sym": None}
 
@@ -195,11 +199,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"cltwist {args.command}: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # The reader went away.  Point stdout at devnull so that the
-        # interpreter's flush at exit does not raise again and print a
-        # traceback (the recipe in the signal module's documentation).
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # The reader went away.
+        _drop_stdout()
         return _EXIT_BROKEN_PIPE
+    except OSError as exc:
+        print(f"cltwist {args.command}: {exc}", file=sys.stderr)
+        _drop_stdout()
+        return _EXIT_IO_ERROR
     return code
+
+
+def _drop_stdout():
+    """Point stdout at devnull, so that the interpreter's flush at exit
+    does not raise again and print a traceback (the recipe in the
+    signal module's documentation)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)

@@ -112,6 +112,9 @@ class Multivector:
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
 
+    def __reduce__(self):
+        return Multivector, (self._algebra, self._coeffs)
+
     @property
     def algebra(self) -> Algebra:
         return self._algebra

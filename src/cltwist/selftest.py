@@ -67,6 +67,15 @@ _LINEAR_IN = {
 }
 
 
+def _signed(value) -> str:
+    """``value`` with its sign, as ``f"{value:+}"``; its repr where its
+    type takes no sign in a format."""
+    try:
+        return f"{value:+}"
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 @dataclass(frozen=True)
 class Mismatch:
     """First failing case of a suite, with everything needed to rerun it.
@@ -94,7 +103,7 @@ class Mismatch:
         )
         if self.kind == "pairs":
             algs = " ".join(
-                f"{name}={sign:+}" for name, sign in self.signs.items()
+                f"{name}={_signed(sign)}" for name, sign in self.signs.items()
             )
             text = f"mismatch: {idx} mu={self.mu:+d} {algs}"
         elif self.kind == "triples":
@@ -168,13 +177,24 @@ def _block(f, p: np.ndarray, q: np.ndarray, mu: int, n: int):
     An array form gives its parities as they come and no values.  Any
     other function is called once per pair, in row-major order, on
     plain int masks; its values come back in an object array, each one
-    exactly as returned, and its parities are their sign bits.
+    exactly as returned, and its parities are their sign bits (0 for a
+    value that cannot be compared with 0, such as None).
     """
     form = ARRAY_FORMS.get(f)
     if form is not None:
         return form(p, q, mu, n), None
     values = np.frompyfunc(f, 3, 1)(p, q, mu)
-    return (values < 0).view(np.uint8), values
+    with np.errstate(invalid="ignore"):  # a NaN has no sign bit
+        parities = np.frompyfunc(_sign_bit, 1, 1)(values)
+    return parities.astype(np.uint8), values
+
+
+def _sign_bit(value) -> bool:
+    """Whether ``value < 0``; False where the comparison raises."""
+    try:
+        return bool(value < 0)
+    except TypeError:
+        return False
 
 
 def _pairs_suite(
@@ -186,8 +206,8 @@ def _pairs_suite(
     parity table of the algorithm ``kept``, reused by the bilinearity
     certificate so an injected fault in it propagates there too.  A
     cell mismatches where some algorithm's parity differs from that
-    table's (XOR) or where a value from the scalar path is not a sign;
-    the parity keeps only its sign bit.
+    table's (XOR) or where a value from the scalar path is not a sign:
+    not equal to -1 where its parity is 1, or to 1 where it is 0.
     """
     size = 1 << n
     table = np.empty((size, size), dtype=np.uint8)
@@ -204,8 +224,8 @@ def _pairs_suite(
             bad = np.zeros_like(ref)
             for parity, values in blocks.values():
                 bad |= parity ^ ref
-                if values is not None:
-                    bad |= values * values != 1  # a value that is not a sign
+                if values is not None:  # not the sign its parity gives
+                    bad |= values != np.where(parity, -1, 1)
             if bad.any():
                 i, j = divmod(int(bad.argmax()), size)
                 signs = {name: 1 - 2 * parity.item(i, j) if values is None

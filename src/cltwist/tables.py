@@ -26,9 +26,10 @@ The twist is a bicharacter, so a row's codes are linear in q as well:
 ``codes[p, q ^ r] == codes[p, q] ^ codes[p, r]``.  Every
 :class:`TwistTable` is bilinear: the builders make it so, and the
 constructor checks a caller's array once, with the test the
-self-test's certificate uses (:func:`_rebuilds`).  The renderer relies
-on it to spell each distinct leading block of columns once and build
-every row by joining shifted copies of its block.
+self-test's certificate uses (:func:`_rebuilds`).  The renderer, one
+function (:func:`_render_chunks`) for tables and letter grids alike,
+relies on it to spell each distinct leading block of columns once and
+build every row by joining shifted copies of its block.
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ class SymbolicSign:
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolicSign is immutable")
+
+    def __reduce__(self):
+        return SymbolicSign.from_code, (self._code,)
 
     @classmethod
     def from_code(cls, code: int) -> "SymbolicSign":
@@ -171,6 +175,10 @@ class TwistTable:
 
     def __setattr__(self, name, value):
         raise AttributeError("TwistTable is immutable")
+
+    def __reduce__(self):
+        # through the constructor, so a copy is checked as any input is
+        return TwistTable, (self.n, self.codes)
 
     def entry(self, p: int, q: int) -> SymbolicSign:
         """Twist of (p, q); masks outside [0, 2**n) raise ValueError."""
@@ -318,50 +326,28 @@ def _separator(format: str) -> str:
 
 
 def _render_chunks(codes: np.ndarray, spell, sep: str):
-    """Text of ``codes``, a twist table or a letter grid, spelled
-    through ``spell`` block by block (:func:`_block_chunks`), in row
-    chunks.
+    """Text of ``codes``, a twist table or a letter grid, with code c
+    spelled ``spell[c]``, entries separated by ``sep``, in row chunks.
+
+    Each row is split into blocks B = 2**min(k, k // 2 + 1) columns wide
+    for 2**k columns.  A twist row is linear in q, so ``codes[p, 0]`` is
+    0 and block j of row p is its first block XORed by the shift
+    ``codes[p, jB]``, a code in 0..3.  A letter grid holds a twist
+    table's codes plus its letter, bit 2, which is constant along a
+    row, so the shift ``codes[p, jB] ^ codes[p, 0]`` cancels it.
+
+    So each distinct first block is spelled once in each of its 4 XOR
+    variants, in one pass: every code indexes a fixed-width bytes table
+    of ``entry + sep`` (the block's last column: ``entry + "\n"``)
+    padded with NUL, and deleting the NULs leaves one line per variant.
+    The palette holds each line ending in ``sep``, then each again
+    ending in a newline: piece ``4 * class + shift`` spells a block,
+    and in a row's last block the piece half a palette further on, its
+    newline copy.
 
     Each chunk is a list of str pieces that concatenate to the text of
     up to ``_CHUNK_ROWS`` rows, so a caller that wants the whole text
     joins every piece once.
-    """
-    return _block_chunks(*_column_blocks(codes), spell, sep)
-
-
-def _cell_chunks(codes: np.ndarray, spell, sep: str):
-    """Spell ``codes`` cell by cell, one piece per row chunk.
-
-    Each code indexes a fixed-width bytes table of ``entry + sep`` (the
-    last column: ``entry + "\n"``) padded with NUL; deleting the NULs
-    from a chunk's bytes leaves exactly its text.
-    """
-    width = 1 + max(map(len, spell))
-    dtype = f"S{width}"
-    inner = np.array([(s + sep).encode("ascii") for s in spell], dtype)
-    last = np.array([(s + "\n").encode("ascii") for s in spell], dtype)
-    rows, cols = codes.shape
-    buf = np.empty((min(rows, _CHUNK_ROWS), cols), dtype)
-    for block_rows in _row_blocks(rows):
-        block = codes[block_rows]
-        out = buf[:block.shape[0]]
-        np.take(inner, block[:, :-1], out=out[:, :-1])
-        np.take(last, block[:, -1], out=out[:, -1])
-        yield [out.tobytes().translate(None, b"\0").decode("ascii")]
-
-
-def _column_blocks(codes: np.ndarray):
-    """Split each row of ``codes``, a twist table or a letter grid, into
-    its first block and the shift of every block.
-
-    The blocks are B = 2**min(k, k // 2 + 1) columns wide for 2**k
-    columns.  A twist row is linear in q, so ``codes[p, 0]`` is 0 and
-    block j of row p is its first block XORed by the shift
-    ``codes[p, jB]``, a code in 0..3.  A letter grid holds a twist
-    table's codes plus its letter, bit 2, which is constant along a
-    row, so the shift ``codes[p, jB] ^ codes[p, 0]`` cancels it.
-    Returns the distinct first blocks, the index of each row's among
-    them, and the shifts.
     """
     k = codes.shape[1].bit_length() - 1
     width = 1 << min(k, k // 2 + 1)
@@ -370,21 +356,14 @@ def _column_blocks(codes: np.ndarray):
     distinct, row_class = np.unique(
         first.view(f"V{width}").ravel(), return_inverse=True
     )
-    return distinct.view(np.int8).reshape(-1, width), row_class, shifts
-
-
-def _block_chunks(distinct: np.ndarray, row_class: np.ndarray,
-                  shifts: np.ndarray, spell, sep: str):
-    """Row chunks as pieces of a palette, one piece per column block.
-
-    Each distinct first block is spelled once in each of its 4 XOR
-    variants, ending in ``sep``, and again ending in a newline.  Piece
-    ``4 * class + shift`` of that palette spells a block; in the last
-    column the piece ``4 * classes`` further on, its newline copy.
-    """
-    classes, width = distinct.shape
-    variants = distinct[:, None, :] ^ np.arange(4, dtype=np.int8)[:, None]
-    text = _joined(_cell_chunks(variants.reshape(-1, width), spell, sep))
+    variants = (distinct.view(np.int8).reshape(-1, 1, width)
+                ^ np.arange(4, dtype=np.int8)[:, None]).reshape(-1, width)
+    dtype = f"S{1 + max(map(len, spell))}"
+    inner = np.array([(s + sep).encode("ascii") for s in spell], dtype)
+    last = np.array([(s + "\n").encode("ascii") for s in spell], dtype)
+    cells = inner.take(variants)
+    cells[:, -1] = last.take(variants[:, -1])
+    text = cells.tobytes().translate(None, b"\0").decode("ascii")
     lines = text.split("\n")[:-1]
     palette = np.array(
         [line + sep for line in lines] + [line + "\n" for line in lines],
@@ -392,7 +371,7 @@ def _block_chunks(distinct: np.ndarray, row_class: np.ndarray,
     )
     for block_rows in _row_blocks(len(row_class)):
         index = 4 * row_class[block_rows, None] + shifts[block_rows]
-        index[:, -1] += 4 * classes
+        index[:, -1] += len(lines)
         yield palette[index].ravel().tolist()
 
 

@@ -399,6 +399,25 @@ def _write_launcher(bin_dir, entry_point):
     path.chmod(0o755)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["sign", "1", "2"], ["table", "3"], ["table", "12"],
+    ["selftest", "--n", "2"],
+])
+def test_write_error_exits_74_with_one_line(child_env, argv):
+    # a write that fails for want of space is not a self-test failure
+    # (exit 1) and prints no traceback
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cltwist", *argv], stdout=full,
+            stderr=subprocess.PIPE, env=child_env, timeout=60,
+        )
+    assert proc.stderr.decode() == (
+        f"cltwist {argv[0]}: [Errno 28] No space left on device\n"
+    )
+    assert proc.returncode == 74
+
+
 def test_console_script_installed(tmp_path, child_env):
     # What an install would put on PATH, built from the declaration in
     # pyproject.toml, so a source checkout checks it without installing.

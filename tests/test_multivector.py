@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +65,16 @@ class TestConstruction:
         v = neg.blade(3)
         with pytest.raises(AttributeError):
             v.extra = 1
+
+    @pytest.mark.parametrize("text", ["0", "-3/4", "e_1 + 1/2 e_{23} - 7 e_4"])
+    @pytest.mark.parametrize("algebra", [pos, neg])
+    def test_copies_and_pickles(self, algebra, text):
+        value = algebra.parse(text)
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert type(twin) is Multivector and twin == value
+            assert twin.mu == value.mu
+            assert list(twin.terms()) == list(value.terms())
 
 
 class TestEquality:

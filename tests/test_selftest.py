@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -171,6 +172,59 @@ def test_a_value_is_reported_as_returned_whatever_its_block_holds():
     assert [line for line in lines if line.startswith("mismatch")] == (
         _pairs_lines(3, 3, {"oracle": "-1", "recursive": "-1", "tree": "-1",
                             "closed": f"+{2**63}"})
+    )
+
+
+def _where_negative(value):
+    """The oracle, returning ``value`` wherever its sign is -1."""
+    def f(p, q, mu):
+        return value if kernel.twist_oracle(p, q, mu) < 0 else 1
+    return f
+
+
+@pytest.mark.parametrize("value, spelled", [
+    (np.int8(-127), "-127"),  # its square wraps to 1 in int8
+    (np.uint8(255), "+255"),  # so does this one's in uint8
+    (np.int16(-32767), "-32767"),
+    (None, "None"),
+    ("-1", "'-1'"),
+    (-1 + 0j, "(-1+0j)"),  # equal to -1, with no sign bit to read
+    ([-1], "[-1]"),
+    (float("nan"), "+nan"),
+    (np.float64("nan"), "+nan"),
+    (Fraction(-1, 2), "Fraction(-1, 2)"),
+])
+def test_a_value_of_any_type_that_is_not_a_sign_is_a_mismatch(value, spelled):
+    # the first sign -1 is at p = 2, q = 1 for mu = +1, and at p = q = 1
+    # for mu = -1; whatever parity the value is given, the table the
+    # certificate checks stays bilinear
+    first = {1: (2, 1), -1: (1, 1)}
+    for algos in ({"oracle": kernel.twist_oracle,
+                   "closed": _where_negative(value)},
+                  {"closed": _where_negative(value)}):
+        report = run_selftest(3, algos)
+        assert [(m.kind, m.mu, m.indices) for m in report.mismatches] == [
+            ("pairs", mu, first[mu]) for mu in (1, -1)
+        ]
+        signs = {"oracle": "-1", "closed": spelled}
+        assert report.lines()[0] == _pairs_lines(2, 1, {
+            name: signs[name] for name in algos
+        })[0]
+
+
+@pytest.mark.parametrize("value", [-1, -1.0, Fraction(-1), np.int8(-1),
+                                   np.int64(-1), np.float64(-1)])
+def test_a_value_equal_to_minus_one_is_a_sign(value):
+    algos = {"oracle": kernel.twist_oracle, "closed": _where_negative(value)}
+    assert run_selftest(4, algos).ok
+
+
+@pytest.mark.parametrize("value, spelled", [
+    (Fraction(1, 2), "Fraction(1, 2)"), (None, "None"), ("x", "'x'"),
+])
+def test_a_value_that_takes_no_sign_is_described_by_its_repr(value, spelled):
+    assert run_selftest(1, {"closed": lambda p, q, mu: value}).lines() == (
+        _pairs_lines(0, 0, {"closed": spelled})
     )
 
 

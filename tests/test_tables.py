@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -17,10 +19,17 @@ from cltwist.tables import (
     twist_symbolic,
 )
 from cltwist.tables import (
-    _LETTER_SPELL, _SPELL, _block_rounds, _column_blocks, _doubled,
+    _LETTER_SPELL, _SPELL, _block_rounds, _doubled,
 )
 
 masks = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+def _copies(value):
+    """``value`` through copy, deepcopy and a pickle round trip."""
+    return [copy.copy(value), copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value))]
+
 
 # Frozen renderings.  Row p of the dimension-n table holds the sign of
 # i_p * i_q for q = 0 .. 2**n - 1, symbolic in the generator square m.
@@ -111,6 +120,13 @@ class TestSymbolicSign:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             SymbolicSign(1, 1).sign = -1
+
+    @pytest.mark.parametrize("code", range(4))
+    def test_copies_and_pickles(self, code):
+        sign = SymbolicSign.from_code(code)
+        for twin in _copies(sign):
+            assert type(twin) is SymbolicSign
+            assert twin == sign and twin.code == code
 
 
 @given(p=masks, q=masks)
@@ -319,6 +335,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             t.codes[0, 0] = 1
 
+    @pytest.mark.parametrize("build", [table_direct, table_blocks])
+    def test_table_copies_and_pickles(self, build):
+        table = build(4)
+        for twin in _copies(table):
+            assert type(twin) is TwistTable and twin == table
+            assert not twin.codes.flags.writeable
+
+    def test_unpickled_codes_are_checked_again(self):
+        # a table is rebuilt through its constructor, so a tampered
+        # payload fails as any caller's codes would
+        rebuild, (n, codes) = table_direct(3).__reduce__()
+        assert rebuild(n, codes) == table_direct(3)
+        for cell in ((0, 0), (1, 1), (2, 3)):
+            bad = codes.copy()
+            bad[cell] ^= 1
+            with pytest.raises(ValueError, match="bilinear"):
+                rebuild(n, bad)
+        bad = codes.copy()
+        bad[0, 0] = 4
+        with pytest.raises(ValueError, match="0..3"):
+            rebuild(n, bad)
+
     def test_table_does_not_alias_caller_array(self):
         codes = table_direct(3).codes.copy()
         table = TwistTable(3, codes)
@@ -439,15 +477,24 @@ def test_block_letters_rows_at_top_widths(n, format, sep):
     assert "".join(lines[p] for p in _TOP_ROWS) == expected
 
 
+def _first_blocks(cells):
+    """Each row's first column block, B = 2**min(k, k // 2 + 1) columns
+    of 2**k, and the shift ``cells[p, jB] ^ cells[p, 0]`` of its block
+    j, as the renderer splits a row."""
+    k = cells.shape[1].bit_length() - 1
+    width = 1 << min(k, k // 2 + 1)
+    return cells[:, :width], cells[:, ::width] ^ cells[:, :1]
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_real_tables_take_the_block_path(n):
     # the renderer trusts its input: every column block of a built table
     # or a letter grid is its row's first block XORed by a code in 0..3
     letters = _block_rounds(np.zeros((1, 1), dtype=np.int8), n)
     for cells in (table_direct(n).codes, table_blocks(n).codes, letters):
-        distinct, row_class, shifts = _column_blocks(cells)
+        first, shifts = _first_blocks(cells)
         assert not (shifts & ~3).any()
-        blocks = distinct[row_class][:, None, :] ^ shifts[:, :, None]
+        blocks = first[:, None, :] ^ shifts[:, :, None]
         assert np.array_equal(blocks.reshape(cells.shape), cells)
 
 
@@ -510,13 +557,32 @@ def test_a_flipped_cell_renders_cell_by_cell(n, where):
     assert _takes_exactly_bilinear(codes) == (n == 1 and q == 1)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_any_bilinear_table_renders(n):
-    # a random generator matrix, which the builders never make (its
-    # diagonal need not be the blade squares), expanded by XOR along q
-    # and then along p
+def _random_bilinear(n):
+    """A table from a random generator matrix, which the builders never
+    make (its diagonal need not be the blade squares), expanded by XOR
+    along q and then along p."""
     size = 1 << n
     rng = np.random.default_rng(100 + n)
     gens = rng.integers(0, 4, size=(n, n)).astype(np.int8)
-    codes = _doubled(_doubled(gens.T, size).T, size)
-    _assert_renders(TwistTable(n, codes))
+    return TwistTable(n, _doubled(_doubled(gens.T, size).T, size))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_any_bilinear_table_renders(n):
+    _assert_renders(_random_bilinear(n))
+
+
+@pytest.mark.parametrize("mu", [None, 1, -1])
+@pytest.mark.parametrize("format, sep", [("text", " "), ("csv", ",")])
+@pytest.mark.parametrize("n", [11, 12])
+def test_any_bilinear_table_renders_at_top_widths(n, format, sep, mu):
+    # thousands of distinct first blocks, so the palette the renderer
+    # spells in one pass spans thousands of rows, as no built table's
+    # does
+    table = _random_bilinear(n)
+    first, _ = _first_blocks(table.codes)
+    assert len(np.unique(first, axis=0)) > 256
+    lines = render_table(table, format, mu).splitlines(keepends=True)
+    assert len(lines) == 1 << n
+    expected = _reference_render(table.codes[_TOP_ROWS], _spelling(mu), sep)
+    assert "".join(lines[p] for p in _TOP_ROWS) == expected
