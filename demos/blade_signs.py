@@ -17,8 +17,9 @@ print("p XOR q =", format_blade(p ^ q))
 print()
 
 # All four sign algorithms answer the same question.  The factor-list
-# one literally bubble-sorts generators and cancels equal neighbours;
-# the others never build a list at all.
+# one literally sorts the generators by adjacent swaps, one sign flip
+# per swap, and cancels equal neighbours; the others never build a
+# list at all.
 for mu in (1, -1):
     print(f"generator square mu = {mu:+d}")
     for name, func in ALGORITHMS.items():

@@ -100,6 +100,8 @@ class Multivector:
     __slots__ = ("_algebra", "_coeffs")
 
     def __init__(self, algebra: Algebra, coeffs: Dict[int, Scalar]):
+        if not isinstance(algebra, Algebra):
+            raise TypeError(f"algebra must be an Algebra, got {algebra!r}")
         table: Dict[int, Fraction] = {}
         for mask, value in coeffs.items():
             _check_masks(mask, 0)
@@ -136,7 +138,9 @@ class Multivector:
         return sorted({m.bit_count() for m in self._coeffs})
 
     def grade_part(self, k: int) -> "Multivector":
-        """Projection onto grade ``k``."""
+        """Projection onto grade ``k``, an int (not a bool)."""
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise TypeError(f"grade must be an int, got {k!r}")
         return Multivector(
             self._algebra,
             {m: c for m, c in self._coeffs.items() if m.bit_count() == k},
@@ -226,7 +230,7 @@ class Multivector:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("only non-negative integer powers")
         result = self._algebra.scalar(1)
         for _ in range(n):

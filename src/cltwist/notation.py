@@ -3,14 +3,16 @@
 Two blade spellings exist:
 
 * generator form ``e_{134}`` (also accepted: ``e134``, ``e_134``):
-  each subscript character names one generator, drawn from the
+  each subscript character names one generator, drawn from the ASCII
   alphabet 1-9 then a-z for generators 1 through 35, in strictly
   ascending order;
 * index form ``i_13`` (also ``i13``, ``i_{13}``): the decimal blade
   mask, usable for any 64-bit blade.
 
-``"1"`` is the scalar blade (mask 0).  Input is case insensitive;
-canonical output is lowercase, braced for the generator form.
+``"1"`` is the scalar blade (mask 0).  Input is case insensitive in
+ASCII only: a non-ASCII character is never folded onto the alphabet
+(``str.lower`` would turn the Kelvin sign U+212A into ``k``).
+Canonical output is lowercase, braced for the generator form.
 
 Expressions follow a small grammar with ``*`` binding tighter than
 ``+``/``-``::
@@ -52,7 +54,9 @@ __all__ = [
 
 #: Subscript alphabet: character k names generator k+1.
 _SUBSCRIPTS = "123456789abcdefghijklmnopqrstuvwxyz"
-_CHAR_TO_GEN = {c: k for k, c in enumerate(_SUBSCRIPTS, start=1)}
+#: Each subscript character and its upper case, and nothing else.
+_CHAR_TO_GEN = {c: k for k, s in enumerate(_SUBSCRIPTS, start=1)
+                for c in (s, s.upper())}
 
 #: Largest generator the subscript alphabet can name.
 MAX_NAMED_GENERATOR = 35
@@ -94,10 +98,10 @@ class UnknownTokenError(ExpressionSyntaxError):
 
 def parse_blade(text: str) -> int:
     """Blade mask named by ``text`` (generator form, index form or "1")."""
-    t = text.strip().lower()
+    t = text.strip()
     if t == "1":
         return 0
-    if not t or t[0] not in "ei":
+    if not t or t[0] not in "eEiI":
         raise MalformedBladeError(f"not a blade token: {text!r}")
     payload = t[1:]
     if payload.startswith("_"):
@@ -108,7 +112,7 @@ def parse_blade(text: str) -> int:
         payload = payload[1:-1]
     if not payload:
         raise MalformedBladeError(f"missing subscript in {text!r}")
-    if t[0] == "i":
+    if t[0] in "iI":
         if not payload.isascii() or not payload.isdigit():
             raise MalformedBladeError(
                 f"index form needs a decimal subscript: {text!r}"

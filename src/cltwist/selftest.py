@@ -34,8 +34,10 @@ Both suites work on sign parities, 1 where s is negative: {+1, -1}
 under multiplication is Z/2 under XOR, so every comparison is an XOR
 of parities, and bimultiplicative means GF(2)-bilinear.  The array
 forms return parities; only a function called pair by pair returns
-values, and the pairs suite also flags any of those that is not a
-sign, reporting it exactly as returned.  A parity table passes every
+values, and each of those is coded once, as its sign parity plus 2
+if it is not a sign, so the pairs suite compares every algorithm's
+codes with one table of parities alike and reports a value that is
+not a sign exactly as returned.  A parity table passes every
 identity exactly when it is the bilinear form of its n*n generator
 entries s(e_j, e_i).  So the certificate first rebuilds the table from
 them and compares, with ``tables._rebuilds``: the XOR row doublings
@@ -69,11 +71,12 @@ _LINEAR_IN = {
 
 def _signed(value) -> str:
     """``value`` with its sign, as ``f"{value:+}"``; its repr where its
-    type takes no sign in a format."""
+    type takes no sign in a format.  A repr of several lines, such as a
+    2-d array's, is joined into one."""
     try:
         return f"{value:+}"
     except (TypeError, ValueError):
-        return repr(value)
+        return " ".join(line.strip() for line in repr(value).splitlines())
 
 
 @dataclass(frozen=True)
@@ -171,30 +174,36 @@ class SelftestReport:
 
 
 def _block(f, p: np.ndarray, q: np.ndarray, mu: int, n: int):
-    """``f`` on the grid ``p`` (a column) by ``q`` (a row), as uint8 sign
-    parities (1 where a value is negative) and the values themselves.
+    """``f`` on the grid ``p`` (a column) by ``q`` (a row), as uint8
+    codes (see :func:`_code`) and the values themselves.
 
-    An array form gives its parities as they come and no values.  Any
-    other function is called once per pair, in row-major order, on
-    plain int masks; its values come back in an object array, each one
-    exactly as returned, and its parities are their sign bits (0 for a
-    value that cannot be compared with 0, such as None).
+    An array form gives its sign parities as they come, codes 0 and 1,
+    and no values.  Any other function is called once per pair, in
+    row-major order, on plain int masks; its values come back in an
+    object array, each one exactly as returned, and each is coded once.
     """
     form = ARRAY_FORMS.get(f)
     if form is not None:
         return form(p, q, mu, n), None
     values = np.frompyfunc(f, 3, 1)(p, q, mu)
     with np.errstate(invalid="ignore"):  # a NaN has no sign bit
-        parities = np.frompyfunc(_sign_bit, 1, 1)(values)
-    return parities.astype(np.uint8), values
+        return np.frompyfunc(_code, 1, 1)(values).astype(np.uint8), values
 
 
-def _sign_bit(value) -> bool:
-    """Whether ``value < 0``; False where the comparison raises."""
+def _code(value) -> int:
+    """The sign parity of ``value``, its sign bit (0 where ``value < 0``
+    cannot be decided), plus 2 unless ``value`` equals the sign that
+    bit gives.  So only values equal to +1 and -1 code as 0 and 1; an
+    array of more than one element or of none, whose comparisons have
+    no single truth value, codes as 2."""
     try:
-        return bool(value < 0)
-    except TypeError:
-        return False
+        bit = bool(value < 0)
+    except (TypeError, ValueError):
+        bit = False
+    try:
+        return bit + 2 * (not value == (-1 if bit else 1))
+    except (TypeError, ValueError):
+        return bit + 2
 
 
 def _pairs_suite(
@@ -203,11 +212,11 @@ def _pairs_suite(
     """Exhaustive four-way agreement below 2**n.
 
     Returns the first mismatch in row-major order (or None) and the
-    parity table of the algorithm ``kept``, reused by the bilinearity
-    certificate so an injected fault in it propagates there too.  A
-    cell mismatches where some algorithm's parity differs from that
-    table's (XOR) or where a value from the scalar path is not a sign:
-    not equal to -1 where its parity is 1, or to 1 where it is 0.
+    parity table of the algorithm ``kept`` (its codes' low bit), reused
+    by the bilinearity certificate so an injected fault in it
+    propagates there too.  A cell mismatches where some algorithm's
+    code differs from that parity: its parity differs, or it returned
+    a value that is not a sign.
     """
     size = 1 << n
     table = np.empty((size, size), dtype=np.uint8)
@@ -219,18 +228,16 @@ def _pairs_suite(
         blocks = {
             name: _block(f, p, q, mu, n) for name, f in algorithms.items()
         }
-        ref = table[rows] = blocks[kept][0]
+        ref = table[rows] = blocks[kept][0] & 1
         if first is None:
-            bad = np.zeros_like(ref)
-            for parity, values in blocks.values():
-                bad |= parity ^ ref
-                if values is not None:  # not the sign its parity gives
-                    bad |= values != np.where(parity, -1, 1)
+            bad = np.zeros(ref.shape, dtype=bool)
+            for codes, _ in blocks.values():
+                bad |= codes != ref
             if bad.any():
                 i, j = divmod(int(bad.argmax()), size)
-                signs = {name: 1 - 2 * parity.item(i, j) if values is None
+                signs = {name: 1 - 2 * codes.item(i, j) if values is None
                          else values[i, j]
-                         for name, (parity, values) in blocks.items()}
+                         for name, (codes, values) in blocks.items()}
                 first = Mismatch("pairs", mu, (rows.start + i, j), signs)
     return first, table
 
@@ -247,11 +254,10 @@ def _cocycle_suite(table: np.ndarray, mu: int, ps) -> Optional[Mismatch]:
             q = idx[rows]
             # s(p,q)*s(p^q,r) vs s(q,r)*s(p,q^r) for q in block, all r
             lhs = table[p, rows, None] ^ table[p ^ q]
-            rhs = table[rows] ^ table[p][q[:, None] ^ idx]
-            if not np.array_equal(lhs, rhs):
-                i, r = np.argwhere(lhs != rhs)[0]
-                triple = (p, rows.start + int(i), int(r))
-                return Mismatch("triples", mu, triple, {})
+            bad = lhs != (table[rows] ^ table[p][q[:, None] ^ idx])
+            if bad.any():
+                i, r = divmod(int(bad.argmax()), size)
+                return Mismatch("triples", mu, (p, rows.start + i, r), {})
     return None
 
 

@@ -99,6 +99,14 @@ class TestMul:
         assert run_cli("mul", "e_11") == 2
         assert "at byte 0" in capsys.readouterr().err
 
+    def test_kelvin_sign_is_not_generator_k(self, capsys):
+        # str.lower() folds U+212A to k; the subscript must not
+        assert run_cli("mul", "e_\u212a") == 2
+        assert capsys.readouterr().err == (
+            "cltwist mul: invalid generator character '\u212a' in"
+            " 'e_\u212a' (at byte 0)\n"
+        )
+
     @pytest.mark.parametrize(
         "expr, message",
         [
@@ -358,6 +366,7 @@ class TestDispatch:
         ["sign", "-5", "3"],
         ["trace", "-1", "2"],
         ["mul", "e_21"],
+        ["mul", "e_\u212a"],
     ],
     ids=" ".join,
 )

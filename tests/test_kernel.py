@@ -281,6 +281,24 @@ def test_algorithms_agree_or_all_reject(p, q, mu):
     assert len(outcomes) == 1, outcomes
 
 
+def _names(code):
+    """Global and attribute names that ``code`` and the code nested in it
+    use."""
+    nested = (c for c in code.co_consts if hasattr(c, "co_names"))
+    return set(code.co_names).union(*map(_names, nested))
+
+
+def test_oracle_shares_nothing_with_the_other_algorithms():
+    # the ground truth of the cross-check builds its sign from generator
+    # lists alone: no popcount, parity fold, tree table, library sort or
+    # other algorithm
+    banned = {f.__name__ for f in ALGORITHMS.values() if f is not twist_oracle}
+    banned |= {"bit_count", "_parity_above", "_FLAT_TREES", "twist",
+               "blade_product", "sorted", "sort"}
+    for f in (twist_oracle, kernel._generators):
+        assert not _names(f.__code__) & banned, f.__name__
+
+
 def test_algorithms_registry():
     assert set(ALGORITHMS) == {"oracle", "recursive", "tree", "closed"}
     assert ALGORITHMS["closed"] is twist_closed

@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 from fractions import Fraction
 
@@ -66,6 +67,18 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             v.extra = 1
 
+    @pytest.mark.parametrize("algebra", ["x", None, -1, Algebra])
+    def test_rejects_an_algebra_that_is_not_one(self, algebra):
+        with pytest.raises(TypeError, match="algebra must be an Algebra"):
+            Multivector(algebra, {1: 1})
+
+    def test_algebra_and_truth(self):
+        v = neg.blade(3)
+        assert v.algebra is neg and v.mu == -1
+        assert Multivector(pos, {}).algebra is pos
+        assert bool(v) and bool(pos.scalar(2))
+        assert not neg.zero() and not neg.multivector({3: 0})
+
     @pytest.mark.parametrize("text", ["0", "-3/4", "e_1 + 1/2 e_{23} - 7 e_4"])
     @pytest.mark.parametrize("algebra", [pos, neg])
     def test_copies_and_pickles(self, algebra, text):
@@ -99,6 +112,21 @@ class TestEquality:
 
 
 class TestArithmetic:
+    @pytest.mark.parametrize("other", [0.5, None])
+    def test_operands_of_other_types_raise(self, other):
+        v = neg.blade(1)
+        ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(v, other)
+            with pytest.raises(TypeError):  # reflected
+                op(other, v)
+        assert v != other and not v == other
+
+    def test_equality_with_a_number_is_false(self):
+        assert not neg.scalar(1) == 1 and neg.scalar(1) != 1
+        assert not neg.zero() == 0
+
     def test_scalars_lift(self):
         assert neg.blade(1) + 1 == neg.parse("1 + e_1")
         assert 1 + neg.blade(1) == neg.parse("1 + e_1")
@@ -133,6 +161,11 @@ class TestArithmetic:
         assert v ** 3 == v * v * v
         with pytest.raises(ValueError):
             v ** -1
+
+    @pytest.mark.parametrize("n", [True, False, 0.5, 2.0, np.int64(2)])
+    def test_power_needs_an_int_that_is_not_a_bool(self, n):
+        with pytest.raises(ValueError, match="non-negative integer powers"):
+            neg.blade(1) ** n
 
     def test_anticommuting_generators(self):
         e1, e2 = neg.blade(1), neg.blade(2)
@@ -174,6 +207,12 @@ class TestGrades:
         v = neg.parse("1 + e_1 + e_2 + e_12")
         assert v.grade_part(1) == neg.parse("e_1 + e_2")
         assert v.grade_part(5).is_zero()
+
+    @pytest.mark.parametrize("k", ["a", None, True, False, 1.0, np.int64(1)])
+    def test_grade_part_needs_an_int_that_is_not_a_bool(self, k):
+        v = neg.parse("1 + e_1 + e_12")
+        with pytest.raises(TypeError, match="grade must be an int"):
+            v.grade_part(k)
 
     def test_terms_ascending_by_index(self):
         v = neg.parse("e_12 + e_3 + 1")

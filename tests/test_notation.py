@@ -63,6 +63,23 @@ class TestParseBlade:
         with pytest.raises(InvalidDigitError):
             parse_blade("e_1{}0")  # brace only allowed as full wrapper
 
+    # U+212A (Kelvin sign) lower-cases to k, and U+0130 to i plus U+0307;
+    # U+017F and U+0131 match a-z only under the tokenizer's IGNORECASE
+    @pytest.mark.parametrize("char", ["\u212a", "\u017f", "\u0131", "\u0130"])
+    @pytest.mark.parametrize("template", ["e_{}", "E{}", "e_{{1{}}}"])
+    def test_non_ascii_subscript_named_as_typed(self, char, template):
+        text = template.format(char)
+        with pytest.raises(InvalidDigitError) as info:
+            parse_blade(text)
+        assert str(info.value) == (
+            f"invalid generator character {char!r} in {text!r}"
+        )
+
+    def test_non_ascii_prefix_is_not_a_blade(self):
+        for text in ("\u0130_3", "\u0130"):
+            with pytest.raises(MalformedBladeError, match="not a blade token"):
+                parse_blade(text)
+
     def test_structural_errors(self):
         for text in ("e", "e_", "e_{}", "e_{12", "x12", "", "12"):
             with pytest.raises(MalformedBladeError):
@@ -219,6 +236,15 @@ class TestParseExpression:
         with pytest.raises(ExpressionSyntaxError) as info:
             parse_expression("2 e_11")
         assert info.value.offset == 2
+
+    @pytest.mark.parametrize("char", ["\u212a", "\u0130"])
+    def test_non_ascii_subscript_at_its_byte_offset(self, char):
+        text = f"e_1 + e_{char}"
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_expression(text)
+        assert info.value.offset == 6
+        assert isinstance(info.value.__cause__, InvalidDigitError)
+        assert f"invalid generator character {char!r}" in str(info.value)
 
     @pytest.mark.usefixtures("default_int_digit_limit")
     def test_long_number_is_syntax_error(self):

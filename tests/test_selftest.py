@@ -193,6 +193,8 @@ def _where_negative(value):
     (float("nan"), "+nan"),
     (np.float64("nan"), "+nan"),
     (Fraction(-1, 2), "Fraction(-1, 2)"),
+    (np.array([-1, -1]), "array([-1, -1])"),
+    (np.array([]), "array([], dtype=float64)"),
 ])
 def test_a_value_of_any_type_that_is_not_a_sign_is_a_mismatch(value, spelled):
     # the first sign -1 is at p = 2, q = 1 for mu = +1, and at p = q = 1
@@ -226,6 +228,24 @@ def test_a_value_that_takes_no_sign_is_described_by_its_repr(value, spelled):
     assert run_selftest(1, {"closed": lambda p, q, mu: value}).lines() == (
         _pairs_lines(0, 0, {"closed": spelled})
     )
+
+
+def test_an_array_value_is_a_mismatch_on_one_line():
+    algos = {"oracle": kernel.twist_oracle,
+             "closed": lambda p, q, mu: np.array([1, -1])}
+    assert run_selftest(2, algos).lines()[0] == (
+        "mismatch: p=0 q=0 mu=+1 oracle=+1 closed=array([ 1, -1]) rerun:"
+        " cltwist sign 0 0 --algo oracle --mu +1;"
+        " cltwist sign 0 0 --algo closed --mu +1"
+    )
+    # a repr of several lines is joined into one
+    square = run_selftest(1, {"closed": lambda p, q, mu: np.eye(2, dtype=int)})
+    assert square.lines() == _pairs_lines(0, 0, {
+        "closed": "array([[1, 0], [0, 1]])",
+    })
+    # an array of one element is compared as its element
+    assert run_selftest(3, {"oracle": kernel.twist_oracle,
+                            "closed": _where_negative(np.array([-1]))}).ok
 
 
 def test_scalar_path_calls_once_per_pair_in_row_major_order():

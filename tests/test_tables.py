@@ -121,6 +121,24 @@ class TestSymbolicSign:
         with pytest.raises(AttributeError):
             SymbolicSign(1, 1).sign = -1
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("mu_power", [0, 1])
+    def test_parts_and_repr(self, sign, mu_power):
+        value = SymbolicSign(sign, mu_power)
+        assert (value.sign, value.mu_power) == (sign, mu_power)
+        assert repr(value) == (
+            f"SymbolicSign(sign={sign:+d}, mu_power={mu_power})"
+        )
+
+    def test_other_types_are_not_signs(self):
+        one = SymbolicSign(1, 0)
+        assert not one == 1 and one != 1
+        for other in (1, -1, None):
+            with pytest.raises(TypeError):
+                one * other
+            with pytest.raises(TypeError):
+                other * one
+
     @pytest.mark.parametrize("code", range(4))
     def test_copies_and_pickles(self, code):
         sign = SymbolicSign.from_code(code)
@@ -398,6 +416,11 @@ def test_entry_rejects_masks_outside_table(build):
 def test_tables_equal_and_not():
     assert table_direct(3) == table_blocks(3)
     assert table_direct(2) != table_direct(3)
+    assert not table_direct(1) == 1 and table_direct(1) != 1
+
+
+def test_table_repr():
+    assert repr(table_direct(3)) == "<TwistTable n=3 (8x8)>"
 
 
 def test_large_table_row_zero():
