@@ -1,0 +1,60 @@
+"""Base class of the package's small immutable records.
+
+A subclass declares its fields as annotations, in order, with any
+default as a class attribute, as for a frozen dataclass, and gets what
+a frozen dataclass gives: ``__init__`` (positional and keyword), a
+``repr`` naming every field, ``==`` field by field against the same
+class only, a hash of the field tuple, ``__match_args__``, and an
+``AttributeError`` on setting or deleting any attribute.  Copy, deepcopy
+and pickle go through the instance ``__dict__``.  The stdlib
+``dataclasses`` module is not used because importing it loads
+``inspect``, ``ast``, ``dis`` and ``tokenize``, which took about half
+the time of ``import cltwist``.
+"""
+
+
+class Record:
+    """Frozen record; see the module docstring."""
+
+    __match_args__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        fields = cls.__match_args__ + own
+        # the body of a generated dataclass __init__, so just as fast
+        params = ", ".join(
+            f"{name}=_cls.{name}" if hasattr(cls, name) else name
+            for name in fields
+        )
+        body = "".join(f"\n _set(self, {name!r}, {name})" for name in fields)
+        namespace = {"_cls": cls, "_set": object.__setattr__}
+        exec(f"def __init__(self, {params}):{body}", namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+        cls.__match_args__ = fields
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self) -> str:
+        args = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__match_args__, self._values())
+        )
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from . import kernel
+from ._record import Record
 
 __all__ = ["BenchResult", "format_report", "make_workload", "run_bench"]
 
@@ -35,8 +35,9 @@ def make_workload(pairs: int) -> Tuple[List[int], List[int]]:
     return ps, qs
 
 
-@dataclass(frozen=True)
-class BenchResult:
+class BenchResult(Record):
+    """Mean time of one algorithm over the workload."""
+
     name: str
     pairs: int
     ns_per_op: float

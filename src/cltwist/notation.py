@@ -29,10 +29,10 @@ re-parse.  Whitespace is insignificant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from ._record import Record
 from .kernel import MASK_BITS, _check_masks
 
 __all__ = [
@@ -183,24 +183,21 @@ def _check_style(style: str):
 
 # --- expression parsing ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Record):
     """One multiplicand: a rational, a blade, or a rational times a blade."""
 
     coeff: Optional[Fraction]
     blade: Optional[int]
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """A signed product chain of factors."""
 
     sign: int
     factors: Tuple[Factor, ...]
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(Record):
     """A sum of terms; the shape the multivector layer evaluates."""
 
     terms: Tuple[Term, ...]

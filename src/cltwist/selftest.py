@@ -51,13 +51,14 @@ Each reported line ends with the ``cltwist sign`` calls that rerun it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import warnings
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import kernel
 from ._batch import ARRAY_FORMS
+from ._record import Record
 from .tables import _rebuilds, _row_blocks
 
 __all__ = ["Mismatch", "SelftestReport", "run_selftest"]
@@ -71,16 +72,18 @@ _LINEAR_IN = {
 
 def _signed(value) -> str:
     """``value`` with its sign, as ``f"{value:+}"``; its repr where its
-    type takes no sign in a format.  A repr of several lines, such as a
-    2-d array's, is joined into one."""
+    type takes no sign in a format, or warns when given one (numpy's
+    masked constant).  A repr of several lines, such as a 2-d array's,
+    is joined into one."""
     try:
-        return f"{value:+}"
-    except (TypeError, ValueError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return f"{value:+}"
+    except (TypeError, ValueError, Warning):
         return " ".join(line.strip() for line in repr(value).splitlines())
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(Record):
     """First failing case of a suite, with everything needed to rerun it.
 
     ``kind`` is "pairs" (indices (p, q)), "triples" (p, q, r), or one
@@ -145,8 +148,7 @@ class Mismatch:
         return [(a, b, self._algo) for a, b in pairs]
 
 
-@dataclass(frozen=True)
-class SelftestReport:
+class SelftestReport(Record):
     """Outcome of :func:`run_selftest`.  ``triple_count`` counts the
     triples the cocycle suite covers through the bilinearity
     certificate."""
@@ -242,11 +244,13 @@ def _pairs_suite(
     return first, table
 
 
-def _cocycle_suite(table: np.ndarray, mu: int, ps) -> Optional[Mismatch]:
+def _cocycle_suite(
+    table: np.ndarray, mu: int, ps, algo: str
+) -> Optional[Mismatch]:
     """First triple (p, q, r) in row-major order whose cocycle identity
-    fails in the parity table, with p in the ascending ``ps``; the
-    certificate's reporter.  The q axis is walked in row blocks, each
-    with its own grid of q^r."""
+    fails in the parity table of algorithm ``algo``, with p in the
+    ascending ``ps``; the certificate's reporter.  The q axis is walked
+    in row blocks, each with its own grid of q^r."""
     size = table.shape[0]
     idx = np.arange(size)
     for p in ps:
@@ -257,12 +261,14 @@ def _cocycle_suite(table: np.ndarray, mu: int, ps) -> Optional[Mismatch]:
             bad = lhs != (table[rows] ^ table[p][q[:, None] ^ idx])
             if bad.any():
                 i, r = divmod(int(bad.argmax()), size)
-                return Mismatch("triples", mu, (p, rows.start + i, r), {})
+                indices = (p, rows.start + i, r)
+                return Mismatch("triples", mu, indices, {}, algo)
     return None
 
 
-def _bilinear_scan(table: np.ndarray, mu: int) -> List[Mismatch]:
-    """Check each (p, k, q) identity of the certificate, in row blocks.
+def _bilinear_scan(table: np.ndarray, mu: int, algo: str) -> List[Mismatch]:
+    """Check each (p, k, q) identity of the certificate on the parity
+    table of algorithm ``algo``, in row blocks.
 
     Returns no mismatch, or the first failing (p, k, q) followed by the
     first cocycle violation among the rows its identity involves (none
@@ -286,8 +292,8 @@ def _bilinear_scan(table: np.ndarray, mu: int) -> List[Mismatch]:
                     i, q = divmod(int(bad.argmax()), size)
                     p = rows.start + i
                     involved = {p, p ^ e, e} if kind == "linear-p" else {p}
-                    found = [Mismatch(kind, mu, (p, k + 1, q), {})]
-                    triple = _cocycle_suite(table, mu, sorted(involved))
+                    found = [Mismatch(kind, mu, (p, k + 1, q), {}, algo)]
+                    triple = _cocycle_suite(table, mu, sorted(involved), algo)
                     return found if triple is None else found + [triple]
     return []
 
@@ -307,8 +313,8 @@ def run_selftest(n: int = kernel.DEFAULT_N, algorithms=None) -> SelftestReport:
         pair_miss, table = _pairs_suite(n, mu, algorithms, kept)
         if pair_miss is not None:
             mismatches.append(pair_miss)
-        for miss in [] if _rebuilds(table) else _bilinear_scan(table, mu):
-            mismatches.append(replace(miss, _algo=kept))
+        if not _rebuilds(table):
+            mismatches += _bilinear_scan(table, mu, kept)
     return SelftestReport(
         n=n,
         pair_count=size * size,

@@ -474,8 +474,14 @@ def test_python_dash_m_entry(child_env):
     assert out.stdout == "e_{124}\n"
 
 
-# numpy is for the table and self-test layers only.  Each check runs in
-# a fresh interpreter, since this process has long since imported it.
+# numpy is for the table and self-test layers only, and dataclasses,
+# which loads inspect, is used nowhere.  Each check runs in a fresh
+# interpreter, since this process has long since imported them.
+
+_UNLOADED = (
+    "print([m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')])"
+)
+
 
 def _fresh_python(code, env):
     """stdout of ``python -c code`` in a fresh interpreter."""
@@ -487,10 +493,8 @@ def _fresh_python(code, env):
 
 
 def test_import_leaves_numpy_unloaded(child_env):
-    out = _fresh_python(
-        "import sys, cltwist; print('numpy' in sys.modules)", child_env
-    )
-    assert out == "False\n"
+    out = _fresh_python("import sys, cltwist\n" + _UNLOADED, child_env)
+    assert out == "[False, False, False]\n"
 
 
 @pytest.mark.parametrize(
@@ -508,10 +512,10 @@ def test_command_leaves_numpy_unloaded(child_env, argv):
         "import sys\n"
         "from cltwist import cli\n"
         f"code = cli.main({argv!r})\n"
-        "print(code, 'numpy' in sys.modules)\n",
+        "print(code)\n" + _UNLOADED,
         child_env,
     )
-    assert out.splitlines()[-1] == "0 False"
+    assert out.splitlines()[-2:] == ["0", "[False, False, False]"]
 
 
 def test_star_import_and_dir_cover_all(child_env):

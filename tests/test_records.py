@@ -1,0 +1,131 @@
+"""The package's six immutable records behave as frozen dataclasses:
+construction, repr, equality, hash, immutability, pattern matching,
+copy and pickle."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from cltwist.bench import BenchResult
+from cltwist.notation import Expression, Factor, Term
+from cltwist.selftest import Mismatch, SelftestReport
+
+FACTOR = Factor(Fraction(3, 4), 0b110)
+TERM = Term(-1, (FACTOR, Factor(None, 1)))
+
+#: (record, its fields by name, its exact repr)
+CASES = [
+    (FACTOR, {"coeff": Fraction(3, 4), "blade": 6},
+     "Factor(coeff=Fraction(3, 4), blade=6)"),
+    (TERM, {"sign": -1, "factors": (FACTOR, Factor(None, 1))},
+     "Term(sign=-1, factors=(Factor(coeff=Fraction(3, 4), blade=6),"
+     " Factor(coeff=None, blade=1)))"),
+    (Expression((TERM,)), {"terms": (TERM,)},
+     "Expression(terms=(Term(sign=-1, factors=(Factor(coeff=Fraction(3, 4),"
+     " blade=6), Factor(coeff=None, blade=1))),))"),
+    (Mismatch("pairs", 1, (5, 9), {"closed": 1}),
+     {"kind": "pairs", "mu": 1, "indices": (5, 9), "signs": {"closed": 1},
+      "_algo": "closed"},
+     "Mismatch(kind='pairs', mu=1, indices=(5, 9), signs={'closed': 1},"
+     " _algo='closed')"),
+    (SelftestReport(3, 64, 512, 4, ()),
+     {"n": 3, "pair_count": 64, "triple_count": 512, "algorithm_count": 4,
+      "mismatches": ()},
+     "SelftestReport(n=3, pair_count=64, triple_count=512,"
+     " algorithm_count=4, mismatches=())"),
+    (BenchResult("closed", 50, 812.5),
+     {"name": "closed", "pairs": 50, "ns_per_op": 812.5},
+     "BenchResult(name='closed', pairs=50, ns_per_op=812.5)"),
+]
+IDS = [type(record).__name__ for record, _, _ in CASES]
+cases = pytest.mark.parametrize("record, fields, text", CASES, ids=IDS)
+
+
+@cases
+def test_repr(record, fields, text):
+    assert repr(record) == text
+
+
+@cases
+def test_construction_positional_and_by_keyword(record, fields, text):
+    cls = type(record)
+    assert cls.__match_args__ == tuple(fields)
+    assert {name: getattr(record, name) for name in fields} == fields
+    assert cls(*fields.values()) == record
+    assert cls(**fields) == record
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+
+
+def test_mismatch_algorithm_defaults_to_closed():
+    assert Mismatch("triples", -1, (1, 2, 3), {})._algo == "closed"
+    tree = Mismatch("triples", -1, (1, 2, 3), {}, _algo="tree")
+    assert tree._algo == "tree"
+    assert tree != Mismatch("triples", -1, (1, 2, 3), {})
+
+
+@cases
+def test_equal_only_to_the_same_class(record, fields, text):
+    values = tuple(fields.values())
+    assert record == type(record)(*values)
+    assert record != values
+    assert record != list(values)
+    # a subclass is another record class with the same fields
+    twin = type("Twin", (type(record),), {})(*values)
+    assert record != twin and twin != record
+
+
+def test_equal_fields_of_another_record_class_are_not_equal():
+    assert Factor(-1, (FACTOR,)) != Term(-1, (FACTOR,))
+    fields = ("pairs", 1, (5, 9), {}, ())
+    assert Mismatch(*fields) != SelftestReport(*fields)
+
+
+@cases
+def test_hash_of_the_field_tuple(record, fields, text):
+    values = tuple(fields.values())
+    if isinstance(record, Mismatch):  # its signs are a dict
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(values)
+        assert hash(record) == hash(type(record)(*values))
+
+
+@cases
+def test_fields_cannot_be_set_or_deleted(record, fields, text):
+    for name in list(fields) + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert repr(record) == text
+
+
+@cases
+def test_copies_and_pickles(record, fields, text):
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        assert twin == record
+        assert repr(twin) == text
+        with pytest.raises(AttributeError):
+            setattr(twin, next(iter(fields)), None)
+
+
+def test_records_match_by_position():
+    match TERM:
+        case Term(sign, (Factor(coeff, blade), Factor(None, 1))):
+            assert (sign, coeff, blade) == (-1, Fraction(3, 4), 6)
+        case _:
+            pytest.fail("no match")
+    match Mismatch("linear-p", 1, (5, 4, 9), {}):
+        case Mismatch(kind, mu, indices, signs, algo):
+            assert (kind, mu, indices, signs, algo) == (
+                "linear-p", 1, (5, 4, 9), {}, "closed")
+        case _:
+            pytest.fail("no match")

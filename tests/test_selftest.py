@@ -223,6 +223,7 @@ def test_a_value_equal_to_minus_one_is_a_sign(value):
 
 @pytest.mark.parametrize("value, spelled", [
     (Fraction(1, 2), "Fraction(1, 2)"), (None, "None"), ("x", "'x'"),
+    (np.ma.masked, "masked"),  # its format warns rather than raises
 ])
 def test_a_value_that_takes_no_sign_is_described_by_its_repr(value, spelled):
     assert run_selftest(1, {"closed": lambda p, q, mu: value}).lines() == (
@@ -449,14 +450,14 @@ def _certificate(table, mu):
     rebuilds from its generator entries, else the per-k scan."""
     if selftest._rebuilds(table):
         return []
-    return selftest._bilinear_scan(table, mu)
+    return selftest._bilinear_scan(table, mu, "closed")
 
 
 @pytest.mark.parametrize("cell", [(300, 5), (3, 400), (0, 511)])
 def test_blocked_cocycle_suite_finds_the_row_major_first_triple(cell):
     signs = table_direct(9).substitute(-1)
     signs[cell] *= -1
-    miss = selftest._cocycle_suite(_parities(signs), -1, range(512))
+    miss = selftest._cocycle_suite(_parities(signs), -1, range(512), "closed")
     assert miss.kind == "triples"
     assert miss.indices == _first_triple(signs)
 
@@ -534,7 +535,7 @@ def _coboundary_twisted(table):
 def test_certificate_rejects_a_cocycle_that_is_not_bilinear(n, mu):
     signs = _coboundary_twisted(table_direct(n).substitute(mu))
     table = _parities(signs)
-    assert selftest._cocycle_suite(table, mu, range(1 << n)) is None
+    assert selftest._cocycle_suite(table, mu, range(1 << n), "closed") is None
     [linear] = _certificate(table, mu)  # and no triple
     assert linear.kind in ("linear-p", "linear-q") and linear.mu == mu
     assert _identity_fails(signs, linear)
@@ -581,7 +582,7 @@ def _certificate_cases(n, mu):
 def test_rebuild_decides_as_the_scan(n, mu):
     cases = _certificate_cases(n, mu)
     for name, table in cases:
-        scan = selftest._bilinear_scan(table, mu)
+        scan = selftest._bilinear_scan(table, mu, "closed")
         assert selftest._rebuilds(table) == (scan == []), name
         assert _certificate(table, mu) == scan, name
     # below n = 2 and n = 3 the quadratic and the coboundary factors
@@ -602,10 +603,10 @@ def test_rebuild_decides_as_the_scan_across_row_blocks(cell, mu):
     # n = 9: two blocks of 256 rows; row 256 starts the second
     table = _parities(table_direct(9).substitute(mu))
     assert selftest._rebuilds(table)
-    assert selftest._bilinear_scan(table, mu) == []
+    assert selftest._bilinear_scan(table, mu, "closed") == []
     table[cell] ^= 1
     assert not selftest._rebuilds(table)
-    scan = selftest._bilinear_scan(table, mu)
+    scan = selftest._bilinear_scan(table, mu, "closed")
     assert scan and _certificate(table, mu) == scan
 
 
@@ -643,7 +644,8 @@ def test_rebuild_accepts_exactly_the_bilinear_parity_tables():
         for table in np.concatenate([forms, randoms]):
             expected = table.tobytes() in bilinear
             assert selftest._rebuilds(table) == expected
-            assert (selftest._bilinear_scan(table, 1) == []) == expected
+            scan = selftest._bilinear_scan(table, 1, "closed")
+            assert (scan == []) == expected
 
 
 def test_selftest_peak_memory():
