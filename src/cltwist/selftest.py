@@ -40,11 +40,11 @@ codes with one table of parities alike and reports a value that is
 not a sign exactly as returned.  A parity table passes every
 identity exactly when it is the bilinear form of its n*n generator
 entries s(e_j, e_i).  So the certificate first rebuilds the table from
-them and compares, with ``tables._rebuilds``: the XOR row doublings
-``tables.table_direct`` uses, and the same test the ``TwistTable``
-constructor puts to a caller's codes.  Only a table that does not
-rebuild goes to the per-k scan of the identities, which names the
-first failing (p, k, q), followed by the first violating triple among
+them and compares, with ``tables._first_difference``: the XOR row
+doublings ``tables.table_direct`` uses, and the same test the
+``TwistTable`` constructor puts to a caller's codes.  A table that
+does not rebuild names the identity that fails at its first
+difference, a (p, k, q), followed by the first violating triple among
 the rows involved, if they hold one.
 Each reported line ends with the ``cltwist sign`` calls that rerun it.
 """
@@ -59,7 +59,7 @@ import numpy as np
 from . import kernel
 from ._batch import ARRAY_FORMS
 from ._record import Record
-from .tables import _rebuilds, _row_blocks
+from .tables import _first_difference, _row_blocks
 
 __all__ = ["Mismatch", "SelftestReport", "run_selftest"]
 
@@ -266,36 +266,39 @@ def _cocycle_suite(
     return None
 
 
-def _bilinear_scan(table: np.ndarray, mu: int, algo: str) -> List[Mismatch]:
-    """Check each (p, k, q) identity of the certificate on the parity
-    table of algorithm ``algo``, in row blocks.
+def _certificate(table: np.ndarray, mu: int, algo: str) -> List[Mismatch]:
+    """The bilinearity certificate on the parity table of algorithm
+    ``algo``.
 
-    Returns no mismatch, or the first failing (p, k, q) followed by the
-    first cocycle violation among the rows its identity involves (none
-    if those rows hold none).
+    Returns no mismatch if the table rebuilds from its generator
+    entries.  Otherwise every cell before its first difference (p, q)
+    matches the bilinear form, so one identity through that cell fails,
+    named by the lowest bit: for p of two or more bits, linear-p at
+    (p ^ e_k, k, q), with rows p ^ e_k and e_k both earlier; for p = 0,
+    linear-p at (0, 1, q); for a generator p, linear-q at (p, 1, 0) if
+    q = 0, else at (p, i, q ^ e_i), with both columns earlier (a
+    generator cell rebuilds by construction).  The first cocycle
+    violation among the rows that identity involves follows it, if
+    those rows hold one.
     """
-    size = table.shape[0]
-    idx = np.arange(size)
-    for rows in _row_blocks(size):
-        block = table[rows]
-        m = block.shape[0]
-        for k in range(size.bit_length() - 1):
-            e = 1 << k
-            # linear in p: s(p^e_k, q) == s(p, q) * s(e_k, q)
-            in_p = table[idx[rows] ^ e] != block ^ table[e]
-            # linear in q: s(p, q^e_k) == s(p, q) * s(p, e_k); the 4-d
-            # view pairs each column with its partner q^e_k
-            v = block.reshape(m, -1, 2, e)
-            in_q = v[:, :, ::-1] != v ^ block[:, e].reshape(m, 1, 1, 1)
-            for kind, bad in (("linear-p", in_p), ("linear-q", in_q)):
-                if bad.any():
-                    i, q = divmod(int(bad.argmax()), size)
-                    p = rows.start + i
-                    involved = {p, p ^ e, e} if kind == "linear-p" else {p}
-                    found = [Mismatch(kind, mu, (p, k + 1, q), {}, algo)]
-                    triple = _cocycle_suite(table, mu, sorted(involved), algo)
-                    return found if triple is None else found + [triple]
-    return []
+    cell = _first_difference(table)
+    if cell is None:
+        return []
+    p, q = cell
+    if p & (p - 1):
+        e = p & -p
+        found = Mismatch("linear-p", mu, (p ^ e, e.bit_length(), q), {}, algo)
+        involved = [e, p ^ e, p]
+    elif p == 0:
+        found = Mismatch("linear-p", mu, (0, 1, q), {}, algo)
+        involved = [0, 1]
+    else:
+        e = q & -q
+        indices = (p, 1, 0) if q == 0 else (p, e.bit_length(), q ^ e)
+        found = Mismatch("linear-q", mu, indices, {}, algo)
+        involved = [p]
+    triple = _cocycle_suite(table, mu, sorted(involved), algo)
+    return [found] if triple is None else [found, triple]
 
 
 def run_selftest(n: int = kernel.DEFAULT_N, algorithms=None) -> SelftestReport:
@@ -313,8 +316,7 @@ def run_selftest(n: int = kernel.DEFAULT_N, algorithms=None) -> SelftestReport:
         pair_miss, table = _pairs_suite(n, mu, algorithms, kept)
         if pair_miss is not None:
             mismatches.append(pair_miss)
-        if not _rebuilds(table):
-            mismatches += _bilinear_scan(table, mu, kept)
+        mismatches += _certificate(table, mu, kept)
     return SelftestReport(
         n=n,
         pair_count=size * size,

@@ -26,10 +26,11 @@ The twist is a bicharacter, so a row's codes are linear in q as well:
 ``codes[p, q ^ r] == codes[p, q] ^ codes[p, r]``.  Every
 :class:`TwistTable` is bilinear: the builders make it so, and the
 constructor checks a caller's array once, with the test the
-self-test's certificate uses (:func:`_rebuilds`).  The renderer, one
-function (:func:`_render_chunks`) for tables and letter grids alike,
-relies on it to spell each distinct leading block of columns once and
-build every row by joining shifted copies of its block.
+self-test's certificate uses (:func:`_first_difference`).  The
+renderer, one function (:func:`_render_chunks`) for tables and letter
+grids alike, relies on it to spell each distinct leading block of
+columns once and build every row by joining shifted copies of its
+block.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class TwistTable:
         self._hold(n, codes.copy())
         if (self.codes & ~3).any():
             raise ValueError("codes must be in 0..3")
-        if not _rebuilds(self.codes):
+        if _first_difference(self.codes) is not None:
             raise ValueError("codes must be bilinear in p and in q under XOR")
 
     @classmethod
@@ -250,17 +251,18 @@ def _doubled(factors: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _rebuilds(table: np.ndarray) -> bool:
-    """Whether the square table, of codes or of sign parities, is the
-    GF(2)-bilinear form of its generator entries ``table[e_j, e_i]``,
-    compared in row blocks.
+def _first_difference(table: np.ndarray):
+    """The first cell (p, q), in row-major order, where the square
+    table, of codes or of sign parities, differs from the GF(2)-bilinear
+    form of its generator entries ``table[e_j, e_i]``; None if there is
+    none.
 
     The generator rows are rebuilt from the n*n generator matrix, the
     rows of the first block as the XORs of their generator rows, and
     each later block as the first one XORed with the generator rows at
-    its start; every row, the generator rows included, must match.  A
-    table passes exactly when it is linear in p and in q: when
-    ``table[p ^ r, q] == table[p, q] ^ table[r, q]`` and
+    its start; every row, the generator rows included, is compared.  A
+    table has no difference exactly when it is linear in p and in q:
+    when ``table[p ^ r, q] == table[p, q] ^ table[r, q]`` and
     ``table[p, q ^ r] == table[p, q] ^ table[p, r]`` for all p, q, r.
     """
     size = table.shape[0]
@@ -269,10 +271,12 @@ def _rebuilds(table: np.ndarray) -> bool:
     head_rows = min(size, _CHUNK_ROWS)
     head = _doubled(gen_rows, head_rows)
     starts = _doubled(gen_rows[head_rows.bit_length() - 1:], size // head_rows)
-    return all(
-        np.array_equal(table[rows], head ^ start)
-        for rows, start in zip(_row_blocks(size), starts)
-    )
+    for rows, start in zip(_row_blocks(size), starts):
+        bad = table[rows] != head ^ start
+        if bad.any():
+            i, q = divmod(int(bad.argmax()), size)
+            return rows.start + i, q
+    return None
 
 
 #: Spelling of a coefficiented letter: its code in bits 0-1, its

@@ -447,10 +447,46 @@ def _parities(signs):
 
 def _certificate(table, mu):
     """What ``run_selftest`` reports for a parity table: nothing if it
-    rebuilds from its generator entries, else the per-k scan."""
-    if selftest._rebuilds(table):
-        return []
-    return selftest._bilinear_scan(table, mu, "closed")
+    rebuilds from its generator entries, else the identity that fails
+    at its first difference and a violating triple, if any."""
+    return selftest._certificate(table, mu, "closed")
+
+
+def _rebuilds(table):
+    return selftest._first_difference(table) is None
+
+
+def _failing_identities(table):
+    """Every (kind, (p, k, q)) whose certificate identity fails in the
+    parity table, each checked on its own: the scan the rebuild is
+    compared against."""
+    size = table.shape[0]
+    idx = np.arange(size)
+    failing = set()
+    for k in range(1, size.bit_length()):
+        e = 1 << (k - 1)
+        # [p, q] is s(p^e_k, q) vs s(p, q)*s(e_k, q), and
+        # s(p, q^e_k) vs s(p, q)*s(p, e_k)
+        in_p = table[idx ^ e] != table ^ table[e]
+        in_q = table[:, idx ^ e] != table ^ table[:, e, None]
+        for kind, bad in (("linear-p", in_p), ("linear-q", in_q)):
+            failing |= {(kind, (int(p), k, int(q)))
+                        for p, q in np.argwhere(bad)}
+    return failing
+
+
+def _names_a_failing_identity(table, mu):
+    """The certificate of a parity table passes exactly when no identity
+    fails; otherwise it names one that does, then a triple that
+    violates the cocycle, if it names one."""
+    failing = _failing_identities(table)
+    certificate = _certificate(table, mu)
+    if not failing:
+        return certificate == []
+    linear, *triple = certificate
+    signs = 1 - 2 * table.astype(np.int8)
+    return ((linear.kind, linear.indices) in failing
+            and all(_violates_cocycle(signs, *m.indices) for m in triple))
 
 
 @pytest.mark.parametrize("cell", [(300, 5), (3, 400), (0, 511)])
@@ -563,7 +599,7 @@ def _flipped(table, cell):
 
 def _certificate_cases(n, mu):
     """(name, parity table) pairs for which the rebuild must decide as
-    the per-k scan does."""
+    the scan of every identity does."""
     table = table_direct(n).substitute(mu)
     last = (1 << n) - 1
     cases = [
@@ -582,9 +618,8 @@ def _certificate_cases(n, mu):
 def test_rebuild_decides_as_the_scan(n, mu):
     cases = _certificate_cases(n, mu)
     for name, table in cases:
-        scan = selftest._bilinear_scan(table, mu, "closed")
-        assert selftest._rebuilds(table) == (scan == []), name
-        assert _certificate(table, mu) == scan, name
+        assert _rebuilds(table) == (not _failing_identities(table)), name
+        assert _names_a_failing_identity(table, mu), name
     # below n = 2 and n = 3 the quadratic and the coboundary factors
     # are 1; at n = 1 the inner cell is the generator entry (1, 1),
     # and either sign there is bilinear
@@ -593,8 +628,7 @@ def test_rebuild_decides_as_the_scan(n, mu):
         passing += ["inner", "quadratic-in-q"]
     if n < 3:
         passing += ["coboundary"]
-    assert [name for name, table in cases
-            if selftest._rebuilds(table)] == passing
+    assert [name for name, table in cases if _rebuilds(table)] == passing
 
 
 @pytest.mark.parametrize("mu", [1, -1])
@@ -602,12 +636,10 @@ def test_rebuild_decides_as_the_scan(n, mu):
 def test_rebuild_decides_as_the_scan_across_row_blocks(cell, mu):
     # n = 9: two blocks of 256 rows; row 256 starts the second
     table = _parities(table_direct(9).substitute(mu))
-    assert selftest._rebuilds(table)
-    assert selftest._bilinear_scan(table, mu, "closed") == []
+    assert _rebuilds(table) and _certificate(table, mu) == []
     table[cell] ^= 1
-    assert not selftest._rebuilds(table)
-    scan = selftest._bilinear_scan(table, mu, "closed")
-    assert scan and _certificate(table, mu) == scan
+    assert not _rebuilds(table)
+    assert _names_a_failing_identity(table, mu)
 
 
 def _bits(count, width):
@@ -628,14 +660,14 @@ def test_rebuild_accepts_exactly_the_bilinear_parity_tables():
     # all 65,536 parity tables at n = 2, cell c of table i being bit c
     # of i: the rebuild passes exactly the 16 bilinear forms
     tables = _bits(1 << 16, 16).astype(np.uint8).reshape(-1, 4, 4)
-    passing = [i for i, table in enumerate(tables)
-               if selftest._rebuilds(table)]
+    passing = [i for i, table in enumerate(tables) if _rebuilds(table)]
     assert passing == sorted(
         int(form.ravel() @ (1 << np.arange(16))) for form in _bilinear_forms(2)
     )
-    # at n = 2 and n = 3 the rebuild and the per-k scan each pass
-    # exactly the bilinear forms, among all of them and 2,000 seeded
-    # random tables
+    # at n = 2 and n = 3 the rebuild and the scan of every identity
+    # each pass exactly the bilinear forms, among all of them and 2,000
+    # seeded random tables, and a failing certificate names an identity
+    # that fails
     rng = np.random.default_rng(20261019)
     for n in (2, 3):
         forms = _bilinear_forms(n)
@@ -643,9 +675,9 @@ def test_rebuild_accepts_exactly_the_bilinear_parity_tables():
         randoms = rng.integers(0, 2, (2000,) + forms.shape[1:], np.uint8)
         for table in np.concatenate([forms, randoms]):
             expected = table.tobytes() in bilinear
-            assert selftest._rebuilds(table) == expected
-            scan = selftest._bilinear_scan(table, 1, "closed")
-            assert (scan == []) == expected
+            assert _rebuilds(table) == expected
+            assert (not _failing_identities(table)) == expected
+            assert _names_a_failing_identity(table, 1)
 
 
 def test_selftest_peak_memory():
@@ -707,11 +739,11 @@ def _fault_corpus(count=120, seed=20261019):
 
 
 #: sha256 of the JSON list of ``lines()`` of every report of the fault
-#: corpus, recorded with the int8 sign table the certificate checked
-#: before it read sign parities: a report of a +-1-valued algorithm
-#: does not depend on how the certificate stores the table.
+#: corpus, with each certificate failure named from the rebuild's first
+#: difference.  A report of a +-1-valued algorithm does not depend on
+#: how the suites store their tables.
 _CORPUS_SHA256 = (
-    "7f6cb1201cfaa48f89aa2e675a2f582e7e5f267b994f74ca26208888d12bed3a"
+    "49d137d07fa1dccf6ef9e530d2bef5f9c475dcc48f5f0fa8c5923da0b8df880b"
 )
 
 
