@@ -232,9 +232,15 @@ class Multivector:
     def __pow__(self, n: int):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("only non-negative integer powers")
+        # by repeated squaring: the product is associative
         result = self._algebra.scalar(1)
-        for _ in range(n):
-            result = result * self
+        square = self
+        while n:
+            if n & 1:
+                result = result * square
+            n >>= 1
+            if n:
+                square = square * square
         return result
 
     # --- rendering --------------------------------------------------------

@@ -162,6 +162,19 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             v ** -1
 
+    @pytest.mark.parametrize("algebra", [pos, neg], ids=["mu+1", "mu-1"])
+    def test_power_equals_repeated_products(self, algebra):
+        x = algebra.parse("e_12 + e_3 + 1/2 e_14")
+        product = algebra.scalar(1)
+        for n in range(41):
+            assert x ** n == product, n
+            product = product * x
+
+    def test_large_power_by_squaring(self):
+        # one product per power would take seconds here
+        x = neg.parse("e_12 + e_3 + 1/2 e_14")
+        assert x ** 10_000 == (x ** 100) ** 100
+
     @pytest.mark.parametrize("n", [True, False, 0.5, 2.0, np.int64(2)])
     def test_power_needs_an_int_that_is_not_a_bool(self, n):
         with pytest.raises(ValueError, match="non-negative integer powers"):
