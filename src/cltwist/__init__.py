@@ -6,9 +6,10 @@ computed sign, the twist.  The package provides four independent
 implementations of the sign, exact rational multivectors, symbolic
 twist tables with a block-substitution generator, and a CLI.
 
-Only the tables and the self-test need numpy.  Their names are
-resolved on first access, so ``import cltwist`` and the sign,
-notation and multivector layers run without loading numpy.
+Only the tables need numpy; the self-test works on bit planes, Python
+ints.  The table names and ``run_selftest`` are resolved on first
+access, so ``import cltwist`` loads neither module, and every layer
+but the tables runs without loading numpy.
 """
 
 from importlib import import_module

@@ -20,8 +20,9 @@ checked by the library itself: a handler that gets a ValueError
 (NotationError is one) writes nothing to stdout, and :func:`main`
 prints ``cltwist <command>: <message>`` on one stderr line.
 
-Only ``table`` and ``selftest`` need numpy; their handlers import the
-table and self-test modules, so the other commands never load it.
+Only ``table`` needs numpy; its handler imports the table module, so
+the other commands never load it.  ``selftest`` imports the self-test
+module, which works on bit planes without numpy.
 """
 
 from __future__ import annotations

@@ -26,11 +26,11 @@ which proves :func:`twist_tree` by induction on the bits read, and
 pair of generators, which fixes it everywhere because the closed form
 is GF(2)-bilinear by construction (a parity fold, AND and a popcount
 parity).  Everything here is a pure function on Python ints, and this
-module never imports numpy.  Each algorithm also has an array
-form, following the same method over whole numpy grids of masks, in
-the private :mod:`cltwist._batch`; the self-test uses those for the
-built-in functions, while ``ALGORITHMS`` and the acceptance suites stay
-scalar.
+module never imports numpy.  Each algorithm also has a plane form,
+following the same method on bit planes, Python ints with one bit per
+blade pair of a whole grid, in the private :mod:`cltwist._batch`; the
+self-test uses those for the built-in functions, while ``ALGORITHMS``
+and the acceptance suites stay scalar.
 
 Mask contract: blades are plain ints in ``[0, 2**64)``, one bit per
 generator e_1 through e_64.  Every function that takes a blade pair

@@ -9,13 +9,14 @@ Two suites run back to back:
   s(p,q)*s(p^q,r) == s(q,r)*s(p,q^r) for every triple, which is
   associativity of the blade product.
 
-Both run at mu = +1 and mu = -1, over the grid of pairs in blocks of
-``tables._CHUNK_ROWS`` rows, so working memory does not grow with the
-table.  A built-in algorithm is evaluated a whole block at a time
-through its array form (:mod:`cltwist._batch`); any other function in
-the algorithm map is called pair by pair.  The map is a parameter so
-a harness can inject a faulty implementation and watch the suite
-catch it.
+Both run at mu = +1 and mu = -1, on bit planes (:mod:`cltwist._batch`):
+one Python int holds a Boolean value for every pair (p, q) below 2**n,
+at bit ``p * 2**n + q``, so one AND or XOR of two planes is one step
+on the whole grid, and the suites never load numpy.  A built-in
+algorithm gives its plane through its plane form; any other function
+in the algorithm map is called pair by pair, and only one row of its
+values is held at a time.  The map is a parameter so a harness can
+inject a faulty implementation and watch the suite catch it.
 
 At every width the cocycle suite checks a bilinearity certificate,
 2*n*4**n identities:
@@ -32,18 +33,17 @@ bilinear fails it.
 
 Both suites work on sign parities, 1 where s is negative: {+1, -1}
 under multiplication is Z/2 under XOR, so every comparison is an XOR
-of parities, and bimultiplicative means GF(2)-bilinear.  The array
+of parities, and bimultiplicative means GF(2)-bilinear.  The plane
 forms return parities; only a function called pair by pair returns
 values, and each of those is coded once, as its sign parity plus 2
-if it is not a sign, so the pairs suite compares every algorithm's
-codes with one table of parities alike and reports a value that is
-not a sign exactly as returned.  A parity table passes every
-identity exactly when it is the bilinear form of its n*n generator
-entries s(e_j, e_i).  So the certificate first rebuilds the table from
-them and compares, with ``tables._first_difference``: the XOR row
-doublings ``tables.table_direct`` uses, and the same test the
-``TwistTable`` constructor puts to a caller's codes.  A table that
-does not rebuild names the identity that fails at its first
+if it is not a sign, into two planes, so the pairs suite compares
+every algorithm's codes with one plane of parities alike and reports
+a value that is not a sign exactly as returned.  A parity plane
+passes every identity exactly when it is the bilinear form of its n*n
+generator entries s(e_j, e_i).  So the certificate rebuilds the plane
+from them and compares, with ``_batch.first_difference``, the same
+test the ``TwistTable`` constructor puts to a caller's codes.  A plane
+that does not rebuild names the identity that fails at its first
 difference, a (p, k, q), followed by the first violating triple among
 the rows involved, if they hold one.
 Each reported line ends with the ``cltwist sign`` calls that rerun it.
@@ -54,12 +54,12 @@ from __future__ import annotations
 import warnings
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from . import kernel
-from ._batch import ARRAY_FORMS
+from ._batch import (
+    ARRAY_FORMS, Grid, first_difference, first_set, joined, row_patterns,
+    split,
+)
 from ._record import Record
-from .tables import _first_difference, _row_blocks
 
 __all__ = ["Mismatch", "SelftestReport", "run_selftest"]
 
@@ -175,23 +175,6 @@ class SelftestReport(Record):
         return out
 
 
-def _block(f, p: np.ndarray, q: np.ndarray, mu: int, n: int):
-    """``f`` on the grid ``p`` (a column) by ``q`` (a row), as uint8
-    codes (see :func:`_code`) and the values themselves.
-
-    An array form gives its sign parities as they come, codes 0 and 1,
-    and no values.  Any other function is called once per pair, in
-    row-major order, on plain int masks; its values come back in an
-    object array, each one exactly as returned, and each is coded once.
-    """
-    form = ARRAY_FORMS.get(f)
-    if form is not None:
-        return form(p, q, mu, n), None
-    values = np.frompyfunc(f, 3, 1)(p, q, mu)
-    with np.errstate(invalid="ignore"):  # a NaN has no sign bit
-        return np.frompyfunc(_code, 1, 1)(values).astype(np.uint8), values
-
-
 def _code(value) -> int:
     """The sign parity of ``value``, its sign bit (0 where ``value < 0``
     cannot be decided), plus 2 unless ``value`` equals the sign that
@@ -208,67 +191,115 @@ def _code(value) -> int:
         return bit + 2
 
 
+#: The digits of a row of codes (see :func:`_code`), one byte each,
+#: highest q first: its sign parities, and where it is not a sign.
+_PARITY_DIGITS = bytes.maketrans(b"\0\1\2\3", b"0101")
+_NOT_SIGN_DIGITS = bytes.maketrans(b"\0\1\2\3", b"0011")
+
+
+def _called_planes(grid: Grid, mu: int, called, planes, kept: str):
+    """Call each function of ``called`` once per pair, in row-major
+    order, on plain int masks, and add its two planes to ``planes``:
+    the parity of each value's code, and where it is not a sign.
+
+    Only the current row's values are held, until the first row where
+    some algorithm's code differs from the parity of ``kept``'s; that
+    row's values are returned, by name, for the report (an empty map if
+    no row differs).  The rows of the planes already in ``planes`` are
+    read alongside, to tell.
+    """
+    n = grid.n
+    masks = range(grid.size)
+    formed = list(planes)
+    rows = {name: ([], []) for name in called}
+    held = None
+    for p, *formed_rows in zip(masks, *(split(planes[name][0], n)
+                                        for name in formed)):
+        values = {name: [f(p, q, mu) for q in masks]
+                  for name, f in called.items()}
+        codes = {name: (row, 0) for name, row in zip(formed, formed_rows)}
+        for name, row_values in values.items():
+            digits = bytes(map(_code, reversed(row_values)))
+            codes[name] = (int(digits.translate(_PARITY_DIGITS), 2),
+                           int(digits.translate(_NOT_SIGN_DIGITS), 2))
+            for plane_rows, row in zip(rows[name], codes[name]):
+                plane_rows.append(row)
+        if held is None:
+            ref = codes[kept][0]
+            if any((parity ^ ref) | not_sign
+                   for parity, not_sign in codes.values()):
+                held = values
+    for name, (parities, not_signs) in rows.items():
+        planes[name] = (joined(parities, n), joined(not_signs, n))
+    return held or {}
+
+
 def _pairs_suite(
-    n: int, mu: int, algorithms, kept: str
-) -> Tuple[Optional[Mismatch], np.ndarray]:
+    grid: Grid, mu: int, algorithms, kept: str
+) -> Tuple[Optional[Mismatch], int]:
     """Exhaustive four-way agreement below 2**n.
 
     Returns the first mismatch in row-major order (or None) and the
-    parity table of the algorithm ``kept`` (its codes' low bit), reused
+    parity plane of the algorithm ``kept`` (its codes' low bit), reused
     by the bilinearity certificate so an injected fault in it
     propagates there too.  A cell mismatches where some algorithm's
     code differs from that parity: its parity differs, or it returned
-    a value that is not a sign.
+    a value that is not a sign.  The first one is the lowest set bit of
+    the OR of the difference planes.
     """
-    size = 1 << n
-    table = np.empty((size, size), dtype=np.uint8)
-    masks = np.arange(size, dtype=np.uint64)
-    q = masks[None, :]
-    first = None
-    for rows in _row_blocks(size):
-        p = masks[rows, None]
-        blocks = {
-            name: _block(f, p, q, mu, n) for name, f in algorithms.items()
-        }
-        ref = table[rows] = blocks[kept][0] & 1
-        if first is None:
-            bad = np.zeros(ref.shape, dtype=bool)
-            for codes, _ in blocks.values():
-                bad |= codes != ref
-            if bad.any():
-                i, j = divmod(int(bad.argmax()), size)
-                signs = {name: 1 - 2 * codes.item(i, j) if values is None
-                         else values[i, j]
-                         for name, (codes, values) in blocks.items()}
-                first = Mismatch("pairs", mu, (rows.start + i, j), signs)
-    return first, table
+    planes = {}
+    called = {}
+    for name, f in algorithms.items():
+        form = ARRAY_FORMS.get(f)
+        if form is None:
+            called[name] = f
+        else:
+            planes[name] = (form(grid, mu), 0)
+    values = _called_planes(grid, mu, called, planes, kept) if called else {}
+    ref = planes[kept][0]
+    differ = 0
+    for parity, not_sign in planes.values():
+        differ |= (parity ^ ref) | not_sign
+    cell = first_set(differ, grid.n)
+    if cell is None:
+        return None, ref
+    p, q = cell
+    bit = p << grid.n | q
+    signs = {name: values[name][q] if name in values
+             else 1 - 2 * (planes[name][0] >> bit & 1)
+             for name in algorithms}
+    return Mismatch("pairs", mu, cell, signs), ref
 
 
 def _cocycle_suite(
-    table: np.ndarray, mu: int, ps, algo: str
+    table: int, n: int, mu: int, ps, algo: str
 ) -> Optional[Mismatch]:
     """First triple (p, q, r) in row-major order whose cocycle identity
-    fails in the parity table of algorithm ``algo``, with p in the
-    ascending ``ps``; the certificate's reporter.  The q axis is walked
-    in row blocks, each with its own grid of q^r."""
-    size = table.shape[0]
-    idx = np.arange(size)
+    fails in the parity plane of width n of algorithm ``algo``, with p
+    in the ascending ``ps``; the certificate's reporter.  Each (p, q)
+    checks every r at once, on rows."""
+    rows = list(split(table, n))
+    ones = (1 << (1 << n)) - 1
     for p in ps:
-        for rows in _row_blocks(size):
-            q = idx[rows]
-            # s(p,q)*s(p^q,r) vs s(q,r)*s(p,q^r) for q in block, all r
-            lhs = table[p, rows, None] ^ table[p ^ q]
-            bad = lhs != (table[rows] ^ table[p][q[:, None] ^ idx])
-            if bad.any():
-                i, r = divmod(int(bad.argmax()), size)
-                indices = (p, rows.start + i, r)
-                return Mismatch("triples", mu, indices, {}, algo)
+        # shifted[q] is row p with bit q ^ r at r: s(p, q^r)
+        shifted = [rows[p]]
+        for j, pattern in enumerate(row_patterns(n)):
+            e = 1 << j
+            shifted += [(x & pattern) >> e | (x << e & pattern)
+                        for x in shifted]
+        for q, row in enumerate(rows):
+            # s(p,q)*s(p^q,r) vs s(q,r)*s(p,q^r), for every r at once
+            lhs = rows[p ^ q] ^ (ones if rows[p] >> q & 1 else 0)
+            bad = lhs ^ row ^ shifted[q]
+            if bad:
+                r = (bad & -bad).bit_length() - 1
+                return Mismatch("triples", mu, (p, q, r), {}, algo)
     return None
 
 
-def _certificate(table: np.ndarray, mu: int, algo: str) -> List[Mismatch]:
-    """The bilinearity certificate on the parity table of algorithm
-    ``algo``.
+def _certificate(table: int, n: int, mu: int, algo: str) -> List[Mismatch]:
+    """The bilinearity certificate on the parity plane of width n of
+    algorithm ``algo``.
 
     Returns no mismatch if the table rebuilds from its generator
     entries.  Otherwise every cell before its first difference (p, q)
@@ -281,7 +312,7 @@ def _certificate(table: np.ndarray, mu: int, algo: str) -> List[Mismatch]:
     violation among the rows that identity involves follows it, if
     those rows hold one.
     """
-    cell = _first_difference(table)
+    cell = first_difference(table, n)
     if cell is None:
         return []
     p, q = cell
@@ -297,7 +328,7 @@ def _certificate(table: np.ndarray, mu: int, algo: str) -> List[Mismatch]:
         indices = (p, 1, 0) if q == 0 else (p, e.bit_length(), q ^ e)
         found = Mismatch("linear-q", mu, indices, {}, algo)
         involved = [p]
-    triple = _cocycle_suite(table, mu, sorted(involved), algo)
+    triple = _cocycle_suite(table, n, mu, sorted(involved), algo)
     return [found] if triple is None else [found, triple]
 
 
@@ -311,12 +342,13 @@ def run_selftest(n: int = kernel.DEFAULT_N, algorithms=None) -> SelftestReport:
     size = 1 << n
     # the cocycle suite checks the closed form's table, if it is there
     kept = "closed" if "closed" in algorithms else next(iter(algorithms))
+    grid = Grid(n)
     mismatches: List[Mismatch] = []
     for mu in (1, -1):
-        pair_miss, table = _pairs_suite(n, mu, algorithms, kept)
+        pair_miss, table = _pairs_suite(grid, mu, algorithms, kept)
         if pair_miss is not None:
             mismatches.append(pair_miss)
-        mismatches += _certificate(table, mu, kept)
+        mismatches += _certificate(table, n, mu, kept)
     return SelftestReport(
         n=n,
         pair_count=size * size,

@@ -25,12 +25,12 @@ the cell's indices and the letter records the row's grade parity.
 The twist is a bicharacter, so a row's codes are linear in q as well:
 ``codes[p, q ^ r] == codes[p, q] ^ codes[p, r]``.  Every
 :class:`TwistTable` is bilinear: the builders make it so, and the
-constructor checks a caller's array once, with the test the
-self-test's certificate uses (:func:`_first_difference`).  The
-renderer, one function (:func:`_render_chunks`) for tables and letter
-grids alike, relies on it to spell each distinct leading block of
-columns once and build every row by joining shifted copies of its
-block.
+constructor checks each bit plane of a caller's codes once, with the
+test the self-test's certificate uses
+(:func:`cltwist._batch.first_difference`).  The renderer, one function
+(:func:`_render_chunks`) for tables and letter grids alike, relies on
+it to spell each distinct leading block of columns once and build
+every row by joining shifted copies of its block.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from itertools import chain
 
 import numpy as np
 
+from ._batch import first_difference
 from .kernel import (
     MAX_DIM, _check_dim, _check_masks, _check_mu, _parity_above, twist_closed,
 )
@@ -154,8 +155,13 @@ class TwistTable:
         self._hold(n, codes.copy())
         if (self.codes & ~3).any():
             raise ValueError("codes must be in 0..3")
-        if _first_difference(self.codes) is not None:
-            raise ValueError("codes must be bilinear in p and in q under XOR")
+        for bit in (1, 2):
+            packed = np.packbits(self.codes & bit, bitorder="little")
+            plane = int.from_bytes(packed.tobytes(), "little")
+            if first_difference(plane, n) is not None:
+                raise ValueError(
+                    "codes must be bilinear in p and in q under XOR"
+                )
 
     @classmethod
     def _adopt(cls, n: int, codes: np.ndarray) -> "TwistTable":
@@ -206,8 +212,8 @@ class TwistTable:
         return f"<TwistTable n={self.n} ({self.codes.shape[0]}x{self.codes.shape[1]})>"
 
 
-#: Rows per block of the renderer and the self-test: working buffers
-#: scale with it, not with the table.
+#: Rows per block of the renderer: working buffers scale with it, not
+#: with the table.
 _CHUNK_ROWS = 256
 
 
@@ -249,34 +255,6 @@ def _doubled(factors: np.ndarray, count: int) -> np.ndarray:
         e = 1 << k
         np.bitwise_xor(out[:e], factors[k], out=out[e:2 * e])
     return out
-
-
-def _first_difference(table: np.ndarray):
-    """The first cell (p, q), in row-major order, where the square
-    table, of codes or of sign parities, differs from the GF(2)-bilinear
-    form of its generator entries ``table[e_j, e_i]``; None if there is
-    none.
-
-    The generator rows are rebuilt from the n*n generator matrix, the
-    rows of the first block as the XORs of their generator rows, and
-    each later block as the first one XORed with the generator rows at
-    its start; every row, the generator rows included, is compared.  A
-    table has no difference exactly when it is linear in p and in q:
-    when ``table[p ^ r, q] == table[p, q] ^ table[r, q]`` and
-    ``table[p, q ^ r] == table[p, q] ^ table[p, r]`` for all p, q, r.
-    """
-    size = table.shape[0]
-    gens = 1 << np.arange(size.bit_length() - 1)
-    gen_rows = _doubled(table[gens][:, gens].T, size).T
-    head_rows = min(size, _CHUNK_ROWS)
-    head = _doubled(gen_rows, head_rows)
-    starts = _doubled(gen_rows[head_rows.bit_length() - 1:], size // head_rows)
-    for rows, start in zip(_row_blocks(size), starts):
-        bad = table[rows] != head ^ start
-        if bad.any():
-            i, q = divmod(int(bad.argmax()), size)
-            return rows.start + i, q
-    return None
 
 
 #: Spelling of a coefficiented letter: its code in bits 0-1, its

@@ -474,9 +474,10 @@ def test_python_dash_m_entry(child_env):
     assert out.stdout == "e_{124}\n"
 
 
-# numpy is for the table and self-test layers only, and dataclasses,
-# which loads inspect, is used nowhere.  Each check runs in a fresh
-# interpreter, since this process has long since imported them.
+# numpy is for the table layer only: the self-test works on bit planes,
+# Python ints.  dataclasses, which loads inspect, is used nowhere.  Each
+# check runs in a fresh interpreter, since this process has long since
+# imported them.
 
 _UNLOADED = (
     "print([m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')])"
@@ -504,6 +505,7 @@ def test_import_leaves_numpy_unloaded(child_env):
         ["mul", "e_134 * e_23", "--mu", "-1"],
         ["trace", "5", "3", "--mu", "+1"],
         ["bench", "--pairs", "100"],
+        ["selftest", "--n", "4"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -516,6 +518,16 @@ def test_command_leaves_numpy_unloaded(child_env, argv):
         child_env,
     )
     assert out.splitlines()[-2:] == ["0", "[False, False, False]"]
+
+
+def test_run_selftest_leaves_numpy_unloaded(child_env):
+    out = _fresh_python(
+        "import sys\n"
+        "from cltwist import run_selftest\n"
+        "print(run_selftest(6).ok)\n" + _UNLOADED,
+        child_env,
+    )
+    assert out == "True\n[False, False, False]\n"
 
 
 def test_star_import_and_dir_cover_all(child_env):

@@ -410,11 +410,10 @@ def test_mixed_map_reports_plain_ints_in_map_order():
 
 
 def test_fault_in_an_array_form_found_in_a_later_row_block(monkeypatch):
-    # n = 9 walks two blocks of 256 rows; the fault sits in the second
-    def broken(p, q, mu, width):
-        parity = _batch.tree_parity(p, q, mu, width)
-        parity[(p == 300) & (q == 7)] ^= 1
-        return parity
+    # n = 9: the fault is bit 300 * 2**9 + 7 of the plane, in a row past
+    # the first 256
+    def broken(grid, mu):
+        return _batch.tree_parity(grid, mu) ^ 1 << (300 << 9 | 7)
 
     monkeypatch.setitem(_batch.ARRAY_FORMS, kernel.twist_tree, broken)
     report = run_selftest(9)
@@ -445,15 +444,26 @@ def _parities(signs):
     return (signs < 0).astype(np.uint8)
 
 
+def _plane(table):
+    """The bit plane of a square uint8 parity table: cell (p, q) at bit
+    ``p * size + q``."""
+    packed = np.packbits(table, axis=None, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _width(table):
+    return table.shape[0].bit_length() - 1
+
+
 def _certificate(table, mu):
     """What ``run_selftest`` reports for a parity table: nothing if it
     rebuilds from its generator entries, else the identity that fails
     at its first difference and a violating triple, if any."""
-    return selftest._certificate(table, mu, "closed")
+    return selftest._certificate(_plane(table), _width(table), mu, "closed")
 
 
 def _rebuilds(table):
-    return selftest._first_difference(table) is None
+    return _batch.first_difference(_plane(table), _width(table)) is None
 
 
 def _failing_identities(table):
@@ -493,7 +503,8 @@ def _names_a_failing_identity(table, mu):
 def test_blocked_cocycle_suite_finds_the_row_major_first_triple(cell):
     signs = table_direct(9).substitute(-1)
     signs[cell] *= -1
-    miss = selftest._cocycle_suite(_parities(signs), -1, range(512), "closed")
+    table = _plane(_parities(signs))
+    miss = selftest._cocycle_suite(table, 9, -1, range(512), "closed")
     assert miss.kind == "triples"
     assert miss.indices == _first_triple(signs)
 
@@ -571,7 +582,9 @@ def _coboundary_twisted(table):
 def test_certificate_rejects_a_cocycle_that_is_not_bilinear(n, mu):
     signs = _coboundary_twisted(table_direct(n).substitute(mu))
     table = _parities(signs)
-    assert selftest._cocycle_suite(table, mu, range(1 << n), "closed") is None
+    triple = selftest._cocycle_suite(_plane(table), n, mu, range(1 << n),
+                                     "closed")
+    assert triple is None
     [linear] = _certificate(table, mu)  # and no triple
     assert linear.kind in ("linear-p", "linear-q") and linear.mu == mu
     assert _identity_fails(signs, linear)
@@ -727,12 +740,12 @@ def _fault_corpus(count=120, seed=20261019):
 
             yield n, {**algos, name: scalar}, None
         else:
-            def form(p, q, mu, width, true=_batch.ARRAY_FORMS[true],
-                     cells=cells, mus=mus):
-                parity = true(p, q, mu, width)
+            def form(grid, mu, true=_batch.ARRAY_FORMS[true], cells=cells,
+                     mus=mus):
+                parity = true(grid, mu)
                 if mu in mus:
                     for a, b in cells:
-                        parity[(p == a) & (q == b)] ^= 1
+                        parity ^= 1 << (a << grid.n | b)
                 return parity
 
             yield n, algos, (true, form)
