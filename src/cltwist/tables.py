@@ -156,8 +156,10 @@ class TwistTable:
         if (self.codes & ~3).any():
             raise ValueError("codes must be in 0..3")
         for bit in (1, 2):
-            packed = np.packbits(self.codes & bit, bitorder="little")
-            plane = int.from_bytes(packed.tobytes(), "little")
+            # packed in row blocks: small temporaries, reused
+            chunks = [np.packbits(self.codes[rows] & bit, bitorder="little")
+                      for rows in _row_blocks(1 << n)]
+            plane = int.from_bytes(b"".join(chunks), "little")
             if first_difference(plane, n) is not None:
                 raise ValueError(
                     "codes must be bilinear in p and in q under XOR"
@@ -212,8 +214,8 @@ class TwistTable:
         return f"<TwistTable n={self.n} ({self.codes.shape[0]}x{self.codes.shape[1]})>"
 
 
-#: Rows per block of the renderer: working buffers scale with it, not
-#: with the table.
+#: Rows per block of the renderer and of the constructor's bilinearity
+#: check: working buffers scale with it, not with the table.
 _CHUNK_ROWS = 256
 
 
