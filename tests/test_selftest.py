@@ -250,7 +250,7 @@ def test_an_array_value_is_a_mismatch_on_one_line():
 
 
 def test_scalar_path_calls_once_per_pair_in_row_major_order():
-    # n = 9 spans two blocks of 256 rows; the masks arrive as plain ints
+    # n = 9: 512 rows of 512 calls each; the masks arrive as plain ints
     expected = ((p, q, mu) for mu in (1, -1)
                 for p in range(512) for q in range(512))
     wrong = []
@@ -647,7 +647,7 @@ def test_rebuild_decides_as_the_scan(n, mu):
 @pytest.mark.parametrize("mu", [1, -1])
 @pytest.mark.parametrize("cell", [(300, 5), (256, 256), (511, 300), (5, 300)])
 def test_rebuild_decides_as_the_scan_across_row_blocks(cell, mu):
-    # n = 9: two blocks of 256 rows; row 256 starts the second
+    # n = 9: cells in both halves of the 512 rows, row 256 among them
     table = _parities(table_direct(9).substitute(mu))
     assert _rebuilds(table) and _certificate(table, mu) == []
     table[cell] ^= 1
@@ -694,8 +694,8 @@ def test_rebuild_accepts_exactly_the_bilinear_parity_tables():
 
 
 def test_selftest_peak_memory():
-    # the suites work in row blocks: the 4 MiB uint8 table at n = 11 and
-    # the buffers of one block
+    # the suites work on bit planes of 0.5 MiB at n = 11: the n planes
+    # of q's bits, one plane per algorithm and a few working ones
     tracemalloc.start()
     try:
         run_selftest(11)
