@@ -26,9 +26,10 @@ the transitions of ``kernel._FLAT_TREES``, the automaton ``twist_tree``
 walks, computed from that table alone, so the form stays independent
 of the other three.
 
-:func:`first_difference` is the one bilinearity test: the self-test's
-certificate puts a parity plane to it, and the ``TwistTable``
-constructor each bit plane of its codes.
+:func:`first_difference` is the bilinearity test on planes: the
+self-test's certificate puts a parity plane to it.  Tables, whose
+format is a numpy array, have their own, ``tables._extension``, and
+import nothing from here.
 
 :data:`ARRAY_FORMS` maps each scalar function in
 :data:`cltwist.kernel.ALGORITHMS` to its form.  A caller holding some

@@ -41,8 +41,9 @@ every algorithm's codes with one plane of parities alike and reports
 a value that is not a sign exactly as returned.  A parity plane
 passes every identity exactly when it is the bilinear form of its n*n
 generator entries s(e_j, e_i).  So the certificate rebuilds the plane
-from them and compares, with ``_batch.first_difference``, the same
-test the ``TwistTable`` constructor puts to a caller's codes.  A plane
+from them and compares, with ``_batch.first_difference``; the
+``TwistTable`` constructor does the same to a caller's int8 codes with
+the array extension of its own module, ``tables._extension``.  A plane
 that does not rebuild names the identity that fails at its first
 difference, a (p, k, q), followed by the first violating triple among
 the rows involved, if they hold one.

@@ -11,9 +11,9 @@ whole table sit in a numpy int8 array of two-bit codes:
 and entry products become XOR.  Two independent constructions are
 provided and cross-checked by the test suite:
 
-* :func:`table_direct` evaluates the closed form on the n generator
-  rows p = e_k only and XORs the other rows together from them, since
-  the twist is bilinear in p;
+* :func:`table_direct` evaluates the closed form on the n*n generator
+  pairs (e_j, e_i) only and XORs every other cell together from them,
+  since the twist is bilinear;
 * :func:`table_blocks` grows the table by block substitution, doubling
   the resolution per round starting from the single letter A.
 
@@ -23,14 +23,18 @@ coefficiented letter such as ``-mB``.  The coefficient is the twist of
 the cell's indices and the letter records the row's grade parity.
 
 The twist is a bicharacter, so a row's codes are linear in q as well:
-``codes[p, q ^ r] == codes[p, q] ^ codes[p, r]``.  Every
-:class:`TwistTable` is bilinear: the builders make it so, and the
-constructor checks each bit plane of a caller's codes once, with the
-test the self-test's certificate uses
-(:func:`cltwist._batch.first_difference`).  The renderer, one function
-(:func:`_render_chunks`) for tables and letter grids alike, relies on
-it to spell each distinct leading block of columns once and build
-every row by joining shifted copies of its block.
+``codes[p, q ^ r] == codes[p, q] ^ codes[p, r]``, and its n*n
+generator entries fix the whole table.  One function,
+:func:`_extension`, builds the table that a set of generator entries
+fixes: :func:`table_direct` builds with it, and the :class:`TwistTable`
+constructor checks with it, since codes are bilinear exactly when they
+equal the extension of their own generator entries.  So every table is
+bilinear.  (The self-test, whose format is the bit plane, not the
+array, has its own extension: :func:`cltwist._batch.first_difference`.)
+The renderer, one function (:func:`_render_chunks`) for tables and
+letter grids alike, relies on it to spell each distinct leading block
+of columns once and build every row by joining shifted copies of its
+block, so :func:`render_table` takes nothing but a :class:`TwistTable`.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from itertools import chain
 
 import numpy as np
 
-from ._batch import first_difference
 from .kernel import (
     MAX_DIM, _check_dim, _check_masks, _check_mu, _parity_above, twist_closed,
 )
@@ -141,13 +144,14 @@ class TwistTable:
 
     ``codes`` is a 2**n square numpy int8 array of codes in 0..3,
     bilinear in p and in q under XOR as every twist is; anything else
-    raises TypeError (not an array) or ValueError.
+    raises TypeError (not exactly a numpy array: a subclass such as a
+    masked array is turned away) or ValueError.
     """
 
     __slots__ = ("n", "codes")
 
     def __init__(self, n: int, codes: np.ndarray):
-        if not isinstance(codes, np.ndarray):
+        if type(codes) is not np.ndarray:
             raise TypeError(
                 f"codes must be a numpy array, got {type(codes).__name__}"
             )
@@ -155,15 +159,12 @@ class TwistTable:
         self._hold(n, codes.copy())
         if (self.codes & ~3).any():
             raise ValueError("codes must be in 0..3")
-        for bit in (1, 2):
-            # packed in row blocks: small temporaries, reused
-            chunks = [np.packbits(self.codes[rows] & bit, bitorder="little")
-                      for rows in _row_blocks(1 << n)]
-            plane = int.from_bytes(b"".join(chunks), "little")
-            if first_difference(plane, n) is not None:
-                raise ValueError(
-                    "codes must be bilinear in p and in q under XOR"
-                )
+        # bilinear exactly when the codes equal the extension of their own
+        # generator entries; the XOR, in place, compares both code bits
+        gens = 1 << np.arange(n)
+        rebuilt = _extension(self.codes[np.ix_(gens, gens)])
+        if np.bitwise_xor(rebuilt, self.codes, out=rebuilt).any():
+            raise ValueError("codes must be bilinear in p and in q under XOR")
 
     @classmethod
     def _adopt(cls, n: int, codes: np.ndarray) -> "TwistTable":
@@ -214,36 +215,31 @@ class TwistTable:
         return f"<TwistTable n={self.n} ({self.codes.shape[0]}x{self.codes.shape[1]})>"
 
 
-#: Rows per block of the renderer and of the constructor's bilinearity
-#: check: working buffers scale with it, not with the table.
-_CHUNK_ROWS = 256
-
-
-def _row_blocks(rows: int):
-    """Slices of at most ``_CHUNK_ROWS`` consecutive rows covering
-    ``range(rows)``, in order."""
-    for start in range(0, rows, _CHUNK_ROWS):
-        yield slice(start, min(start + _CHUNK_ROWS, rows))
-
-
 def table_direct(n: int) -> TwistTable:
-    """Twist table from the closed form on its generator rows.
+    """Twist table from the closed form on its generator pairs.
 
-    The code of (p, q) is linear in p over GF(2): its negation bit is
-    the parity of ``_parity_above(p) & q`` and its mu bit that of
-    ``p & q``, both linear in p.  So row 0 is all zeros, the closed
-    form gives the n rows p = e_k, and each further row is an XOR of
-    rows already built: doubling k fills rows e_k .. 2e_k - 1 as
-    ``rows[0:e_k] ^ row(e_k)``.
+    The code of (p, q) is bilinear over GF(2): its negation bit is the
+    parity of ``_parity_above(p) & q`` and its mu bit that of ``p & q``,
+    both linear in p and in q.  So the closed form gives the n*n
+    entries (e_j, e_i), and :func:`_extension` every other cell.
     """
     _check_dim(n)
-    size = 1 << n
-    gens = np.left_shift(1, np.arange(n, dtype=np.uint64)).reshape(-1, 1)
-    q = np.arange(size, dtype=np.uint64)
-    neg = np.bitwise_count(_parity_above(gens) & q) & 1
-    mu_power = np.bitwise_count(gens & q) & 1
-    gen_rows = (neg | mu_power << 1).astype(np.int8)
-    return TwistTable._adopt(n, _doubled(gen_rows, size))
+    gens = np.left_shift(1, np.arange(n, dtype=np.uint64))
+    neg = np.bitwise_count(_parity_above(gens[:, None]) & gens) & 1
+    mu_power = np.bitwise_count(gens[:, None] & gens) & 1
+    entries = (neg | mu_power << 1).astype(np.int8)
+    return TwistTable._adopt(n, _extension(entries))
+
+
+def _extension(entries: np.ndarray) -> np.ndarray:
+    """The 2**n square int8 table, bilinear in p and in q under XOR,
+    whose generator entry (e_j, e_i) is ``entries[j, i]``, for the n by
+    n ``entries``: the generator rows by doublings along q, then every
+    row by doublings along p."""
+    size = 1 << entries.shape[0]
+    # contiguous, so that each doubling along p XORs a contiguous row
+    gen_rows = np.ascontiguousarray(_doubled(entries.T, size).T)
+    return _doubled(gen_rows, size)
 
 
 def _doubled(factors: np.ndarray, count: int) -> np.ndarray:
@@ -303,6 +299,11 @@ def table_blocks(n: int) -> TwistTable:
 
 # --- rendering -------------------------------------------------------------
 
+#: Rows per chunk of the renderer: its working buffers scale with it,
+#: not with the table.
+_CHUNK_ROWS = 256
+
+
 def _separator(format: str) -> str:
     if format not in ("text", "csv"):
         raise ValueError(f"format must be 'text' or 'csv', got {format!r}")
@@ -353,8 +354,9 @@ def _render_chunks(codes: np.ndarray, spell, sep: str):
         [line + sep for line in lines] + [line + "\n" for line in lines],
         dtype=object,
     )
-    for block_rows in _row_blocks(len(row_class)):
-        index = 4 * row_class[block_rows, None] + shifts[block_rows]
+    for start in range(0, len(row_class), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        index = 4 * row_class[rows, None] + shifts[rows]
         index[:, -1] += len(lines)
         yield palette[index].ravel().tolist()
 
@@ -366,6 +368,11 @@ def _joined(chunks) -> str:
 
 def _table_chunks(table: TwistTable, format: str, mu):
     """:func:`render_table` as an iterator of row chunks."""
+    # the renderer relies on bilinearity, which only the class vouches for
+    if not isinstance(table, TwistTable):
+        raise TypeError(
+            f"table must be a TwistTable, got {type(table).__name__}"
+        )
     sep = _separator(format)
     if mu is None:
         return _render_chunks(table.codes, _SPELL, sep)
@@ -379,7 +386,8 @@ def render_table(table: TwistTable, format: str = "text", mu=None) -> str:
     format "text" separates entries with single spaces, "csv" with
     commas; both use LF line endings, no header, entries spelled from
     {1, -1, m, -m}.  mu None keeps entries symbolic, +1 or -1
-    substitutes numbers.
+    substitutes numbers.  Anything but a :class:`TwistTable` raises
+    TypeError.
     """
     return _joined(_table_chunks(table, format, mu))
 

@@ -530,6 +530,18 @@ def test_run_selftest_leaves_numpy_unloaded(child_env):
     assert out == "True\n[False, False, False]\n"
 
 
+def test_tables_import_leaves_the_self_test_unloaded(child_env):
+    # the table layer checks bilinearity with its own extension, so it
+    # loads none of the self-test's plane code
+    out = _fresh_python(
+        "import sys, cltwist.tables\n"
+        "print([m in sys.modules for m in ('cltwist._batch',"
+        " 'cltwist.selftest')])\n",
+        child_env,
+    )
+    assert out == "[False, False]\n"
+
+
 def test_star_import_and_dir_cover_all(child_env):
     # dir() first: the star import caches every lazy name it binds
     out = _fresh_python(

@@ -1,13 +1,14 @@
 import copy
 import pickle
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cltwist import kernel
+from cltwist import _batch, kernel, tables
 from cltwist.tables import (
     MAX_DIM,
     SymbolicSign,
@@ -401,6 +402,41 @@ class TestValidation:
             TwistTable(2, np.full((4, 4), 3, dtype=np.int8))
         assert TwistTable(2, table_direct(2).codes).codes.max() == 3
 
+    def test_codes_must_be_exactly_a_numpy_array(self):
+        # a subclass keeps its own behaviour: with cell (1, 1) masked,
+        # entry(1, 1) raised MaskError while the renderer and substitute
+        # read the data under the mask
+        class Codes(np.ndarray):
+            pass
+
+        codes = table_direct(2).codes
+        mask = np.zeros(codes.shape, dtype=bool)
+        mask[1, 1] = True
+        with pytest.raises(
+            TypeError, match="codes must be a numpy array, got MaskedArray"
+        ):
+            TwistTable(2, np.ma.array(codes, mask=mask))
+        with pytest.raises(TypeError, match="numpy array, got Codes"):
+            TwistTable(2, codes.view(Codes))
+        assert type(TwistTable(2, codes).codes) is np.ndarray
+
+    def test_render_takes_only_tables(self):
+        # the renderer relies on bilinearity, which only TwistTable
+        # checks: random codes behind a .codes attribute rendered wrong
+        # rows, and a code of 9 raised a bare IndexError
+        rng = np.random.default_rng(16)
+        codes = rng.integers(0, 4, size=(16, 16)).astype(np.int8)
+        assert not _bilinear(codes)
+        out_of_range = codes.copy()
+        out_of_range[3, 5] = 9
+        for fake in (codes, out_of_range):
+            for format, mu in (("text", None), ("csv", -1)):
+                with pytest.raises(
+                    TypeError,
+                    match="table must be a TwistTable, got SimpleNamespace",
+                ):
+                    render_table(SimpleNamespace(codes=fake), format, mu)
+
 
 @pytest.mark.parametrize("build", [table_direct, table_blocks])
 def test_entry_rejects_masks_outside_table(build):
@@ -590,6 +626,38 @@ def _random_bilinear(n):
     return TwistTable(n, _doubled(_doubled(gens.T, size).T, size))
 
 
+def _planes_rebuild(codes) -> bool:
+    """Whether both bit planes of ``codes`` pass the self-test's plane
+    rebuild, :func:`cltwist._batch.first_difference`: the reference
+    where the brute-force :func:`_bilinear` is too slow."""
+    n = codes.shape[0].bit_length() - 1
+    planes = (np.packbits(codes & bit, bitorder="little") for bit in (1, 2))
+    return all(
+        _batch.first_difference(int.from_bytes(plane, "little"), n) is None
+        for plane in planes
+    )
+
+
+@pytest.mark.parametrize("row", [None, "first", "middle block", "last"])
+@pytest.mark.parametrize("n", [11, 12])
+def test_constructor_decides_as_the_plane_rebuild_at_top_widths(n, row):
+    # the two bilinearity tests, each on its own format, agree on a built
+    # table and on one flipped cell in row 0, in a middle 256-row block
+    # and in the last row
+    size = 1 << n
+    codes = table_direct(n).codes.copy()
+    if row is not None:
+        p = {"first": 0, "middle block": size // 2 + 3, "last": size - 1}[row]
+        codes[p, size // 3] ^= 1 + p % 3
+    try:
+        TwistTable(n, codes)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == "codes must be bilinear in p and in q under XOR"
+        accepted = False
+    assert accepted == _planes_rebuild(codes) == (row is None)
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_any_bilinear_table_renders(n):
     _assert_renders(_random_bilinear(n))
@@ -609,3 +677,20 @@ def test_any_bilinear_table_renders_at_top_widths(n, format, sep, mu):
     assert len(lines) == 1 << n
     expected = _reference_render(table.codes[_TOP_ROWS], _spelling(mu), sep)
     assert "".join(lines[p] for p in _TOP_ROWS) == expected
+
+
+# --- the two builders stay independent ---------------------------------------
+
+def _names(code):
+    """Global and attribute names that ``code`` and the code nested in it
+    use."""
+    nested = (c for c in code.co_consts if hasattr(c, "co_names"))
+    return set(code.co_names).union(*map(_names, nested))
+
+
+def test_block_builder_shares_nothing_with_the_direct_one():
+    # the cross-check of the two builders means something only while the
+    # block construction uses neither the extension nor the closed form
+    banned = {"_extension", "_doubled", "_parity_above", "twist_closed"}
+    for f in (table_blocks, tables._block_rounds):
+        assert not _names(f.__code__) & banned, f.__name__
