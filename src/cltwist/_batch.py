@@ -31,7 +31,7 @@ self-test's certificate puts a parity plane to it.  Tables, whose
 format is a numpy array, have their own, ``tables._extension``, and
 import nothing from here.
 
-:data:`ARRAY_FORMS` maps each scalar function in
+:data:`PLANE_FORMS` maps each scalar function in
 :data:`cltwist.kernel.ALGORITHMS` to its form.  A caller holding some
 other function (a wrapped or a deliberately faulty one) finds nothing
 there and must call it pair by pair.  Nothing here checks its input,
@@ -265,7 +265,7 @@ def first_difference(plane: int, n: int) -> Optional[Tuple[int, int]]:
 
 
 #: Plane form of each scalar algorithm, keyed by the function object.
-ARRAY_FORMS = {
+PLANE_FORMS = {
     kernel.twist_oracle: oracle_parity,
     kernel.twist_recursive: recursive_parity,
     kernel.twist_tree: tree_parity,

@@ -27,8 +27,8 @@ _SEED = 0x7715F  # fixed so the workload is reproducible
 
 def make_workload(pairs: int) -> Tuple[List[int], List[int]]:
     """Deterministic list of ``pairs`` random 64-bit (p, q) inputs."""
-    if pairs < 1:
-        raise ValueError("need at least one pair")
+    if type(pairs) is not int or pairs < 1:
+        raise ValueError(f"need at least one pair, got {pairs!r}")
     rng = random.Random(_SEED)
     ps = [rng.getrandbits(64) for _ in range(pairs)]
     qs = [rng.getrandbits(64) for _ in range(pairs)]

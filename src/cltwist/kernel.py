@@ -36,10 +36,11 @@ Mask contract: blades are plain ints in ``[0, 2**64)``, one bit per
 generator e_1 through e_64.  Every function that takes a blade pair
 raises :class:`TypeError` for a mask that is not an int (a bool or a
 numpy integer included) and :class:`ValueError` for an int that is
-negative or 2**64 or above; likewise :class:`ValueError` for a ``mu``
-other than +1 or -1, or a bool (Python's or numpy's).  The other
-layers check their input with the same helpers, so each rule and its
-message is written once, here.
+negative or 2**64 or above.  ``mu`` is likewise a plain int, +1 or
+-1; anything else, even a value equal to one of them (a float, a
+complex, a bool or a numpy scalar), raises :class:`ValueError`.  Widths
+are plain ints too.  The other layers check their input with the same
+helpers, so each rule and its message is written once, here.
 """
 
 from __future__ import annotations
@@ -76,12 +77,7 @@ MASK_BITS = 64
 
 
 def _check_mu(mu: int) -> None:
-    # True == 1, so a bool needs its own test; False already fails.
-    # Python's bool and numpy's are both named "bool"; an int +1 or -1
-    # never reaches the name test.
-    if mu != -1 and (
-        mu != 1 or type(mu) is not int and type(mu).__name__ == "bool"
-    ):
+    if type(mu) is not int or mu != 1 and mu != -1:
         raise ValueError(f"mu must be +1 or -1, got {mu!r}")
 
 
@@ -99,8 +95,8 @@ def _check_masks(p: int, q: int, bits: int = MASK_BITS) -> None:
 
 
 def _check_dim(n: int, low: int = 1) -> None:
-    """Table and self-test width: an int in ``low..MAX_DIM``, not a bool."""
-    if type(n) is bool or not isinstance(n, int) or not low <= n <= MAX_DIM:
+    """Table and self-test width: an int in ``low..MAX_DIM``."""
+    if type(n) is not int or not low <= n <= MAX_DIM:
         raise ValueError(
             f"dimension must be an integer of at least {low} and at most"
             f" {MAX_DIM}, got {n!r}"

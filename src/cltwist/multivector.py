@@ -38,7 +38,7 @@ class Algebra:
 
     def __init__(self, mu: int = -1):
         _check_mu(mu)
-        self._mu = int(mu)
+        self._mu = mu
 
     @property
     def mu(self) -> int:
@@ -89,7 +89,7 @@ class Algebra:
 def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if type(value) is int:
         return Fraction(value)
     raise TypeError(f"coefficients must be int or Fraction, got {value!r}")
 
@@ -138,8 +138,8 @@ class Multivector:
         return sorted({m.bit_count() for m in self._coeffs})
 
     def grade_part(self, k: int) -> "Multivector":
-        """Projection onto grade ``k``, an int (not a bool)."""
-        if not isinstance(k, int) or isinstance(k, bool):
+        """Projection onto grade ``k``, an int."""
+        if type(k) is not int:
             raise TypeError(f"grade must be an int, got {k!r}")
         return Multivector(
             self._algebra,
@@ -230,7 +230,7 @@ class Multivector:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("only non-negative integer powers")
         # by repeated squaring: the product is associative
         result = self._algebra.scalar(1)

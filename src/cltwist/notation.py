@@ -98,6 +98,8 @@ class UnknownTokenError(ExpressionSyntaxError):
 
 def parse_blade(text: str) -> int:
     """Blade mask named by ``text`` (generator form, index form or "1")."""
+    if not isinstance(text, str):
+        raise TypeError(f"blade text must be a str, got {type(text).__name__}")
     t = text.strip()
     if t == "1":
         return 0
@@ -285,7 +287,12 @@ def parse_expression(text: str) -> Expression:
 
     Raises :class:`ExpressionSyntaxError` (with a byte offset) on any
     input outside the grammar; never crashes on malformed text.
+    Anything but a str raises :class:`TypeError`.
     """
+    if not isinstance(text, str):
+        raise TypeError(
+            f"expression text must be a str, got {type(text).__name__}"
+        )
     tokens = iter(_tokenize(text))
     token = next(tokens)
     terms = []

@@ -57,7 +57,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import kernel
 from ._batch import (
-    ARRAY_FORMS, Grid, first_difference, first_set, joined, row_patterns,
+    PLANE_FORMS, Grid, first_difference, first_set, joined, row_patterns,
     split,
 )
 from ._record import Record
@@ -95,7 +95,7 @@ class Mismatch(Record):
     kind: str
     mu: int
     indices: Tuple[int, ...]
-    # per-algorithm values for the pairs suite: +-1 for an array form,
+    # per-algorithm values for the pairs suite: +-1 for a plane form,
     # else exactly what the function returned
     signs: Dict[str, object]
     _algo: str = "closed"  # whose table the cocycle and certificate check
@@ -251,7 +251,7 @@ def _pairs_suite(
     planes = {}
     called = {}
     for name, f in algorithms.items():
-        form = ARRAY_FORMS.get(f)
+        form = PLANE_FORMS.get(f)
         if form is None:
             called[name] = f
         else:

@@ -196,8 +196,9 @@ class TwistTable:
         return SymbolicSign.from_code(int(self.codes[p, q]))
 
     def __getitem__(self, pq) -> SymbolicSign:
-        p, q = pq
-        return self.entry(p, q)
+        if not isinstance(pq, tuple) or len(pq) != 2:
+            raise TypeError(f"table key must be a pair (p, q), got {pq!r}")
+        return self.entry(*pq)
 
     def substitute(self, mu: int) -> np.ndarray:
         """int8 matrix of +-1 with mu fixed."""

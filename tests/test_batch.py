@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cltwist import _batch, kernel
-from cltwist._batch import ARRAY_FORMS, Grid
+from cltwist._batch import PLANE_FORMS, Grid
 
 
 def _scalar_plane(scalar, mu, n):
@@ -15,14 +15,14 @@ def _scalar_plane(scalar, mu, n):
 
 
 def test_every_algorithm_has_an_array_form():
-    assert set(ARRAY_FORMS) == set(kernel.ALGORITHMS.values())
+    assert set(PLANE_FORMS) == set(kernel.ALGORITHMS.values())
 
 
 @pytest.mark.parametrize("mu", [1, -1])
 @pytest.mark.parametrize("name", list(kernel.ALGORITHMS))
 def test_array_form_matches_scalar_on_every_pair_at_width_8(name, mu):
     scalar = kernel.ALGORITHMS[name]
-    got = ARRAY_FORMS[scalar](Grid(8), mu)
+    got = PLANE_FORMS[scalar](Grid(8), mu)
     assert type(got) is int
     assert got == _scalar_plane(scalar, mu, 8)
 
@@ -31,7 +31,7 @@ def test_array_form_matches_scalar_on_every_pair_at_width_8(name, mu):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_plane_forms_match_scalar_on_every_pair_below_width_8(n, mu):
     grid = Grid(n)
-    for scalar, form in ARRAY_FORMS.items():
+    for scalar, form in PLANE_FORMS.items():
         assert form(grid, mu) == _scalar_plane(scalar, mu, n), scalar.__name__
 
 

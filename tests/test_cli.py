@@ -340,6 +340,14 @@ class TestBench:
         ps, qs = make_workload(3)
         assert all(0 <= v < (1 << 64) for v in ps + qs)
 
+    @pytest.mark.parametrize("pairs", [True, 2.0, 0], ids=repr)
+    def test_pairs_is_exactly_a_positive_int(self, pairs):
+        message = f"^need at least one pair, got {pairs!r}$"
+        with pytest.raises(ValueError, match=message):
+            bench.make_workload(pairs)
+        with pytest.raises(ValueError, match=message):
+            bench.run_bench(pairs)
+
 
 class TestDispatch:
     def test_no_arguments(self, capsys):

@@ -1,3 +1,8 @@
+import re
+from decimal import Decimal
+from fractions import Fraction
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +23,12 @@ from cltwist.kernel import (
 )
 from cltwist.multivector import Algebra
 from cltwist.notation import format_blade
-from cltwist.tables import table_direct, twist_symbolic
+from cltwist.tables import (
+    SymbolicSign,
+    render_table,
+    table_direct,
+    twist_symbolic,
+)
 
 masks = st.integers(min_value=0, max_value=(1 << 64) - 1)
 mus = st.sampled_from([1, -1])
@@ -85,13 +95,16 @@ def test_tree_transitions():
 
 @pytest.mark.parametrize("name", list(ALGORITHMS))
 def test_every_accepted_mu_gives_an_int(name):
-    # _check_mu accepts each of these, and the sign is a plain int
-    # whatever numeric type mu has
-    for mu in (1, -1, 1.0, -1.0, np.int64(-1)):
+    # _check_mu accepts exactly the ints 1 and -1, and the sign is a
+    # plain int
+    for mu in (1, -1):
         for p, q in ((3, 3), (5, 9), (0, 0)):
             sign = ALGORITHMS[name](p, q, mu)
             assert type(sign) is int, (mu, p, q)
-            assert sign == ALGORITHMS[name](p, q, int(mu))
+    # a value equal to +1 or -1 that is not exactly an int is no mu
+    for mu in (1.0, -1.0, np.int64(-1)):
+        with pytest.raises(ValueError, match=r"mu must be \+1 or -1"):
+            ALGORITHMS[name](3, 3, mu)
 
 
 def test_closed_every_fold_stage():
@@ -204,6 +217,51 @@ def test_mu_validation(func):
         func(1, 2, True)
     with pytest.raises(ValueError, match="got np.True_"):
         func(1, 2, np.True_)
+
+
+#: Every public entry point that takes mu, as a function of mu alone,
+#: and its results at mu = +1 and at mu = -1.  e_{134} * e_{23} is
+#: -e_{124} at mu = +1 and e_{124} at mu = -1.
+MU_ENTRY_POINTS = {
+    **{name: (partial(f, 13, 6), (-1, 1)) for name, f in ALGORITHMS.items()},
+    "twist": (partial(twist, 13, 6), (-1, 1)),
+    "tree_trace": (
+        lambda mu: tree_trace(13, 6, mu)[-1].state, ("-B", "B")
+    ),
+    "blade_product": (partial(blade_product, 13, 6), ((-1, 11), (1, 11))),
+    "Algebra": (
+        lambda mu: str(Algebra(mu).blade(13) * Algebra(mu).blade(6)),
+        ("-e_{124}", "e_{124}"),
+    ),
+    "SymbolicSign.substitute": (
+        lambda mu: SymbolicSign(-1, 1).substitute(mu), (-1, 1)
+    ),
+    "TwistTable.substitute": (
+        lambda mu: table_direct(1).substitute(mu).tolist(),
+        ([[1, 1], [1, 1]], [[1, 1], [1, -1]]),
+    ),
+    "render_table": (
+        lambda mu: render_table(table_direct(1), "text", mu),
+        ("1 1\n1 1\n", "1 1\n1 -1\n"),
+    ),
+}
+#: Not exactly the int +1 or -1, though most are equal to one of them.
+NON_MUS = [
+    1.0, -1.0, np.int64(-1), np.float64(-1), Fraction(-1), Decimal(-1),
+    -1 + 0j, np.complex128(-1), True, np.True_, 0, 2, "1", None,
+]
+
+
+@pytest.mark.parametrize("name", list(MU_ENTRY_POINTS))
+def test_mu_is_exactly_plus_or_minus_one(name):
+    func, results = MU_ENTRY_POINTS[name]
+    assert (func(1), func(-1)) == results
+    for bad in NON_MUS:
+        if bad is None and name == "render_table":
+            continue  # None asks for the symbolic table
+        message = re.escape(f"mu must be +1 or -1, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            func(bad)
 
 
 SIGN_ENTRY_POINTS = {

@@ -58,9 +58,11 @@ class TestConstruction:
             Algebra(mu=True)
         with pytest.raises(ValueError):
             Algebra(mu=np.True_)
-        # a number equal to +1 or -1 that is not a bool is still a mu
-        assert Algebra(1.0) == pos
-        assert Algebra(np.int64(-1)) == neg
+        # a number equal to +1 or -1 that is not exactly an int is no mu
+        with pytest.raises(ValueError, match=r"got 1\.0"):
+            Algebra(1.0)
+        with pytest.raises(ValueError, match=r"got np\.int64\(-1\)"):
+            Algebra(np.int64(-1))
 
     def test_immutable(self):
         v = neg.blade(3)
@@ -296,7 +298,10 @@ def test_repr_mentions_convention():
 
 
 def test_float_mu_is_stored_as_int():
-    alg = Algebra(1.0)
+    # a float mu is refused, so the stored mu is always the int given
+    with pytest.raises(ValueError, match=r"mu must be \+1 or -1, got 1\.0"):
+        Algebra(1.0)
+    alg = Algebra(1)
     assert alg.mu == 1 and type(alg.mu) is int
     assert repr(alg) == "Algebra(mu=+1)"
     assert "mu=+1" in repr(alg.blade(1))

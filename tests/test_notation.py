@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cltwist import kernel, notation
+from cltwist.multivector import Algebra
 from cltwist.notation import (
     Expression,
     ExpressionSyntaxError,
@@ -101,6 +102,19 @@ class TestParseBlade:
         assert parse_blade("i_" + "0" * 5000 + "1") == 1
         assert parse_blade("i_" + "0" * 30) == 0
         assert parse_blade(f"i_000{(1 << 64) - 1}") == (1 << 64) - 1
+
+
+@pytest.mark.parametrize("text", [None, b"e_1", 1, ["e_1"]], ids=repr)
+def test_text_that_is_not_a_str_is_a_type_error(text):
+    name = type(text).__name__
+    message = f"^blade text must be a str, got {name}$"
+    with pytest.raises(TypeError, match=message):
+        parse_blade(text)
+    message = f"^expression text must be a str, got {name}$"
+    with pytest.raises(TypeError, match=message):
+        parse_expression(text)
+    with pytest.raises(TypeError, match=message):
+        Algebra(-1).parse(text)
 
 
 def test_mask_width_is_the_kernels():

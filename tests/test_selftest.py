@@ -387,7 +387,7 @@ def test_certificate_reruns_the_algorithm_whose_table_it_checked(name, capsys):
 
 
 def test_mixed_map_reports_plain_ints_in_map_order():
-    # array forms for the built-ins, the scalar loop for the injected one
+    # plane forms for the built-ins, the scalar loop for the injected one
     def faulty(p, q, mu):
         sign = kernel.twist_closed(p, q, mu)
         return -sign if (p, q) == (5, 9) else sign
@@ -415,7 +415,7 @@ def test_fault_in_an_array_form_found_in_a_later_row_block(monkeypatch):
     def broken(grid, mu):
         return _batch.tree_parity(grid, mu) ^ 1 << (300 << 9 | 7)
 
-    monkeypatch.setitem(_batch.ARRAY_FORMS, kernel.twist_tree, broken)
+    monkeypatch.setitem(_batch.PLANE_FORMS, kernel.twist_tree, broken)
     report = run_selftest(9)
     assert [m.kind for m in report.mismatches] == ["pairs", "pairs"]
     for m in report.mismatches:
@@ -706,11 +706,11 @@ def test_selftest_peak_memory():
 
 
 def _fault_corpus(count=120, seed=20261019):
-    """Seeded fault maps at n = 1..7: (n, algorithms, broken array form).
+    """Seeded fault maps at n = 1..7: (n, algorithms, broken plane form).
 
     Each map flips one or two cells to the opposite sign, at one mu or
     both, in one algorithm: through a scalar wrapper in the map, or
-    through an array form patched in for a built-in (then the third
+    through a plane form patched in for a built-in (then the third
     item is ``(function, form)``, else None).  Maps hold all four
     algorithms, the faulty one alone, or it and one other.
     """
@@ -740,7 +740,7 @@ def _fault_corpus(count=120, seed=20261019):
 
             yield n, {**algos, name: scalar}, None
         else:
-            def form(grid, mu, true=_batch.ARRAY_FORMS[true], cells=cells,
+            def form(grid, mu, true=_batch.PLANE_FORMS[true], cells=cells,
                      mus=mus):
                 parity = true(grid, mu)
                 if mu in mus:
@@ -765,7 +765,7 @@ def test_fault_corpus_reports_are_unchanged():
     for n, algos, patch in _fault_corpus():
         with pytest.MonkeyPatch.context() as mp:
             if patch is not None:
-                mp.setitem(_batch.ARRAY_FORMS, *patch)
+                mp.setitem(_batch.PLANE_FORMS, *patch)
             reports.append(run_selftest(n, algorithms=algos).lines())
     kinds = {line.split(":")[0] for lines in reports for line in lines}
     assert kinds == {"mismatch", "bilinearity violation", "cocycle violation"}

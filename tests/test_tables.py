@@ -1,4 +1,5 @@
 import copy
+import re
 import pickle
 import tracemalloc
 from types import SimpleNamespace
@@ -187,6 +188,13 @@ class TestGoldenTables:
         assert t.entry(4, 3) == SymbolicSign(1, 0)
         assert t[1, 1] == SymbolicSign(1, 1)
         assert str(t[3, 3]) == "-1"
+
+    @pytest.mark.parametrize("key", [5, (1,), (1, 2, 3), [1, 2], "ab", None],
+                             ids=repr)
+    def test_a_key_that_is_not_a_pair_is_a_type_error(self, key):
+        message = re.escape(f"table key must be a pair (p, q), got {key!r}")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            table_direct(2)[key]
 
 
 @pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
