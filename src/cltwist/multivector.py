@@ -99,6 +99,12 @@ class Multivector:
 
     __slots__ = ("_algebra", "_coeffs")
 
+    # numpy's scalar operators would otherwise take over where ours
+    # return NotImplemented, turn a numpy scalar into a Python number and
+    # call back; None makes them return NotImplemented too, so a numpy
+    # scalar operand is a TypeError on either side
+    __array_ufunc__ = None
+
     def __init__(self, algebra: Algebra, coeffs: Dict[int, Scalar]):
         if not isinstance(algebra, Algebra):
             raise TypeError(f"algebra must be an Algebra, got {algebra!r}")

@@ -22,6 +22,13 @@ n - 1 rounds: a half-resolution grid in which each cell is a
 coefficiented letter such as ``-mB``.  The coefficient is the twist of
 the cell's indices and the letter records the row's grade parity.
 
+Block substitution is a morphism: n rounds from A are k rounds applied
+cell by cell to the grid of n - k rounds, and a coefficient rides
+along, sigma**k(c*X) = c * sigma**k(X).  So both grids are built in two
+levels (:func:`_substituted`): a coarse grid of n - k rounds, k =
+ceil(n / 2), and the 8 coefficiented tiles of k rounds from A and from
+B, which one gather of tile rows puts in place.
+
 The twist is a bicharacter, so a row's codes are linear in q as well:
 ``codes[p, q ^ r] == codes[p, q] ^ codes[p, r]``, and its n*n
 generator entries fix the whole table.  One function,
@@ -274,16 +281,45 @@ def _block_rounds(cells: np.ndarray, rounds: int) -> np.ndarray:
     and its right cell also takes a factor mu (xor 6).
     """
     for _ in range(rounds):
-        m = cells.shape[0]
+        rows, cols = cells.shape
         right = cells >> 2
         right ^= cells
-        grown = np.empty((2 * m, 2 * m), dtype=np.int8)
+        grown = np.empty((2 * rows, 2 * cols), dtype=np.int8)
         grown[0::2, 0::2] = cells
         grown[0::2, 1::2] = right
         np.bitwise_xor(cells, 4, out=grown[1::2, 0::2])
         np.bitwise_xor(right, 6, out=grown[1::2, 1::2])
         cells = grown
     return cells
+
+
+def _substituted(rounds: int, mask: int) -> np.ndarray:
+    """:func:`_block_rounds` from the letter A, ``rounds`` rounds, with
+    each cell ANDed by ``mask`` (3 drops the letters), built in two
+    levels.
+
+    With k = ceil(rounds / 2), the coarse grid is the letters after
+    rounds - k rounds.  The k rounds from A stacked on those from B
+    give tile ``4 * letter + code``, each its letter's tile XOR its
+    code, so row r of tile c is row ``c * 2**k + r`` of ``tiles``.  One
+    ``take`` of those rows, by ``coarse * 2**k + r``, writes cell
+    (P * 2**k + r, Q * 2**k + s) of the result from row r, column s of
+    the tile of coarse cell (P, Q), straight into the result's layout.
+    """
+    k = (rounds + 1) // 2
+    size = 1 << k
+    coarse = _block_rounds(np.zeros((1, 1), dtype=np.int8), rounds - k)
+    letters = _block_rounds(np.array([[0], [4]], dtype=np.int8), k)
+    tiles = letters.reshape(2, 1, -1) ^ np.arange(4, dtype=np.int8)[:, None]
+    tiles &= mask
+    index = (coarse.astype(np.intp) << k)[:, None, :] + np.arange(size)[:, None]
+    grid = np.empty((len(coarse) << k,) * 2, dtype=np.int8)
+    # every index is in range; any mode but "raise" writes straight
+    # into ``out``, where "raise" would gather into a buffer and copy it
+    tiles.reshape(-1, size).take(
+        index, axis=0, out=grid.reshape(index.shape + (size,)), mode="clip"
+    )
+    return grid
 
 
 def table_blocks(n: int) -> TwistTable:
@@ -293,9 +329,7 @@ def table_blocks(n: int) -> TwistTable:
     dropping the letters leaves the table.
     """
     _check_dim(n)
-    cells = _block_rounds(np.zeros((1, 1), dtype=np.int8), n)
-    cells &= 3
-    return TwistTable._adopt(n, cells)
+    return TwistTable._adopt(n, _substituted(n, 3))
 
 
 # --- rendering -------------------------------------------------------------
@@ -311,6 +345,22 @@ def _separator(format: str) -> str:
     return " " if format == "text" else ","
 
 
+def _row_keys(codes: np.ndarray, width: int) -> np.ndarray:
+    """An int64 per row of ``codes``, a twist table or a letter grid,
+    equal for two rows exactly when their first ``width`` columns are,
+    for a power of two ``width``.
+
+    The key packs, 3 bits each, the row's codes at column 0 and at the
+    generator columns 1, 2, 4, ... below ``width``.  By linearity in q
+    those codes fix the whole first block (column 0 carries a letter
+    grid's letter, 0 in a twist table), and the block holds them.
+    """
+    columns = [0] + [1 << i for i in range(width.bit_length() - 1)]
+    fields = codes[:, columns].astype(np.int64)
+    fields <<= 3 * np.arange(len(columns))
+    return fields.sum(axis=1)
+
+
 def _render_chunks(codes: np.ndarray, spell, sep: str):
     """Text of ``codes``, a twist table or a letter grid, with code c
     spelled ``spell[c]``, entries separated by ``sep``, in row chunks.
@@ -322,11 +372,13 @@ def _render_chunks(codes: np.ndarray, spell, sep: str):
     table's codes plus its letter, bit 2, which is constant along a
     row, so the shift ``codes[p, jB] ^ codes[p, 0]`` cancels it.
 
-    So each distinct first block is spelled once in each of its 4 XOR
-    variants, in one pass: every code indexes a fixed-width bytes table
-    of ``entry + sep`` (the block's last column: ``entry + "\n"``)
-    padded with NUL, and deleting the NULs leaves one line per variant.
-    The palette holds each line ending in ``sep``, then each again
+    So rows are classed by their first block, through one int key per
+    row (:func:`_row_keys`) that ``np.unique`` sorts, and each distinct
+    first block is spelled once in each of its 4 XOR variants, in one
+    pass: every code indexes a table of little-endian uint32 words,
+    each ``entry + sep`` (the block's last column: ``entry + "\n"``)
+    padded with NUL, and deleting the NULs from the words' bytes
+    leaves one line per variant.  The palette holds each line ending in ``sep``, then each again
     ending in a newline: piece ``4 * class + shift`` spells a block,
     and in a row's last block the piece half a palette further on, its
     newline copy.
@@ -338,15 +390,16 @@ def _render_chunks(codes: np.ndarray, spell, sep: str):
     k = codes.shape[1].bit_length() - 1
     width = 1 << min(k, k // 2 + 1)
     shifts = codes[:, ::width] ^ codes[:, :1]
-    first = np.ascontiguousarray(codes[:, :width])
-    distinct, row_class = np.unique(
-        first.view(f"V{width}").ravel(), return_inverse=True
+    _, first_rows, row_class = np.unique(
+        _row_keys(codes, width), return_index=True, return_inverse=True
     )
-    variants = (distinct.view(np.int8).reshape(-1, 1, width)
+    variants = (codes[first_rows, None, :width]
                 ^ np.arange(4, dtype=np.int8)[:, None]).reshape(-1, width)
-    dtype = f"S{1 + max(map(len, spell))}"
-    inner = np.array([(s + sep).encode("ascii") for s in spell], dtype)
-    last = np.array([(s + "\n").encode("ascii") for s in spell], dtype)
+    inner, last = (
+        np.array([int.from_bytes((s + end).encode("ascii"), "little")
+                  for s in spell], "<u4")
+        for end in (sep, "\n")
+    )
     cells = inner.take(variants)
     cells[:, -1] = last.take(variants[:, -1])
     text = cells.tobytes().translate(None, b"\0").decode("ascii")
@@ -397,8 +450,7 @@ def _letter_chunks(n: int, format: str):
     """:func:`render_block_letters` as an iterator of row chunks."""
     sep = _separator(format)
     _check_dim(n, low=2)
-    cells = _block_rounds(np.zeros((1, 1), dtype=np.int8), n - 1)
-    return _render_chunks(cells, _LETTER_SPELL, sep)
+    return _render_chunks(_substituted(n - 1, 7), _LETTER_SPELL, sep)
 
 
 def render_block_letters(n: int, format: str = "text") -> str:

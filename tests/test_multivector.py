@@ -125,6 +125,20 @@ class TestArithmetic:
                 op(other, v)
         assert v != other and not v == other
 
+    @pytest.mark.parametrize(
+        "scalar", [np.int64(2), np.int8(2), np.bool_(True), np.float64(2.0)]
+    )
+    def test_numpy_scalar_operands_raise(self, scalar):
+        # not exactly int: numpy's own operators must not convert the
+        # scalar to a Python number and call back on the reflected side
+        v = neg.blade(1)
+        ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(v, scalar)
+            with pytest.raises(TypeError):  # reflected
+                op(scalar, v)
+
     def test_equality_with_a_number_is_false(self):
         assert not neg.scalar(1) == 1 and neg.scalar(1) != 1
         assert not neg.zero() == 0

@@ -207,15 +207,15 @@ def test_blocks_equal_direct_n8():
 
 
 def test_blocks_peak_memory():
-    # the 16 MiB result, plus the last round's codes and letters at a
-    # quarter of that each: no letters grid or copy at full size
+    # the 16 MiB result plus the 2 MiB gather index: no letters grid or
+    # copy at full size
     tracemalloc.start()
     try:
         table_blocks(MAX_DIM)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 32 << 20
+    assert peak <= 20 << 20
 
 
 def test_direct_peak_memory():
@@ -296,6 +296,24 @@ def test_letter_grid_against_substitution_rounds(n):
     codes, letters = _closed_form_letters(n)
     assert np.array_equal(grown & 3, codes)
     assert np.array_equal(grown >> 2, letters)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
+def test_two_level_build_is_the_round_by_round_substitution(n, monkeypatch):
+    # the builders gather tiles of k rounds onto a coarse grid of n - k;
+    # substitution is a morphism, so that is n rounds, one at a time
+    def rounds(count):
+        return _block_rounds(np.zeros((1, 1), dtype=np.int8), count)
+
+    assert np.array_equal(table_blocks(n).codes, rounds(n) & 3)
+    if n >= 2:
+        grids = []
+        monkeypatch.setattr(
+            tables, "_render_chunks",
+            lambda codes, spell, sep: grids.append(codes) or iter(()),
+        )
+        render_block_letters(n)
+        assert np.array_equal(grids[0], rounds(n - 1))
 
 
 def test_letter_assignment_follows_grade_parity():
@@ -565,6 +583,24 @@ def test_real_tables_take_the_block_path(n):
         assert np.array_equal(blocks.reshape(cells.shape), cells)
 
 
+@pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
+def test_row_keys_class_rows_as_their_first_blocks(n):
+    # equal keys mean equal first blocks, and there are as many keys as
+    # distinct first blocks: thousands for a random bilinear table at
+    # n = 11 and 12
+    letters = _block_rounds(np.zeros((1, 1), dtype=np.int8), n)
+    grids = (table_direct(n).codes, table_blocks(n).codes, letters,
+             _random_bilinear(n).codes)
+    for cells in grids:
+        first, _ = _first_blocks(cells)
+        keys = tables._row_keys(cells, first.shape[1])
+        _, rows, row_key = np.unique(
+            keys, return_index=True, return_inverse=True
+        )
+        assert np.array_equal(first[rows][row_key], first)
+        assert len(rows) == len(np.unique(first, axis=0))
+
+
 # --- the constructor's bilinearity check -------------------------------------
 
 def _bilinear(codes):
@@ -700,5 +736,5 @@ def test_block_builder_shares_nothing_with_the_direct_one():
     # the cross-check of the two builders means something only while the
     # block construction uses neither the extension nor the closed form
     banned = {"_extension", "_doubled", "_parity_above", "twist_closed"}
-    for f in (table_blocks, tables._block_rounds):
+    for f in (table_blocks, tables._substituted, tables._block_rounds):
         assert not _names(f.__code__) & banned, f.__name__
