@@ -299,12 +299,13 @@ def _substituted(rounds: int, mask: int) -> np.ndarray:
     levels.
 
     With k = ceil(rounds / 2), the coarse grid is the letters after
-    rounds - k rounds.  The k rounds from A stacked on those from B
-    give tile ``4 * letter + code``, each its letter's tile XOR its
-    code, so row r of tile c is row ``c * 2**k + r`` of ``tiles``.  One
-    ``take`` of those rows, by ``coarse * 2**k + r``, writes cell
-    (P * 2**k + r, Q * 2**k + s) of the result from row r, column s of
-    the tile of coarse cell (P, Q), straight into the result's layout.
+    rounds - k rounds.  k rounds from the column [A, B] give the tiles
+    of A and of B, one above the other, and tile ``4 * letter + code``
+    is its letter's tile XOR its code, so row r of tile c is row
+    ``c * 2**k + r`` of ``tiles``.  One ``take`` of those rows, by
+    ``coarse * 2**k + r``, writes cell (P * 2**k + r, Q * 2**k + s) of
+    the result from row r, column s of the tile of coarse cell (P, Q),
+    straight into the result's layout.
     """
     k = (rounds + 1) // 2
     size = 1 << k
@@ -312,7 +313,8 @@ def _substituted(rounds: int, mask: int) -> np.ndarray:
     letters = _block_rounds(np.array([[0], [4]], dtype=np.int8), k)
     tiles = letters.reshape(2, 1, -1) ^ np.arange(4, dtype=np.int8)[:, None]
     tiles &= mask
-    index = (coarse.astype(np.intp) << k)[:, None, :] + np.arange(size)[:, None]
+    index = ((coarse.astype(np.intp) << k)[:, None, :]
+             + np.arange(size)[:, None])
     grid = np.empty((len(coarse) << k,) * 2, dtype=np.int8)
     # every index is in range; any mode but "raise" writes straight
     # into ``out``, where "raise" would gather into a buffer and copy it
@@ -378,10 +380,10 @@ def _render_chunks(codes: np.ndarray, spell, sep: str):
     pass: every code indexes a table of little-endian uint32 words,
     each ``entry + sep`` (the block's last column: ``entry + "\n"``)
     padded with NUL, and deleting the NULs from the words' bytes
-    leaves one line per variant.  The palette holds each line ending in ``sep``, then each again
-    ending in a newline: piece ``4 * class + shift`` spells a block,
-    and in a row's last block the piece half a palette further on, its
-    newline copy.
+    leaves one line per variant.  The palette holds each line ending
+    in ``sep``, then each again ending in a newline: piece
+    ``4 * class + shift`` spells a block, and in a row's last block the
+    piece half a palette further on, its newline copy.
 
     Each chunk is a list of str pieces that concatenate to the text of
     up to ``_CHUNK_ROWS`` rows, so a caller that wants the whole text
