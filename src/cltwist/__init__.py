@@ -6,10 +6,13 @@ computed sign, the twist.  The package provides four independent
 implementations of the sign, exact rational multivectors, symbolic
 twist tables with a block-substitution generator, and a CLI.
 
-Only the tables need numpy; the self-test works on bit planes, Python
-ints.  The table names and ``run_selftest`` are resolved on first
-access, so ``import cltwist`` loads neither module, and every layer
-but the tables runs without loading numpy.
+``import cltwist`` loads only the kernel.  Every other public name is
+resolved on first access, through ``_LAZY``: ``Algebra`` and
+``Multivector`` load the multivector layer, the notation names (and
+``fractions``) the notation layer, the table names the tables (and
+numpy), and ``run_selftest`` the self-test, which works on bit planes,
+Python ints.  So every layer but the tables runs without numpy, and a
+program that only computes signs compiles nothing else.
 """
 
 from importlib import import_module
@@ -28,19 +31,18 @@ from .kernel import (
     twist_recursive,
     twist_tree,
 )
-from .multivector import Algebra, Multivector
-from .notation import (
-    ExpressionSyntaxError,
-    MalformedBladeError,
-    NotationError,
-    UnrepresentableError,
-    format_blade,
-    parse_blade,
-    parse_expression,
-)
 
 #: Public names loaded on first access, by the submodule defining them.
 _LAZY = {
+    "Algebra": "multivector",
+    "Multivector": "multivector",
+    "ExpressionSyntaxError": "notation",
+    "MalformedBladeError": "notation",
+    "NotationError": "notation",
+    "UnrepresentableError": "notation",
+    "format_blade": "notation",
+    "parse_blade": "notation",
+    "parse_expression": "notation",
     "SymbolicSign": "tables",
     "TwistTable": "tables",
     "render_block_letters": "tables",

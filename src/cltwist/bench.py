@@ -7,7 +7,12 @@ for this kind of kernel.
 
 The quadratic factor-list algorithm is orders of magnitude slower
 than the bit tricks on 64-bit masks, so the default run is kept to
-``DEFAULT_PAIRS`` pairs, a few seconds; a million pairs take minutes.
+``kernel.DEFAULT_PAIRS`` pairs, a few seconds.  A million pairs take
+about 1.5 minutes, and ``MAX_PAIRS`` caps the workload there, before
+any list is built.
+
+Only ``cltwist bench`` imports this module (the CLI, inside its
+handler), so no other command loads it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from ._record import Record
 
 __all__ = ["BenchResult", "format_report", "make_workload", "run_bench"]
 
-DEFAULT_PAIRS = 20_000
+#: Largest workload: two lists of this many ints are built before any
+#: timing, and a million pairs already take about 1.5 minutes.
+MAX_PAIRS = 1_000_000
 _SEED = 0x7715F  # fixed so the workload is reproducible
 
 
@@ -29,6 +36,8 @@ def make_workload(pairs: int) -> Tuple[List[int], List[int]]:
     """Deterministic list of ``pairs`` random 64-bit (p, q) inputs."""
     if type(pairs) is not int or pairs < 1:
         raise ValueError(f"need at least one pair, got {pairs!r}")
+    if pairs > MAX_PAIRS:
+        raise ValueError(f"need at most {MAX_PAIRS} pairs, got {pairs!r}")
     rng = random.Random(_SEED)
     ps = [rng.getrandbits(64) for _ in range(pairs)]
     qs = [rng.getrandbits(64) for _ in range(pairs)]
@@ -50,7 +59,9 @@ def _time_one(func, ps, qs, mu) -> float:
     return time.perf_counter() - t0
 
 
-def run_bench(pairs: int = DEFAULT_PAIRS, mu: int = -1) -> List[BenchResult]:
+def run_bench(
+    pairs: int = kernel.DEFAULT_PAIRS, mu: int = -1,
+) -> List[BenchResult]:
     ps, qs = make_workload(pairs)
     results = []
     for name, func in kernel.ALGORITHMS.items():

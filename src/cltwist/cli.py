@@ -20,9 +20,12 @@ checked by the library itself: a handler that gets a ValueError
 (NotationError is one) writes nothing to stdout, and :func:`main`
 prints ``cltwist <command>: <message>`` on one stderr line.
 
-Only ``table`` needs numpy; its handler imports the table module, so
-the other commands never load it.  ``selftest`` imports the self-test
-module, which works on bit planes without numpy.
+Building the parser needs only the kernel.  Each handler imports the
+layers it uses: ``mul`` the multivectors and the notation, ``table``
+the table module (and numpy, which no other command loads),
+``selftest`` the self-test, which works on bit planes without numpy,
+and ``bench`` the benchmark module.  ``sign`` and ``trace`` use the
+kernel alone.
 """
 
 from __future__ import annotations
@@ -32,10 +35,7 @@ import os
 import sys
 from typing import List, Optional
 
-from . import bench as bench_mod
-from .kernel import ALGORITHMS, DEFAULT_N, tree_trace
-from .multivector import Algebra
-from .notation import UnrepresentableError
+from .kernel import ALGORITHMS, DEFAULT_N, DEFAULT_PAIRS, tree_trace
 
 __all__ = ["main"]
 
@@ -105,8 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time the sign algorithms")
     p_bench.add_argument(
-        "--pairs", type=int, default=bench_mod.DEFAULT_PAIRS,
-        help=f"workload size (default {bench_mod.DEFAULT_PAIRS})",
+        "--pairs", type=int, default=DEFAULT_PAIRS,
+        help=f"workload size (default {DEFAULT_PAIRS})",
     )
     _add_mu(p_bench)
     p_bench.add_argument(
@@ -124,6 +124,9 @@ def _cmd_sign(args) -> int:
 
 
 def _cmd_mul(args) -> int:
+    from .multivector import Algebra
+    from .notation import UnrepresentableError
+
     value = Algebra(_MU_VALUES[args.mu]).parse(args.expr)
     try:
         text = value.format("i" if args.i_form else "e")
@@ -170,12 +173,14 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench
+
     mu = _MU_VALUES[args.mu]
-    results = bench_mod.run_bench(args.pairs, mu)
+    results = bench.run_bench(args.pairs, mu)
     if args.json:
-        print(bench_mod._json_report(results, mu))
+        print(bench._json_report(results, mu))
     else:
-        sys.stdout.write(bench_mod.format_report(results))
+        sys.stdout.write(bench.format_report(results))
     return 0
 
 

@@ -71,6 +71,11 @@ MAX_DIM = 12
 #: ``cltwist selftest``).
 DEFAULT_N = 8
 
+#: Size of the ``cltwist bench`` workload when none is given
+#: (``bench.run_bench``, ``cltwist bench --pairs``).  It lives here
+#: with ``DEFAULT_N``, so that the CLI parser needs only this module.
+DEFAULT_PAIRS = 20_000
+
 
 #: Width of a blade mask: one bit per generator e_1 through e_64.
 MASK_BITS = 64

@@ -20,6 +20,7 @@ of the generators, +1 or -1) and acts as the factory:
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple, Union
 
@@ -108,6 +109,11 @@ class Multivector:
     def __init__(self, algebra: Algebra, coeffs: Dict[int, Scalar]):
         if not isinstance(algebra, Algebra):
             raise TypeError(f"algebra must be an Algebra, got {algebra!r}")
+        if not isinstance(coeffs, Mapping):
+            raise TypeError(
+                f"coeffs must be a mapping of masks to coefficients,"
+                f" got {type(coeffs).__name__}"
+            )
         table: Dict[int, Fraction] = {}
         for mask, value in coeffs.items():
             _check_masks(mask, 0)

@@ -53,6 +53,7 @@ Each reported line ends with the ``cltwist sign`` calls that rerun it.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from typing import Dict, List, Optional, Tuple
 
 from . import kernel
@@ -338,6 +339,11 @@ def run_selftest(n: int = kernel.DEFAULT_N, algorithms=None) -> SelftestReport:
     kernel._check_dim(n)
     if algorithms is None:
         algorithms = kernel.ALGORITHMS
+    elif not isinstance(algorithms, Mapping):
+        raise TypeError(
+            f"algorithms must be a mapping of names to sign functions,"
+            f" got {type(algorithms).__name__}"
+        )
     elif not algorithms:
         raise ValueError("algorithms must name at least one sign function")
     size = 1 << n
