@@ -26,8 +26,7 @@ from ._record import Record
 
 __all__ = ["BenchResult", "format_report", "make_workload", "run_bench"]
 
-#: Largest workload: two lists of this many ints are built before any
-#: timing, and a million pairs already take about 1.5 minutes.
+#: Largest workload; checked before the two lists of inputs are built.
 MAX_PAIRS = 1_000_000
 _SEED = 0x7715F  # fixed so the workload is reproducible
 

@@ -111,7 +111,7 @@ class Multivector:
             raise TypeError(f"algebra must be an Algebra, got {algebra!r}")
         if not isinstance(coeffs, Mapping):
             raise TypeError(
-                f"coeffs must be a mapping of masks to coefficients,"
+                "coeffs must be a mapping of masks to coefficients,"
                 f" got {type(coeffs).__name__}"
             )
         table: Dict[int, Fraction] = {}

@@ -341,7 +341,7 @@ def run_selftest(n: int = kernel.DEFAULT_N, algorithms=None) -> SelftestReport:
         algorithms = kernel.ALGORITHMS
     elif not isinstance(algorithms, Mapping):
         raise TypeError(
-            f"algorithms must be a mapping of names to sign functions,"
+            "algorithms must be a mapping of names to sign functions,"
             f" got {type(algorithms).__name__}"
         )
     elif not algorithms:

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import platform
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from cltwist import bench, cli, kernel
+from cltwist.multivector import Algebra
 from cltwist.tables import render_block_letters, render_table, table_blocks
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -340,6 +342,17 @@ class TestBench:
         ps, qs = make_workload(3)
         assert all(0 <= v < (1 << 64) for v in ps + qs)
 
+    def test_workload_above_the_cap_refused_before_it_is_built(
+        self, monkeypatch
+    ):
+        def no_random(seed):
+            raise AssertionError("workload built")
+
+        monkeypatch.setattr(bench.random, "Random", no_random)
+        with pytest.raises(ValueError, match="^need at most 1000000 pairs"):
+            bench.make_workload(10**6 + 1)
+        assert bench.MAX_PAIRS == 10**6
+
     @pytest.mark.parametrize("pairs", [True, 2.0, 0], ids=repr)
     def test_pairs_is_exactly_a_positive_int(self, pairs):
         message = f"^need at least one pair, got {pairs!r}$"
@@ -370,6 +383,7 @@ class TestDispatch:
         ["table", "1", "--blocks"],
         ["selftest", "--n", "0"],
         ["bench", "--pairs", "0"],
+        ["bench", "--pairs", "1000001"],
         ["sign", str(1 << 64), "0"],
         ["sign", "-5", "3"],
         ["trace", "-1", "2"],
@@ -528,6 +542,51 @@ def test_command_leaves_numpy_unloaded(child_env, argv):
     assert out.splitlines()[-2:] == ["0", "[False, False, False]"]
 
 
+def test_import_loads_only_the_kernel(child_env):
+    # against a snapshot, so that what site preloads does not count
+    out = _fresh_python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cltwist\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(m for m in added if m.startswith('cltwist')))\n"
+        "print(sorted(added & {'cltwist._record', 'cltwist.bench',"
+        " 'fractions', 'decimal', 'numpy'}))\n",
+        child_env,
+    )
+    assert out == "['cltwist', 'cltwist.kernel']\n[]\n"
+
+
+# Building the parser needs only the kernel; each handler imports the
+# layers it uses.
+_LAYERS = ("cltwist.multivector", "cltwist.notation", "cltwist.bench")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        pytest.param(["sign", "2636", "1143"], [False, False, False],
+                     id="sign"),
+        pytest.param(["trace", "5", "3"], [False, False, False], id="trace"),
+        pytest.param(["selftest", "--n", "4"], [False, False, False],
+                     id="selftest"),
+        pytest.param(["bench", "--pairs", "100"], [False, False, True],
+                     id="bench"),
+        pytest.param(["mul", "e_134 * e_23"], [True, True, False], id="mul"),
+    ],
+)
+def test_command_loads_only_its_layers(child_env, argv, loaded):
+    out = _fresh_python(
+        "import sys\n"
+        "from cltwist import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code)\n"
+        f"print([m in sys.modules for m in {_LAYERS!r}])\n",
+        child_env,
+    )
+    assert out.splitlines()[-2:] == ["0", str(loaded)]
+
+
 def test_run_selftest_leaves_numpy_unloaded(child_env):
     out = _fresh_python(
         "import sys\n"
@@ -567,12 +626,46 @@ def test_lazy_name_is_the_submodule_object(child_env):
     out = _fresh_python(
         "import cltwist\n"
         "table_direct = cltwist.table_direct\n"
+        "names = ['Algebra', 'Multivector', 'parse_expression',"
+        " 'NotationError', 'ExpressionSyntaxError', 'MalformedBladeError',"
+        " 'UnrepresentableError']\n"
+        "values = [getattr(cltwist, name) for name in names]\n"
         "import cltwist.selftest, cltwist.tables\n"
+        "import cltwist.multivector, cltwist.notation\n"
         "print(table_direct is cltwist.tables.table_direct,"
-        " cltwist.run_selftest is cltwist.selftest.run_selftest)\n",
+        " cltwist.run_selftest is cltwist.selftest.run_selftest)\n"
+        "print([value is getattr(cltwist.multivector if name in"
+        " cltwist.multivector.__all__ else cltwist.notation, name)"
+        " for name, value in zip(names, values)])\n",
         child_env,
     )
-    assert out == "True True\n"
+    assert out == "True True\n" + str([True] * 7) + "\n"
+
+
+def test_lazy_error_class_catches_the_notation_error(child_env):
+    out = _fresh_python(
+        "import cltwist\n"
+        "try:\n"
+        "    cltwist.Algebra(-1).parse('e_21')\n"
+        "except cltwist.NotationError as exc:\n"
+        "    print(type(exc).__name__)\n",
+        child_env,
+    )
+    assert out == "ExpressionSyntaxError\n"
+
+
+def test_multivector_unpickles_after_a_bare_import(child_env):
+    text = "1/2 e_{12} - 3 e_4 + 7"
+    data = pickle.dumps(Algebra(-1).parse(text))
+    out = _fresh_python(
+        "import pickle, sys\n"
+        "import cltwist\n"
+        "print('cltwist.multivector' in sys.modules)\n"
+        f"value = pickle.loads({data!r})\n"
+        f"print(value == cltwist.Algebra(-1).parse({text!r}))\n",
+        child_env,
+    )
+    assert out == "False\nTrue\n"
 
 
 def test_unknown_name_raises_attribute_error(child_env):

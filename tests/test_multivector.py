@@ -74,6 +74,20 @@ class TestConstruction:
         with pytest.raises(TypeError, match="algebra must be an Algebra"):
             Multivector(algebra, {1: 1})
 
+    @pytest.mark.parametrize("table", [[(1, 2)], ((1, 2),), "e_1", 3])
+    def test_rejects_a_table_that_is_not_a_mapping(self, table):
+        message = "coeffs must be a mapping of masks to coefficients"
+        with pytest.raises(TypeError, match=message):
+            neg.multivector(table)
+        with pytest.raises(TypeError, match=message):
+            Multivector(neg, table)
+
+    def test_accepts_a_dict_subclass(self):
+        class Table(dict):
+            pass
+
+        assert neg.multivector(Table({1: 2, 6: 0})) == neg.blade(1, 2)
+
     def test_algebra_and_truth(self):
         v = neg.blade(3)
         assert v.algebra is neg and v.mu == -1

@@ -284,6 +284,21 @@ def test_empty_algorithm_map_rejected():
         run_selftest(3, algorithms={})
 
 
+@pytest.mark.parametrize("algorithms", [[1, 2], ["closed"], "closed"])
+def test_algorithms_that_are_not_a_mapping_rejected(algorithms):
+    message = "algorithms must be a mapping of names to sign functions"
+    with pytest.raises(TypeError, match=message):
+        run_selftest(3, algorithms=algorithms)
+
+
+def test_algorithms_in_a_dict_subclass_accepted():
+    class Algorithms(dict):
+        pass
+
+    report = run_selftest(3, algorithms=Algorithms(kernel.ALGORITHMS))
+    assert report.ok and report.algorithm_count == 4
+
+
 def test_mismatch_describe_triple():
     m = Mismatch("triples", -1, (1, 2, 3), {})
     assert m.describe() == (
