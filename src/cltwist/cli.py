@@ -48,6 +48,10 @@ _EXIT_IO_ERROR = 74
 
 _MU_VALUES = {"+1": 1, "-1": -1, "sym": None}
 
+#: Rows of a table per write to stdout: the memory ``table`` holds for
+#: its text scales with it, not with the table.
+_WRITE_ROWS = 256
+
 
 def _add_mu(parser, symbolic: bool = False):
     choices = ["+1", "-1", "sym"] if symbolic else ["+1", "-1"]
@@ -141,14 +145,18 @@ def _cmd_table(args) -> int:
     from . import tables
 
     if args.blocks:
-        chunks = tables._letter_chunks(args.n, args.format)
+        pieces, per_row = tables._letter_pieces(args.n, args.format)
     else:
         table = tables.table_direct(args.n)
-        chunks = tables._table_chunks(table, args.format, _MU_VALUES[args.mu])
-    # str, not bytes to sys.stdout.buffer: callers may capture stdout
-    # with a text-only stream
-    for pieces in chunks:
-        sys.stdout.write("".join(pieces))
+        pieces, per_row = tables._table_pieces(
+            table, args.format, _MU_VALUES[args.mu]
+        )
+    # _WRITE_ROWS rows per write, so that no str of the whole text is
+    # built; str, not bytes to sys.stdout.buffer: callers may capture
+    # stdout with a text-only stream
+    step = _WRITE_ROWS * per_row
+    for start in range(0, len(pieces), step):
+        sys.stdout.write("".join(pieces[start:start + step]))
     return 0
 
 

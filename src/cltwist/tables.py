@@ -38,15 +38,19 @@ constructor checks with it, since codes are bilinear exactly when they
 equal the extension of their own generator entries.  So every table is
 bilinear.  (The self-test, whose format is the bit plane, not the
 array, has its own extension: :func:`cltwist._batch.first_difference`.)
-The renderer, one function (:func:`_render_chunks`) for tables and
+The renderer, one function (:func:`_render_pieces`) for tables and
 letter grids alike, relies on it to spell each distinct leading block
 of columns once and build every row by joining shifted copies of its
 block, so :func:`render_table` takes nothing but a :class:`TwistTable`.
+
+Fixing mu maps the four codes onto {1, -1}, and the map is a
+homomorphism, so a numeric table is a bilinear form with one bit per
+cell.  The renderer reads it through that fold (:func:`_fold`, derived
+from ``_VALUE``): leading blocks that spell alike are one block, with 2
+shifted copies, not 4.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -336,21 +340,28 @@ def table_blocks(n: int) -> TwistTable:
 
 # --- rendering -------------------------------------------------------------
 
-#: Rows per chunk of the renderer: its working buffers scale with it,
-#: not with the table.
-_CHUNK_ROWS = 256
-
-
 def _separator(format: str) -> str:
     if format not in ("text", "csv"):
         raise ValueError(f"format must be 'text' or 'csv', got {format!r}")
     return " " if format == "text" else ","
 
 
-def _row_keys(codes: np.ndarray, width: int) -> np.ndarray:
+def _fold(mu: int) -> np.ndarray:
+    """Sign bit of each code's value at ``mu``, read off ``_VALUE``: 4
+    int8 entries, ``c & 1`` at mu = +1 and ``c ^ c >> 1 & 1`` at mu = -1.
+
+    Fixing mu maps the Klein four-group of codes onto {1, -1}, so the
+    fold is an XOR homomorphism onto {0, 1}: a folded table is bilinear
+    too, with one bit per cell.
+    """
+    return np.array([value < 0 for value in _VALUE[mu]], np.int8)
+
+
+def _row_keys(codes: np.ndarray, width: int, fold=None) -> np.ndarray:
     """An int64 per row of ``codes``, a twist table or a letter grid,
     equal for two rows exactly when their first ``width`` columns are,
-    for a power of two ``width``.
+    for a power of two ``width``; with a ``fold`` (:func:`_fold`), when
+    the folded columns are.
 
     The key packs, 3 bits each, the row's codes at column 0 and at the
     generator columns 1, 2, 4, ... below ``width``.  By linearity in q
@@ -358,72 +369,78 @@ def _row_keys(codes: np.ndarray, width: int) -> np.ndarray:
     grid's letter, 0 in a twist table), and the block holds them.
     """
     columns = [0] + [1 << i for i in range(width.bit_length() - 1)]
-    fields = codes[:, columns].astype(np.int64)
-    fields <<= 3 * np.arange(len(columns))
-    return fields.sum(axis=1)
+    fields = codes[:, columns]
+    if fold is not None:
+        fields = fold.take(fields)
+    return fields @ (1 << 3 * np.arange(len(columns), dtype=np.int64))
 
 
-def _render_chunks(codes: np.ndarray, spell, sep: str):
+def _render_pieces(codes: np.ndarray, spell, sep: str, fold=None):
     """Text of ``codes``, a twist table or a letter grid, with code c
-    spelled ``spell[c]``, entries separated by ``sep``, in row chunks.
+    spelled ``spell[c]`` (``spell[fold[c]]`` for a numeric table, whose
+    ``fold`` is :func:`_fold`), entries separated by ``sep``.
+
+    Returns ``(pieces, per_row)``: a list of str pieces that concatenate
+    to the text, ``per_row`` of them to a row.
 
     Each row is split into blocks B = 2**min(k, k // 2 + 1) columns wide
     for 2**k columns.  A twist row is linear in q, so ``codes[p, 0]`` is
     0 and block j of row p is its first block XORed by the shift
     ``codes[p, jB]``, a code in 0..3.  A letter grid holds a twist
     table's codes plus its letter, bit 2, which is constant along a
-    row, so the shift ``codes[p, jB] ^ codes[p, 0]`` cancels it.
+    row, so the shift ``codes[p, jB] ^ codes[p, 0]`` cancels it.  The
+    fold is a homomorphism, so the same holds of folded codes, with a
+    shift in {0, 1}; it is applied only to the columns read below, never
+    to the whole table.
 
     So rows are classed by their first block, through one int key per
     row (:func:`_row_keys`) that ``np.unique`` sorts, and each distinct
-    first block is spelled once in each of its 4 XOR variants, in one
-    pass: every code indexes a table of little-endian uint32 words,
-    each ``entry + sep`` (the block's last column: ``entry + "\n"``)
-    padded with NUL, and deleting the NULs from the words' bytes
-    leaves one line per variant.  The palette holds each line ending
-    in ``sep``, then each again ending in a newline: piece
-    ``4 * class + shift`` spells a block, and in a row's last block the
-    piece half a palette further on, its newline copy.
-
-    Each chunk is a list of str pieces that concatenate to the text of
-    up to ``_CHUNK_ROWS`` rows, so a caller that wants the whole text
-    joins every piece once.
+    first block is spelled once in each of its XOR variants (4, or 2
+    folded), in one pass: every code indexes a table of little-endian
+    uint32 words, each ``entry + sep`` (the block's last column:
+    ``entry + "\n"``) padded with NUL, and deleting the NULs from the
+    words' bytes leaves one line per variant.  The palette holds each
+    line ending in ``sep``, then each again ending in a newline: piece
+    ``variants * class + shift`` spells a block, and in a row's last
+    block the piece half a palette further on, its newline copy.  One
+    gather of the palette picks every row's pieces.
     """
     k = codes.shape[1].bit_length() - 1
     width = 1 << min(k, k // 2 + 1)
-    shifts = codes[:, ::width] ^ codes[:, :1]
+    shifts = codes[:, ::width]
+    if fold is not None:
+        shifts = fold.take(shifts)
+    shifts = shifts ^ shifts[:, :1]
     _, first_rows, row_class = np.unique(
-        _row_keys(codes, width), return_index=True, return_inverse=True
+        _row_keys(codes, width, fold), return_index=True, return_inverse=True
     )
-    variants = (codes[first_rows, None, :width]
-                ^ np.arange(4, dtype=np.int8)[:, None]).reshape(-1, width)
+    first = codes[first_rows, :width]
+    if fold is not None:
+        first = fold.take(first)
+    # a fold is onto {0, 1}
+    variants = 4 if fold is None else 2
+    blocks = (first[:, None, :]
+              ^ np.arange(variants, dtype=np.int8)[:, None]).reshape(-1, width)
     inner, last = (
         np.array([int.from_bytes((s + end).encode("ascii"), "little")
                   for s in spell], "<u4")
         for end in (sep, "\n")
     )
-    cells = inner.take(variants)
-    cells[:, -1] = last.take(variants[:, -1])
+    cells = inner.take(blocks)
+    cells[:, -1] = last.take(blocks[:, -1])
     text = cells.tobytes().translate(None, b"\0").decode("ascii")
     lines = text.split("\n")[:-1]
     palette = np.array(
         [line + sep for line in lines] + [line + "\n" for line in lines],
         dtype=object,
     )
-    for start in range(0, len(row_class), _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        index = 4 * row_class[rows, None] + shifts[rows]
-        index[:, -1] += len(lines)
-        yield palette[index].ravel().tolist()
+    index = variants * row_class[:, None] + shifts
+    index[:, -1] += len(lines)
+    return palette[index].ravel().tolist(), index.shape[1]
 
 
-def _joined(chunks) -> str:
-    """The text of an iterator of chunks, joined in one pass."""
-    return "".join(chain.from_iterable(chunks))
-
-
-def _table_chunks(table: TwistTable, format: str, mu):
-    """:func:`render_table` as an iterator of row chunks."""
+def _table_pieces(table: TwistTable, format: str, mu):
+    """:func:`render_table` as :func:`_render_pieces` gives it."""
     # the renderer relies on bilinearity, which only the class vouches for
     if not isinstance(table, TwistTable):
         raise TypeError(
@@ -431,9 +448,10 @@ def _table_chunks(table: TwistTable, format: str, mu):
         )
     sep = _separator(format)
     if mu is None:
-        return _render_chunks(table.codes, _SPELL, sep)
+        return _render_pieces(table.codes, _SPELL, sep)
     _check_mu(mu)
-    return _render_chunks(table.codes, [str(v) for v in _VALUE[mu]], sep)
+    # folded codes are 0 and 1, whose values are 1 and -1 at either mu
+    return _render_pieces(table.codes, _SPELL[:2], sep, _fold(mu))
 
 
 def render_table(table: TwistTable, format: str = "text", mu=None) -> str:
@@ -445,16 +463,18 @@ def render_table(table: TwistTable, format: str = "text", mu=None) -> str:
     substitutes numbers.  Anything but a :class:`TwistTable` raises
     TypeError.
     """
-    return _joined(_table_chunks(table, format, mu))
+    pieces, _ = _table_pieces(table, format, mu)
+    return "".join(pieces)
 
 
-def _letter_chunks(n: int, format: str):
-    """:func:`render_block_letters` as an iterator of row chunks."""
+def _letter_pieces(n: int, format: str):
+    """:func:`render_block_letters` as :func:`_render_pieces` gives it."""
     sep = _separator(format)
     _check_dim(n, low=2)
-    return _render_chunks(_substituted(n - 1, 7), _LETTER_SPELL, sep)
+    return _render_pieces(_substituted(n - 1, 7), _LETTER_SPELL, sep)
 
 
 def render_block_letters(n: int, format: str = "text") -> str:
     """Half-resolution table of coefficiented letters, e.g. "-mB"."""
-    return _joined(_letter_chunks(n, format))
+    pieces, _ = _letter_pieces(n, format)
+    return "".join(pieces)

@@ -204,6 +204,32 @@ class TestTable:
         out = capsys.readouterr().out
         assert out == render_table(table_blocks(n), fmt, cli._MU_VALUES[mu])
 
+    @pytest.mark.parametrize("argv", [
+        ["--mu", "-1"], ["--mu", "sym"], ["--blocks"],
+        ["--mu", "+1", "--format", "csv"],
+    ])
+    def test_streams_at_most_256_rows_per_write(self, monkeypatch, argv):
+        # the command never holds the text of the whole table: each write
+        # is a run of whole rows, at most 256 of them
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        stdout = Recorder()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run_cli("table", "10", *argv) == 0
+        lines = [text.count("\n") for text in stdout.writes]
+        assert len(lines) > 1 and max(lines) <= 256
+        assert all(text.endswith("\n") for text in stdout.writes)
+        assert sum(lines) == (512 if "--blocks" in argv else 1024)
+
     def test_closed_pipe_exits_141_silently(self, child_env):
         # the reader takes one line and goes away while the writer still
         # has megabytes of table to send

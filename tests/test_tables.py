@@ -309,8 +309,10 @@ def test_two_level_build_is_the_round_by_round_substitution(n, monkeypatch):
     if n >= 2:
         grids = []
         monkeypatch.setattr(
-            tables, "_render_chunks",
-            lambda codes, spell, sep: grids.append(codes) or iter(()),
+            tables, "_render_pieces",
+            lambda codes, spell, sep, fold=None: (
+                grids.append(codes) or ([], 1)
+            ),
         )
         render_block_letters(n)
         assert np.array_equal(grids[0], rounds(n - 1))
@@ -493,7 +495,7 @@ def test_large_table_row_zero():
     assert t.entry(1, 1) == SymbolicSign(1, 1)
 
 
-# --- the chunked renderer against a per-cell reference ---------------------
+# --- the renderer against a per-cell reference -----------------------------
 
 def _reference_render(cells, spell, sep):
     return "".join(
@@ -515,8 +517,8 @@ _LETTERS = [
     for c in range(8)
 ]
 
-#: Rows checked at n = 11 and 12: both sides of the first 256-row chunk
-#: boundary, and the last.
+#: Rows checked at n = 11 and 12: the first, both sides of row 256
+#: (where ``cltwist table`` starts its second write), and the last.
 _TOP_ROWS = [0, 1, 255, 256, 257, -1]
 
 
@@ -525,7 +527,6 @@ _TOP_ROWS = [0, 1, 255, 256, 257, -1]
 @pytest.mark.parametrize("build", [table_direct, table_blocks])
 @pytest.mark.parametrize("n", range(1, 11))
 def test_render_matches_reference(n, build, format, sep, mu):
-    # n >= 9 crosses the 256-row chunk boundary
     table = build(n)
     expected = _reference_render(table.codes, _spelling(mu), sep)
     assert render_table(table, format, mu) == expected
@@ -587,18 +588,35 @@ def test_real_tables_take_the_block_path(n):
 def test_row_keys_class_rows_as_their_first_blocks(n):
     # equal keys mean equal first blocks, and there are as many keys as
     # distinct first blocks: thousands for a random bilinear table at
-    # n = 11 and 12
+    # n = 11 and 12; with a numeric table's fold, the folded blocks
     letters = _block_rounds(np.zeros((1, 1), dtype=np.int8), n)
-    grids = (table_direct(n).codes, table_blocks(n).codes, letters,
-             _random_bilinear(n).codes)
-    for cells in grids:
+    twists = (table_direct(n).codes, table_blocks(n).codes,
+              _random_bilinear(n).codes)
+    cases = [(codes, None) for codes in twists + (letters,)]
+    cases += [(codes, tables._fold(mu)) for mu in (1, -1) for codes in twists]
+    for codes, fold in cases:
+        cells = codes if fold is None else fold[codes]
         first, _ = _first_blocks(cells)
-        keys = tables._row_keys(cells, first.shape[1])
+        keys = tables._row_keys(codes, first.shape[1], fold)
         _, rows, row_key = np.unique(
             keys, return_index=True, return_inverse=True
         )
         assert np.array_equal(first[rows][row_key], first)
         assert len(rows) == len(np.unique(first, axis=0))
+
+
+@pytest.mark.parametrize("mu", [1, -1])
+def test_fold_is_the_sign_bit_of_the_value(mu):
+    # a numeric table is rendered from its folded codes, so the fold must
+    # keep bilinearity (an XOR homomorphism onto {0, 1}) and spell what
+    # _VALUE spells: equal fold exactly for equal value
+    fold = tables._fold(mu).tolist()
+    assert sorted(set(fold)) == [0, 1]
+    for c in range(4):
+        for a in range(4):
+            assert fold[c ^ a] == fold[c] ^ fold[a]
+            same_value = tables._VALUE[mu][c] == tables._VALUE[mu][a]
+            assert (fold[c] == fold[a]) == same_value
 
 
 # --- the constructor's bilinearity check -------------------------------------
@@ -637,7 +655,6 @@ def _takes_exactly_bilinear(codes) -> bool:
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_random_codes_render_cell_by_cell(n):
-    # n >= 9 crosses the 256-row chunk boundary
     size = 1 << n
     rng = np.random.default_rng(n)
     codes = rng.integers(0, 4, size=(size, size)).astype(np.int8)
@@ -649,7 +666,7 @@ def test_random_codes_render_cell_by_cell(n):
 )
 @pytest.mark.parametrize("n", range(1, 11))
 def test_a_flipped_cell_renders_cell_by_cell(n, where):
-    # one cell of a row past the first chunk (when there is one); only
+    # one cell of row 2**n - 2 (row 1 at n = 1); only
     # the generator entry of n = 1 leaves a bilinear table
     size = 1 << n
     p = size - 2 if size > 2 else 1
