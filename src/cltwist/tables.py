@@ -25,9 +25,9 @@ the cell's indices and the letter records the row's grade parity.
 Block substitution is a morphism: n rounds from A are k rounds applied
 cell by cell to the grid of n - k rounds, and a coefficient rides
 along, sigma**k(c*X) = c * sigma**k(X).  So both grids are built in two
-levels (:func:`_substituted`): a coarse grid of n - k rounds, k =
+levels (:func:`_tiling`): a coarse grid of n - k rounds, k =
 ceil(n / 2), and the 8 coefficiented tiles of k rounds from A and from
-B, which one gather of tile rows puts in place.
+B, whose rows one gather index puts in place.
 
 The twist is a bicharacter, so a row's codes are linear in q as well:
 ``codes[p, q ^ r] == codes[p, q] ^ codes[p, r]``, and its n*n
@@ -38,10 +38,15 @@ constructor checks with it, since codes are bilinear exactly when they
 equal the extension of their own generator entries.  So every table is
 bilinear.  (The self-test, whose format is the bit plane, not the
 array, has its own extension: :func:`cltwist._batch.first_difference`.)
-The renderer, one function (:func:`_render_pieces`) for tables and
-letter grids alike, relies on it to spell each distinct leading block
-of columns once and build every row by joining shifted copies of its
-block, so :func:`render_table` takes nothing but a :class:`TwistTable`.
+
+One helper, :func:`_spelled`, spells a set of column blocks once each
+and gathers every row's pieces from them; both renderers use it.
+:func:`render_table` relies on bilinearity: :func:`_render_pieces`
+classes a table's rows by their leading block of columns and builds
+every row from shifted copies of its block, so it takes nothing but a
+:class:`TwistTable`.  :func:`render_block_letters` spells the tile rows
+of :func:`_tiling` and places them by its gather index, so its grid is
+never built.
 
 Fixing mu maps the four codes onto {1, -1}, and the map is a
 homomorphism, so a numeric table is a bilinear form with one bit per
@@ -297,35 +302,29 @@ def _block_rounds(cells: np.ndarray, rounds: int) -> np.ndarray:
     return cells
 
 
-def _substituted(rounds: int, mask: int) -> np.ndarray:
-    """:func:`_block_rounds` from the letter A, ``rounds`` rounds, with
-    each cell ANDed by ``mask`` (3 drops the letters), built in two
-    levels.
+def _tiling(rounds: int):
+    """:func:`_block_rounds` from the letter A, ``rounds`` rounds, in two
+    levels: ``(tile_rows, index)``, whose grid row p is the tile rows
+    ``index[p]`` side by side, letters kept.
 
-    With k = ceil(rounds / 2), the coarse grid is the letters after
-    rounds - k rounds.  k rounds from the column [A, B] give the tiles
-    of A and of B, one above the other, and tile ``4 * letter + code``
-    is its letter's tile XOR its code, so row r of tile c is row
-    ``c * 2**k + r`` of ``tiles``.  One ``take`` of those rows, by
-    ``coarse * 2**k + r``, writes cell (P * 2**k + r, Q * 2**k + s) of
-    the result from row r, column s of the tile of coarse cell (P, Q),
-    straight into the result's layout.
+    With k = ceil(rounds / 2), k rounds from the column [A, B] give the
+    tiles of A and of B, one above the other, and tile
+    ``4 * letter + code`` is its letter's tile XOR its code, so row r
+    of tile c is row ``c * 2**k + r`` of ``tile_rows``.  The coarse grid
+    is the letters after rounds - k <= k rounds: the top left corner of
+    A's tile, whose first cell is A.  Grid row ``P * 2**k + r`` holds
+    row r of the tile of each coarse cell (P, Q), so its index is
+    ``coarse[P] * 2**k + r``.
     """
     k = (rounds + 1) // 2
     size = 1 << k
-    coarse = _block_rounds(np.zeros((1, 1), dtype=np.int8), rounds - k)
     letters = _block_rounds(np.array([[0], [4]], dtype=np.int8), k)
+    corner = 1 << rounds - k
+    coarse = letters[:corner, :corner]
     tiles = letters.reshape(2, 1, -1) ^ np.arange(4, dtype=np.int8)[:, None]
-    tiles &= mask
     index = ((coarse.astype(np.intp) << k)[:, None, :]
              + np.arange(size)[:, None])
-    grid = np.empty((len(coarse) << k,) * 2, dtype=np.int8)
-    # every index is in range; any mode but "raise" writes straight
-    # into ``out``, where "raise" would gather into a buffer and copy it
-    tiles.reshape(-1, size).take(
-        index, axis=0, out=grid.reshape(index.shape + (size,)), mode="clip"
-    )
-    return grid
+    return tiles.reshape(-1, size), index.reshape(-1, len(coarse))
 
 
 def table_blocks(n: int) -> TwistTable:
@@ -335,7 +334,15 @@ def table_blocks(n: int) -> TwistTable:
     dropping the letters leaves the table.
     """
     _check_dim(n)
-    return TwistTable._adopt(n, _substituted(n, 3))
+    tile_rows, index = _tiling(n)
+    size = tile_rows.shape[1]
+    grid = np.empty((len(index),) * 2, dtype=np.int8)
+    # every index is in range; any mode but "raise" writes straight
+    # into ``out``, where "raise" would gather into a buffer and copy it
+    (tile_rows & 3).take(
+        index, axis=0, out=grid.reshape(index.shape + (size,)), mode="clip"
+    )
+    return TwistTable._adopt(n, grid)
 
 
 # --- rendering -------------------------------------------------------------
@@ -358,69 +365,38 @@ def _fold(mu: int) -> np.ndarray:
 
 
 def _row_keys(codes: np.ndarray, width: int, fold=None) -> np.ndarray:
-    """An int64 per row of ``codes``, a twist table or a letter grid,
-    equal for two rows exactly when their first ``width`` columns are,
-    for a power of two ``width``; with a ``fold`` (:func:`_fold`), when
-    the folded columns are.
+    """An int64 per row of the twist table ``codes``, equal for two rows
+    exactly when their first ``width`` columns are, for a power of two
+    ``width``; with a ``fold`` (:func:`_fold`), when the folded columns
+    are.
 
-    The key packs, 3 bits each, the row's codes at column 0 and at the
-    generator columns 1, 2, 4, ... below ``width``.  By linearity in q
-    those codes fix the whole first block (column 0 carries a letter
-    grid's letter, 0 in a twist table), and the block holds them.
+    The key packs, 2 bits each, the row's codes at the generator columns
+    1, 2, 4, ... below ``width``.  By linearity in q those codes fix the
+    whole first block (column 0 is 0), and the block holds them.
     """
-    columns = [0] + [1 << i for i in range(width.bit_length() - 1)]
+    columns = [1 << i for i in range(width.bit_length() - 1)]
     fields = codes[:, columns]
     if fold is not None:
         fields = fold.take(fields)
-    return fields @ (1 << 3 * np.arange(len(columns), dtype=np.int64))
+    return fields @ (1 << 2 * np.arange(len(columns), dtype=np.int64))
 
 
-def _render_pieces(codes: np.ndarray, spell, sep: str, fold=None):
-    """Text of ``codes``, a twist table or a letter grid, with code c
-    spelled ``spell[c]`` (``spell[fold[c]]`` for a numeric table, whose
-    ``fold`` is :func:`_fold`), entries separated by ``sep``.
+def _spelled(blocks: np.ndarray, index: np.ndarray, spell, sep: str):
+    """Text whose row p is the blocks ``index[p]`` side by side: code c
+    of a row of ``blocks`` spelled ``spell[c]``, entries separated by
+    ``sep``.  Adds the offset of the newline copies to ``index[:, -1]``.
 
     Returns ``(pieces, per_row)``: a list of str pieces that concatenate
     to the text, ``per_row`` of them to a row.
 
-    Each row is split into blocks B = 2**min(k, k // 2 + 1) columns wide
-    for 2**k columns.  A twist row is linear in q, so ``codes[p, 0]`` is
-    0 and block j of row p is its first block XORed by the shift
-    ``codes[p, jB]``, a code in 0..3.  A letter grid holds a twist
-    table's codes plus its letter, bit 2, which is constant along a
-    row, so the shift ``codes[p, jB] ^ codes[p, 0]`` cancels it.  The
-    fold is a homomorphism, so the same holds of folded codes, with a
-    shift in {0, 1}; it is applied only to the columns read below, never
-    to the whole table.
-
-    So rows are classed by their first block, through one int key per
-    row (:func:`_row_keys`) that ``np.unique`` sorts, and each distinct
-    first block is spelled once in each of its XOR variants (4, or 2
-    folded), in one pass: every code indexes a table of little-endian
-    uint32 words, each ``entry + sep`` (the block's last column:
-    ``entry + "\n"``) padded with NUL, and deleting the NULs from the
-    words' bytes leaves one line per variant.  The palette holds each
-    line ending in ``sep``, then each again ending in a newline: piece
-    ``variants * class + shift`` spells a block, and in a row's last
-    block the piece half a palette further on, its newline copy.  One
-    gather of the palette picks every row's pieces.
+    Every block is spelled once, in one pass: every code indexes a table
+    of little-endian uint32 words, each ``entry + sep`` (the block's last
+    column: ``entry + "\n"``) padded with NUL, and deleting the NULs from
+    the words' bytes leaves one line per block.  The palette holds each
+    line ending in ``sep``, then each again ending in a newline, so a
+    row's last piece is the one half a palette further on.  One gather
+    of the palette picks every row's pieces.
     """
-    k = codes.shape[1].bit_length() - 1
-    width = 1 << min(k, k // 2 + 1)
-    shifts = codes[:, ::width]
-    if fold is not None:
-        shifts = fold.take(shifts)
-    shifts = shifts ^ shifts[:, :1]
-    _, first_rows, row_class = np.unique(
-        _row_keys(codes, width, fold), return_index=True, return_inverse=True
-    )
-    first = codes[first_rows, :width]
-    if fold is not None:
-        first = fold.take(first)
-    # a fold is onto {0, 1}
-    variants = 4 if fold is None else 2
-    blocks = (first[:, None, :]
-              ^ np.arange(variants, dtype=np.int8)[:, None]).reshape(-1, width)
     inner, last = (
         np.array([int.from_bytes((s + end).encode("ascii"), "little")
                   for s in spell], "<u4")
@@ -434,9 +410,44 @@ def _render_pieces(codes: np.ndarray, spell, sep: str, fold=None):
         [line + sep for line in lines] + [line + "\n" for line in lines],
         dtype=object,
     )
-    index = variants * row_class[:, None] + shifts
     index[:, -1] += len(lines)
     return palette[index].ravel().tolist(), index.shape[1]
+
+
+def _render_pieces(codes: np.ndarray, spell, sep: str, fold=None):
+    """:func:`_spelled` text of the twist table ``codes``, with code c
+    spelled ``spell[c]`` (``spell[fold[c]]`` for a numeric table, whose
+    ``fold`` is :func:`_fold`).
+
+    Each row is split into blocks B = 2**min(k, k // 2 + 1) columns wide
+    for 2**k columns.  A twist row is linear in q, so ``codes[p, 0]`` is
+    0 and block j of row p is its first block XORed by the shift
+    ``codes[p, jB]``, a code in 0..3.  The fold is a homomorphism, so
+    the same holds of folded codes, with a shift in {0, 1}; it is
+    applied only to the columns read below, never to the whole table.
+
+    So rows are classed by their first block, through one int key per
+    row (:func:`_row_keys`) that ``np.unique`` sorts, and each distinct
+    first block is spelled in each of its XOR variants (4, or 2
+    folded): block j of row p is block ``variants * class + shift`` of
+    those.
+    """
+    k = codes.shape[1].bit_length() - 1
+    width = 1 << min(k, k // 2 + 1)
+    shifts = codes[:, ::width]
+    if fold is not None:
+        shifts = fold.take(shifts)
+    _, first_rows, row_class = np.unique(
+        _row_keys(codes, width, fold), return_index=True, return_inverse=True
+    )
+    first = codes[first_rows, :width]
+    if fold is not None:
+        first = fold.take(first)
+    # a fold is onto {0, 1}
+    variants = 4 if fold is None else 2
+    blocks = (first[:, None, :]
+              ^ np.arange(variants, dtype=np.int8)[:, None]).reshape(-1, width)
+    return _spelled(blocks, variants * row_class[:, None] + shifts, spell, sep)
 
 
 def _table_pieces(table: TwistTable, format: str, mu):
@@ -468,13 +479,22 @@ def render_table(table: TwistTable, format: str = "text", mu=None) -> str:
 
 
 def _letter_pieces(n: int, format: str):
-    """:func:`render_block_letters` as :func:`_render_pieces` gives it."""
+    """:func:`render_block_letters` as :func:`_spelled` gives it: each
+    tile row of :func:`_tiling` is spelled once and placed by its index,
+    so the letter grid itself is never built."""
     sep = _separator(format)
     _check_dim(n, low=2)
-    return _render_pieces(_substituted(n - 1, 7), _LETTER_SPELL, sep)
+    tile_rows, index = _tiling(n - 1)
+    return _spelled(tile_rows, index, _LETTER_SPELL, sep)
 
 
 def render_block_letters(n: int, format: str = "text") -> str:
-    """Half-resolution table of coefficiented letters, e.g. "-mB"."""
+    """Half-resolution table of coefficiented letters, e.g. "-mB": the
+    block construction after n - 1 rounds, spelled tile row by tile row
+    and placed by the tiles' gather index.
+
+    format is "text" or "csv", as for :func:`render_table`; n must be at
+    least 2.
+    """
     pieces, _ = _letter_pieces(n, format)
     return "".join(pieces)

@@ -13,7 +13,9 @@ import pytest
 
 from cltwist import bench, cli, kernel
 from cltwist.multivector import Algebra
-from cltwist.tables import render_block_letters, render_table, table_blocks
+from cltwist.tables import (
+    MAX_DIM, render_block_letters, render_table, table_blocks,
+)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -185,9 +187,13 @@ class TestTable:
         out = capsys.readouterr().out
         assert out == render_table(table_blocks(9), "csv", 1)
 
-    def test_streamed_letters_equal_render(self, capsys):
-        assert run_cli("table", "10", "--blocks") == 0
-        assert capsys.readouterr().out == render_block_letters(10)
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("n", range(2, MAX_DIM + 1))
+    def test_streamed_letters_equal_render(self, capsys, n, fmt):
+        # the writes are cut every 256 rows of pieces, whose count per row
+        # follows the tile width, so every n and both formats
+        assert run_cli("table", str(n), "--blocks", "--format", fmt) == 0
+        assert capsys.readouterr().out == render_block_letters(n, fmt)
 
     def test_streamed_symbolic_equals_render(self, capsys):
         assert run_cli("table", "10", "--mu", "sym") == 0

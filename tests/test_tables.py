@@ -229,6 +229,18 @@ def test_direct_peak_memory():
     assert peak <= 20 << 20
 
 
+def test_letters_peak_memory():
+    # the spelled tile rows, the gather index and the pieces: the 4 MiB
+    # letter grid is never built
+    tracemalloc.start()
+    try:
+        tables._letter_pieces(MAX_DIM, "text")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 def _assert_cells_closed_form(codes, cells):
     for p, q in cells:
         assert int(codes[p, q]) == twist_symbolic(p, q).code, (p, q)
@@ -299,7 +311,7 @@ def test_letter_grid_against_substitution_rounds(n):
 
 
 @pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
-def test_two_level_build_is_the_round_by_round_substitution(n, monkeypatch):
+def test_two_level_build_is_the_round_by_round_substitution(n):
     # the builders gather tiles of k rounds onto a coarse grid of n - k;
     # substitution is a morphism, so that is n rounds, one at a time
     def rounds(count):
@@ -307,15 +319,10 @@ def test_two_level_build_is_the_round_by_round_substitution(n, monkeypatch):
 
     assert np.array_equal(table_blocks(n).codes, rounds(n) & 3)
     if n >= 2:
-        grids = []
-        monkeypatch.setattr(
-            tables, "_render_pieces",
-            lambda codes, spell, sep, fold=None: (
-                grids.append(codes) or ([], 1)
-            ),
-        )
-        render_block_letters(n)
-        assert np.array_equal(grids[0], rounds(n - 1))
+        # the letter view spells the tile rows where the index puts them
+        tile_rows, index = tables._tiling(n - 1)
+        placed = tile_rows[index].reshape(len(index), -1)
+        assert np.array_equal(placed, rounds(n - 1))
 
 
 def test_letter_assignment_follows_grade_parity():
@@ -565,19 +572,19 @@ def test_block_letters_rows_at_top_widths(n, format, sep):
 
 def _first_blocks(cells):
     """Each row's first column block, B = 2**min(k, k // 2 + 1) columns
-    of 2**k, and the shift ``cells[p, jB] ^ cells[p, 0]`` of its block
-    j, as the renderer splits a row."""
+    of 2**k, and the shift ``cells[p, jB]`` of its block j, as the
+    renderer splits a row."""
     k = cells.shape[1].bit_length() - 1
     width = 1 << min(k, k // 2 + 1)
-    return cells[:, :width], cells[:, ::width] ^ cells[:, :1]
+    return cells[:, :width], cells[:, ::width]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_real_tables_take_the_block_path(n):
     # the renderer trusts its input: every column block of a built table
-    # or a letter grid is its row's first block XORed by a code in 0..3
-    letters = _block_rounds(np.zeros((1, 1), dtype=np.int8), n)
-    for cells in (table_direct(n).codes, table_blocks(n).codes, letters):
+    # is its row's first block XORed by a code in 0..3, which is 0 in
+    # column 0
+    for cells in (table_direct(n).codes, table_blocks(n).codes):
         first, shifts = _first_blocks(cells)
         assert not (shifts & ~3).any()
         blocks = first[:, None, :] ^ shifts[:, :, None]
@@ -589,10 +596,9 @@ def test_row_keys_class_rows_as_their_first_blocks(n):
     # equal keys mean equal first blocks, and there are as many keys as
     # distinct first blocks: thousands for a random bilinear table at
     # n = 11 and 12; with a numeric table's fold, the folded blocks
-    letters = _block_rounds(np.zeros((1, 1), dtype=np.int8), n)
     twists = (table_direct(n).codes, table_blocks(n).codes,
               _random_bilinear(n).codes)
-    cases = [(codes, None) for codes in twists + (letters,)]
+    cases = [(codes, None) for codes in twists]
     cases += [(codes, tables._fold(mu)) for mu in (1, -1) for codes in twists]
     for codes, fold in cases:
         cells = codes if fold is None else fold[codes]
@@ -753,5 +759,5 @@ def test_block_builder_shares_nothing_with_the_direct_one():
     # the cross-check of the two builders means something only while the
     # block construction uses neither the extension nor the closed form
     banned = {"_extension", "_doubled", "_parity_above", "twist_closed"}
-    for f in (table_blocks, tables._substituted, tables._block_rounds):
+    for f in (table_blocks, tables._tiling, tables._block_rounds):
         assert not _names(f.__code__) & banned, f.__name__
