@@ -335,12 +335,11 @@ def table_blocks(n: int) -> TwistTable:
     """
     _check_dim(n)
     tile_rows, index = _tiling(n)
-    size = tile_rows.shape[1]
     grid = np.empty((len(index),) * 2, dtype=np.int8)
     # every index is in range; any mode but "raise" writes straight
     # into ``out``, where "raise" would gather into a buffer and copy it
     (tile_rows & 3).take(
-        index, axis=0, out=grid.reshape(index.shape + (size,)), mode="clip"
+        index, axis=0, out=grid.reshape(index.shape + (-1,)), mode="clip"
     )
     return TwistTable._adopt(n, grid)
 
