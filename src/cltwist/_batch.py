@@ -38,8 +38,6 @@ there and must call it pair by pair.  Nothing here checks its input,
 and nothing here imports numpy.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from typing import Iterator, Optional, Tuple
 

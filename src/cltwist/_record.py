@@ -1,19 +1,40 @@
-"""Base class of the package's small immutable records.
+"""Base classes of the package's immutable values.
 
-A subclass declares its fields as annotations, in order, with any
-default as a class attribute, as for a frozen dataclass, and gets what
-a frozen dataclass gives: ``__init__`` (positional and keyword), a
-``repr`` naming every field, ``==`` field by field against the same
-class only, a hash of the field tuple, ``__match_args__``, and an
-``AttributeError`` on setting or deleting any attribute.  Copy, deepcopy
-and pickle go through the instance ``__dict__``.  The stdlib
-``dataclasses`` module is not used because importing it loads
-``inspect``, ``ast``, ``dis`` and ``tokenize``, which took about half
-the time of ``import cltwist``.
+:class:`Frozen` raises ``AttributeError`` on setting or deleting any
+attribute.  It declares no slots of its own, so a subclass with
+``__slots__`` keeps no instance ``__dict__``; a constructor sets its
+fields with ``object.__setattr__``.
+
+:class:`Record` is a frozen base for small records.  A subclass
+declares its fields as annotations, in order, with any default as a
+class attribute, as for a frozen dataclass, and gets what a frozen
+dataclass gives: ``__init__`` (positional and keyword), a ``repr``
+naming every field, ``==`` field by field against the same class only,
+a hash of the field tuple, ``__match_args__``, and the ``Frozen``
+guard.  Copy, deepcopy and pickle go through the instance ``__dict__``.
+The stdlib ``dataclasses`` module is not used because importing it
+loads ``inspect``, ``ast``, ``dis`` and ``tokenize``, which took about
+half the time of ``import cltwist``.
 """
 
 
-class Record:
+class Frozen:
+    """Immutable value; see the module docstring."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot set {name!r}"
+        )
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot delete {name!r}"
+        )
+
+
+class Record(Frozen):
     """Frozen record; see the module docstring."""
 
     __match_args__ = ()
@@ -52,9 +73,3 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")

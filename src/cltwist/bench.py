@@ -15,8 +15,6 @@ Only ``cltwist bench`` imports this module (the CLI, inside its
 handler), so no other command loads it.
 """
 
-from __future__ import annotations
-
 import random
 import time
 from typing import List, Tuple

@@ -18,7 +18,9 @@ is written, as by ``| head``.
 argparse checks only the syntax of the arguments.  Their ranges are
 checked by the library itself: a handler that gets a ValueError
 (NotationError is one) writes nothing to stdout, and :func:`main`
-prints ``cltwist <command>: <message>`` on one stderr line.
+prints ``cltwist <command>: <message>`` on one stderr line.  The one
+check of the CLI's own, a numeric ``--mu`` with ``table --blocks``,
+raises the same way.
 
 Building the parser needs only the kernel.  Each handler imports the
 layers it uses: ``mul`` the multivectors and the notation, ``table``
@@ -27,8 +29,6 @@ the table module (and numpy, which no other command loads),
 and ``bench`` the benchmark module.  ``sign`` and ``trace`` use the
 kernel alone.
 """
-
-from __future__ import annotations
 
 import argparse
 import os
@@ -55,8 +55,10 @@ _WRITE_ROWS = 256
 
 def _add_mu(parser, symbolic: bool = False):
     choices = ["+1", "-1", "sym"] if symbolic else ["+1", "-1"]
+    # None where "sym" is a choice, so that a command can tell an
+    # explicit --mu from the default
     parser.add_argument(
-        "--mu", choices=choices, default="-1",
+        "--mu", choices=choices, default=None if symbolic else "-1",
         help="generator square (default -1)",
     )
 
@@ -93,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument(
         "--blocks", action="store_true",
-        help="half-resolution letter view (always symbolic)",
+        help="half-resolution letter view (always symbolic: no --mu +1/-1)",
     )
 
     p_trace = sub.add_parser("trace", help="tree walk of a blade pair")
@@ -145,18 +147,22 @@ def _cmd_table(args) -> int:
     from . import tables
 
     if args.blocks:
-        pieces, per_row = tables._letter_pieces(args.n, args.format)
+        if args.mu not in (None, "sym"):
+            raise ValueError(
+                f"--blocks is always symbolic, not --mu {args.mu}"
+            )
+        grid = tables._letter_pieces(args.n, args.format)
     else:
         table = tables.table_direct(args.n)
-        pieces, per_row = tables._table_pieces(
-            table, args.format, _MU_VALUES[args.mu]
+        grid = tables._table_pieces(
+            table, args.format, _MU_VALUES[args.mu or "-1"]
         )
     # _WRITE_ROWS rows per write, so that no str of the whole text is
     # built; str, not bytes to sys.stdout.buffer: callers may capture
     # stdout with a text-only stream
-    step = _WRITE_ROWS * per_row
-    for start in range(0, len(pieces), step):
-        sys.stdout.write("".join(pieces[start:start + step]))
+    for start in range(0, len(grid), _WRITE_ROWS):
+        rows = grid[start:start + _WRITE_ROWS]
+        sys.stdout.write("".join(rows.ravel().tolist()))
     return 0
 
 

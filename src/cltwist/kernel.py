@@ -43,8 +43,6 @@ are plain ints too.  The other layers check their input with the same
 helpers, so each rule and its message is written once, here.
 """
 
-from __future__ import annotations
-
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
 __all__ = [

@@ -17,13 +17,12 @@ of the generators, +1 or -1) and acts as the factory:
 2 e_{1} - e_{23}
 """
 
-from __future__ import annotations
-
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple, Union
 
+from ._record import Frozen
 from .kernel import _check_masks, _check_mu, blade_product
 from .notation import Expression, _check_style, format_blade, parse_expression
 
@@ -32,14 +31,18 @@ __all__ = ["Algebra", "Multivector"]
 Scalar = Union[int, Fraction]
 
 
-class Algebra:
+class Algebra(Frozen):
     """Context fixing the generator square; factory for multivectors."""
 
     __slots__ = ("_mu",)
 
     def __init__(self, mu: int = -1):
         _check_mu(mu)
-        self._mu = mu
+        object.__setattr__(self, "_mu", mu)
+
+    def __reduce__(self):
+        # through the constructor, so a copy checks mu as any input is
+        return Algebra, (self._mu,)
 
     @property
     def mu(self) -> int:
@@ -95,7 +98,7 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"coefficients must be int or Fraction, got {value!r}")
 
 
-class Multivector:
+class Multivector(Frozen):
     """Immutable sparse sum of blades with Fraction coefficients."""
 
     __slots__ = ("_algebra", "_coeffs")
@@ -122,9 +125,6 @@ class Multivector:
                 table[mask] = c
         object.__setattr__(self, "_algebra", algebra)
         object.__setattr__(self, "_coeffs", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
 
     def __reduce__(self):
         return Multivector, (self._algebra, self._coeffs)

@@ -26,8 +26,6 @@ leading sign is accepted so that printed multivectors like ``-e_{12}``
 re-parse.  Whitespace is insignificant.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 from typing import List, Optional, Tuple

@@ -50,8 +50,6 @@ the rows involved, if they hold one.
 Each reported line ends with the ``cltwist sign`` calls that rerun it.
 """
 
-from __future__ import annotations
-
 import warnings
 from collections.abc import Mapping
 from typing import Dict, List, Optional, Tuple

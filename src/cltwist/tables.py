@@ -40,13 +40,14 @@ bilinear.  (The self-test, whose format is the bit plane, not the
 array, has its own extension: :func:`cltwist._batch.first_difference`.)
 
 One helper, :func:`_spelled`, spells a set of column blocks once each
-and gathers every row's pieces from them; both renderers use it.
-:func:`render_table` relies on bilinearity: :func:`_render_pieces`
-classes a table's rows by their leading block of columns and builds
-every row from shifted copies of its block, so it takes nothing but a
-:class:`TwistTable`.  :func:`render_block_letters` spells the tile rows
-of :func:`_tiling` and places them by its gather index, so its grid is
-never built.
+and gathers every row's pieces from them into one piece grid, a row of
+str pieces per text row; both renderers join it, and the CLI writes it
+a run of rows at a time.  :func:`render_table` relies on bilinearity:
+:func:`_table_pieces` classes a table's rows by their leading block of
+columns and builds every row from shifted copies of its block, so it
+takes nothing but a :class:`TwistTable`.  :func:`render_block_letters`
+spells the tile rows of :func:`_tiling` and places them by its gather
+index, so its grid is never built.
 
 Fixing mu maps the four codes onto {1, -1}, and the map is a
 homomorphism, so a numeric table is a bilinear form with one bit per
@@ -55,10 +56,9 @@ from ``_VALUE``): leading blocks that spell alike are one block, with 2
 shifted copies, not 4.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
+from ._record import Frozen
 from .kernel import (
     MAX_DIM, _check_dim, _check_masks, _check_mu, _parity_above, twist_closed,
 )
@@ -80,7 +80,7 @@ _SPELL = ("1", "-1", "m", "-m")
 _VALUE = {1: (1, -1, 1, -1), -1: (1, -1, -1, 1)}
 
 
-class SymbolicSign:
+class SymbolicSign(Frozen):
     """One of {1, -1, m, -m}: a sign times an optional factor of mu."""
 
     __slots__ = ("_code",)
@@ -92,9 +92,6 @@ class SymbolicSign:
         if type(mu_power) is not int or mu_power not in (0, 1):
             raise ValueError(f"mu_power must be 0 or 1, got {mu_power!r}")
         object.__setattr__(self, "_code", (sign < 0) | (mu_power << 1))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolicSign is immutable")
 
     def __reduce__(self):
         return SymbolicSign.from_code, (self._code,)
@@ -155,7 +152,7 @@ def twist_symbolic(p: int, q: int) -> SymbolicSign:
     return SymbolicSign(twist_closed(p, q, 1), (p & q).bit_count() & 1)
 
 
-class TwistTable:
+class TwistTable(Frozen):
     """Dense table of symbolic twists for all blade pairs below 2**n.
 
     ``codes`` is a 2**n square numpy int8 array of codes in 0..3,
@@ -198,9 +195,6 @@ class TwistTable:
         codes.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "codes", codes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistTable is immutable")
 
     def __reduce__(self):
         # through the constructor, so a copy is checked as any input is
@@ -385,45 +379,44 @@ def _spelled(blocks: np.ndarray, index: np.ndarray, spell, sep: str):
     of a row of ``blocks`` spelled ``spell[c]``, entries separated by
     ``sep``.  Adds the offset of the newline copies to ``index[:, -1]``.
 
-    Returns ``(pieces, per_row)``: a list of str pieces that concatenate
-    to the text, ``per_row`` of them to a row.
+    Returns the piece grid: a 2-d object array of str pieces, one row
+    per text row, whose row p concatenates to row p of the text, newline
+    included.
 
     Every block is spelled once, in one pass: every code indexes a table
-    of little-endian uint32 words, each ``entry + sep`` (the block's last
-    column: ``entry + "\n"``) padded with NUL, and deleting the NULs from
-    the words' bytes leaves one line per block.  The palette holds each
-    line ending in ``sep``, then each again ending in a newline, so a
-    row's last piece is the one half a palette further on.  One gather
-    of the palette picks every row's pieces.
+    of little-endian uint32 words, each ``entry + sep`` padded with NUL,
+    every block row is closed by a newline word, and deleting the NULs
+    from the words' bytes leaves one line per block, ending in ``sep``.
+    The palette holds those lines, then each again with a newline for
+    its final ``sep``, so a row's last piece is the one half a palette
+    further on.  One gather of the palette picks every row's pieces.
     """
-    inner, last = (
-        np.array([int.from_bytes((s + end).encode("ascii"), "little")
-                  for s in spell], "<u4")
-        for end in (sep, "\n")
-    )
-    cells = inner.take(blocks)
-    cells[:, -1] = last.take(blocks[:, -1])
+    words = np.array([int.from_bytes((s + sep).encode("ascii"), "little")
+                      for s in spell], "<u4")
+    cells = np.empty((len(blocks), blocks.shape[1] + 1), "<u4")
+    # every code is in range; "clip", unlike "raise", writes straight
+    # into the column slice
+    words.take(blocks, out=cells[:, :-1], mode="clip")
+    cells[:, -1] = ord("\n")
     text = cells.tobytes().translate(None, b"\0").decode("ascii")
     lines = text.split("\n")[:-1]
-    palette = np.array(
-        [line + sep for line in lines] + [line + "\n" for line in lines],
-        dtype=object,
-    )
+    palette = np.array(lines + [line[:-1] + "\n" for line in lines],
+                       dtype=object)
     index[:, -1] += len(lines)
-    return palette[index].ravel().tolist(), index.shape[1]
+    return palette[index]
 
 
-def _render_pieces(codes: np.ndarray, spell, sep: str, fold=None):
-    """:func:`_spelled` text of the twist table ``codes``, with code c
-    spelled ``spell[c]`` (``spell[fold[c]]`` for a numeric table, whose
+def _table_pieces(table: TwistTable, format: str, mu):
+    """:func:`render_table` as a :func:`_spelled` piece grid, with code c
+    spelled ``_SPELL[c]`` (``_SPELL[fold[c]]`` for a numeric table, whose
     ``fold`` is :func:`_fold`).
 
-    Each row is split into blocks B = 2**min(k, k // 2 + 1) columns wide
-    for 2**k columns.  A twist row is linear in q, so ``codes[p, 0]`` is
-    0 and block j of row p is its first block XORed by the shift
-    ``codes[p, jB]``, a code in 0..3.  The fold is a homomorphism, so
-    the same holds of folded codes, with a shift in {0, 1}; it is
-    applied only to the columns read below, never to the whole table.
+    Each row is split into blocks B = 2**min(n, n // 2 + 1) columns wide.
+    A twist row is linear in q, so ``codes[p, 0]`` is 0 and block j of
+    row p is its first block XORed by the shift ``codes[p, jB]``, a code
+    in 0..3.  The fold is a homomorphism, so the same holds of folded
+    codes, with a shift in {0, 1}; it is applied only to the columns
+    read below, never to the whole table.
 
     So rows are classed by their first block, through one int key per
     row (:func:`_row_keys`) that ``np.unique`` sorts, and each distinct
@@ -431,10 +424,19 @@ def _render_pieces(codes: np.ndarray, spell, sep: str, fold=None):
     folded): block j of row p is block ``variants * class + shift`` of
     those.
     """
-    k = codes.shape[1].bit_length() - 1
-    width = 1 << min(k, k // 2 + 1)
+    # the renderer relies on bilinearity, which only the class vouches for
+    if not isinstance(table, TwistTable):
+        raise TypeError(
+            f"table must be a TwistTable, got {type(table).__name__}"
+        )
+    sep = _separator(format)
+    codes, n = table.codes, table.n
+    width = 1 << min(n, n // 2 + 1)
     shifts = codes[:, ::width]
-    if fold is not None:
+    fold = None
+    if mu is not None:
+        _check_mu(mu)
+        fold = _fold(mu)
         shifts = fold.take(shifts)
     _, first_rows, row_class = np.unique(
         _row_keys(codes, width, fold), return_index=True, return_inverse=True
@@ -442,26 +444,12 @@ def _render_pieces(codes: np.ndarray, spell, sep: str, fold=None):
     first = codes[first_rows, :width]
     if fold is not None:
         first = fold.take(first)
-    # a fold is onto {0, 1}
+    # a fold is onto {0, 1}, whose values are 1 and -1 at either mu
     variants = 4 if fold is None else 2
     blocks = (first[:, None, :]
               ^ np.arange(variants, dtype=np.int8)[:, None]).reshape(-1, width)
-    return _spelled(blocks, variants * row_class[:, None] + shifts, spell, sep)
-
-
-def _table_pieces(table: TwistTable, format: str, mu):
-    """:func:`render_table` as :func:`_render_pieces` gives it."""
-    # the renderer relies on bilinearity, which only the class vouches for
-    if not isinstance(table, TwistTable):
-        raise TypeError(
-            f"table must be a TwistTable, got {type(table).__name__}"
-        )
-    sep = _separator(format)
-    if mu is None:
-        return _render_pieces(table.codes, _SPELL, sep)
-    _check_mu(mu)
-    # folded codes are 0 and 1, whose values are 1 and -1 at either mu
-    return _render_pieces(table.codes, _SPELL[:2], sep, _fold(mu))
+    return _spelled(blocks, variants * row_class[:, None] + shifts,
+                    _SPELL[:variants], sep)
 
 
 def render_table(table: TwistTable, format: str = "text", mu=None) -> str:
@@ -473,14 +461,13 @@ def render_table(table: TwistTable, format: str = "text", mu=None) -> str:
     substitutes numbers.  Anything but a :class:`TwistTable` raises
     TypeError.
     """
-    pieces, _ = _table_pieces(table, format, mu)
-    return "".join(pieces)
+    return "".join(_table_pieces(table, format, mu).ravel().tolist())
 
 
 def _letter_pieces(n: int, format: str):
-    """:func:`render_block_letters` as :func:`_spelled` gives it: each
-    tile row of :func:`_tiling` is spelled once and placed by its index,
-    so the letter grid itself is never built."""
+    """:func:`render_block_letters` as a :func:`_spelled` piece grid:
+    each tile row of :func:`_tiling` is spelled once and placed by its
+    index, so the letter grid itself is never built."""
     sep = _separator(format)
     _check_dim(n, low=2)
     tile_rows, index = _tiling(n - 1)
@@ -495,5 +482,4 @@ def render_block_letters(n: int, format: str = "text") -> str:
     format is "text" or "csv", as for :func:`render_table`; n must be at
     least 2.
     """
-    pieces, _ = _letter_pieces(n, format)
-    return "".join(pieces)
+    return "".join(_letter_pieces(n, format).ravel().tolist())

@@ -190,8 +190,8 @@ class TestTable:
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     @pytest.mark.parametrize("n", range(2, MAX_DIM + 1))
     def test_streamed_letters_equal_render(self, capsys, n, fmt):
-        # the writes are cut every 256 rows of pieces, whose count per row
-        # follows the tile width, so every n and both formats
+        # the writes are cut every 256 rows of the piece grid, whose
+        # width follows the tile width, so every n and both formats
         assert run_cli("table", str(n), "--blocks", "--format", fmt) == 0
         assert capsys.readouterr().out == render_block_letters(n, fmt)
 
@@ -413,6 +413,8 @@ class TestDispatch:
     [
         ["table", "13"],
         ["table", "1", "--blocks"],
+        ["table", "3", "--blocks", "--mu", "+1"],
+        ["table", "3", "--blocks", "--mu", "-1"],
         ["selftest", "--n", "0"],
         ["bench", "--pairs", "0"],
         ["bench", "--pairs", "1000001"],
@@ -583,7 +585,7 @@ def test_import_loads_only_the_kernel(child_env):
         "added = set(sys.modules) - before\n"
         "print(sorted(m for m in added if m.startswith('cltwist')))\n"
         "print(sorted(added & {'cltwist._record', 'cltwist.bench',"
-        " 'fractions', 'decimal', 'numpy'}))\n",
+        " 'fractions', 'decimal', 'numpy', '__future__'}))\n",
         child_env,
     )
     assert out == "['cltwist', 'cltwist.kernel']\n[]\n"

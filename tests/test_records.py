@@ -1,6 +1,6 @@
 """The package's six immutable records behave as frozen dataclasses:
 construction, repr, equality, hash, immutability, pattern matching,
-copy and pickle."""
+copy and pickle.  The value types share their immutability guard."""
 
 import copy
 import pickle
@@ -9,8 +9,10 @@ from fractions import Fraction
 import pytest
 
 from cltwist.bench import BenchResult
+from cltwist.multivector import Algebra
 from cltwist.notation import Expression, Factor, Term
 from cltwist.selftest import Mismatch, SelftestReport
+from cltwist.tables import SymbolicSign, table_direct
 
 FACTOR = Factor(Fraction(3, 4), 0b110)
 TERM = Term(-1, (FACTOR, Factor(None, 1)))
@@ -129,3 +131,39 @@ def test_records_match_by_position():
                 "linear-p", 1, (5, 4, 9), {}, "closed")
         case _:
             pytest.fail("no match")
+
+
+ALGEBRA = Algebra(1)
+
+#: (value, its attribute names): each value type on the records' frozen
+#: base, whose records test_fields_cannot_be_set_or_deleted covers
+VALUES = [
+    (SymbolicSign(-1, 1), ["_code", "sign", "mu_power", "code"]),
+    (table_direct(2), ["n", "codes"]),
+    (ALGEBRA.parse("3/4 e_12 - e_3"), ["_algebra", "_coeffs", "algebra"]),
+    (ALGEBRA, ["_mu", "mu"]),
+]
+
+
+@pytest.mark.parametrize(
+    "value, names", VALUES,
+    ids=[type(value).__name__ for value, _ in VALUES],
+)
+def test_values_cannot_be_set_or_deleted(value, names):
+    before = copy.deepcopy(value)
+    for name in names + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert type(value) is type(before) and value == before
+    assert repr(value) == repr(before)
+
+
+def test_algebra_copies_and_pickles_through_its_constructor():
+    for twin in (copy.copy(ALGEBRA), copy.deepcopy(ALGEBRA),
+                 pickle.loads(pickle.dumps(ALGEBRA))):
+        assert type(twin) is Algebra and twin == ALGEBRA
+        assert twin.mu == 1 and hash(twin) == hash(ALGEBRA)
+    # a copy is made by the constructor, which checks mu again
+    assert ALGEBRA.__reduce__() == (Algebra, (1,))

@@ -241,6 +241,35 @@ def test_letters_peak_memory():
     assert peak < 4 << 20
 
 
+def _assert_rows_are_lines(grid, text):
+    # the piece grid has one row per text line, and row p joins to line
+    # p with its newline: the CLI writes whole rows from it
+    lines = text.splitlines(keepends=True)
+    assert grid.ndim == 2 and grid.dtype == object
+    assert len(grid) == len(lines)
+    for row, line in zip(grid.tolist(), lines):
+        assert "".join(row) == line
+
+
+@pytest.mark.parametrize("mu", [None, 1, -1])
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("build", [table_direct, table_blocks])
+@pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
+def test_table_piece_grid_rows_are_lines(n, build, fmt, mu):
+    table = build(n)
+    grid = tables._table_pieces(table, fmt, mu)
+    assert grid.shape[0] == 1 << n
+    _assert_rows_are_lines(grid, render_table(table, fmt, mu))
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("n", range(2, MAX_DIM + 1))
+def test_letter_piece_grid_rows_are_lines(n, fmt):
+    grid = tables._letter_pieces(n, fmt)
+    assert grid.shape[0] == 1 << n - 1
+    _assert_rows_are_lines(grid, render_block_letters(n, fmt))
+
+
 def _assert_cells_closed_form(codes, cells):
     for p, q in cells:
         assert int(codes[p, q]) == twist_symbolic(p, q).code, (p, q)
