@@ -280,15 +280,17 @@ def twist_closed(p: int, q: int, mu: int) -> int:
     Mann, *Geometric Algebra for Computer Science*); the cancellation
     factor is mu**popcount(p & q).  Bit k of ``_parity_above(p)`` is the
     parity of the generators of p above k, so the inversion parity is
-    one popcount of that mask against q: a fixed number of shifts for
-    any 64-bit masks, and no loop.
+    the popcount of that mask against q.  When mu < 0, XOR-ing p into
+    the mask adds the shared generators to the same popcount: a fixed
+    number of shifts and one popcount for any 64-bit masks, and no
+    loop.
     """
     _check_mu(mu)
     _check_masks(p, q)
-    swaps = (_parity_above(p) & q).bit_count()
+    x = _parity_above(p)
     if mu < 0:
-        swaps += (p & q).bit_count()
-    return -1 if swaps & 1 else 1
+        x ^= p
+    return -1 if (x & q).bit_count() & 1 else 1
 
 
 #: Default sign kernel (the fastest validated one).

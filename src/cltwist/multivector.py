@@ -34,19 +34,15 @@ Scalar = Union[int, Fraction]
 class Algebra(Frozen):
     """Context fixing the generator square; factory for multivectors."""
 
-    __slots__ = ("_mu",)
+    __slots__ = ("mu",)
 
     def __init__(self, mu: int = -1):
         _check_mu(mu)
-        object.__setattr__(self, "_mu", mu)
+        object.__setattr__(self, "mu", mu)
 
     def __reduce__(self):
         # through the constructor, so a copy checks mu as any input is
-        return Algebra, (self._mu,)
-
-    @property
-    def mu(self) -> int:
-        return self._mu
+        return Algebra, (self.mu,)
 
     def multivector(self, coeffs: Dict[int, Scalar]) -> "Multivector":
         """Multivector from a {mask: coefficient} table."""
@@ -75,19 +71,19 @@ class Algebra(Frozen):
                 if factor.coeff is not None:
                     coeff *= factor.coeff
                 if factor.blade is not None:
-                    s, mask = blade_product(mask, factor.blade, self._mu)
+                    s, mask = blade_product(mask, factor.blade, self.mu)
                     sign *= s
             out[mask] = out.get(mask, 0) + sign * coeff
         return Multivector(self, out)
 
     def __eq__(self, other):
-        return isinstance(other, Algebra) and other._mu == self._mu
+        return isinstance(other, Algebra) and other.mu == self.mu
 
     def __hash__(self):
-        return hash((Algebra, self._mu))
+        return hash((Algebra, self.mu))
 
     def __repr__(self):
-        return f"Algebra(mu={self._mu:+d})"
+        return f"Algebra(mu={self.mu:+d})"
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -101,7 +97,7 @@ def _as_fraction(value: Scalar) -> Fraction:
 class Multivector(Frozen):
     """Immutable sparse sum of blades with Fraction coefficients."""
 
-    __slots__ = ("_algebra", "_coeffs")
+    __slots__ = ("algebra", "_coeffs")
 
     # numpy's scalar operators would otherwise take over where ours
     # return NotImplemented, turn a numpy scalar into a Python number and
@@ -123,19 +119,15 @@ class Multivector(Frozen):
             c = _as_fraction(value)
             if c:  # canonical: zero coefficients never stored
                 table[mask] = c
-        object.__setattr__(self, "_algebra", algebra)
+        object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "_coeffs", table)
 
     def __reduce__(self):
-        return Multivector, (self._algebra, self._coeffs)
-
-    @property
-    def algebra(self) -> Algebra:
-        return self._algebra
+        return Multivector, (self.algebra, self._coeffs)
 
     @property
     def mu(self) -> int:
-        return self._algebra.mu
+        return self.algebra.mu
 
     def coefficient(self, mask: int) -> Fraction:
         _check_masks(mask, 0)
@@ -154,7 +146,7 @@ class Multivector(Frozen):
         if type(k) is not int:
             raise TypeError(f"grade must be an int, got {k!r}")
         return Multivector(
-            self._algebra,
+            self.algebra,
             {m: c for m, c in self._coeffs.items() if m.bit_count() == k},
         )
 
@@ -164,46 +156,42 @@ class Multivector(Frozen):
     def __len__(self):
         return len(self._coeffs)
 
-    def __bool__(self):
-        return bool(self._coeffs)
-
     def _check_same(self, other: "Multivector"):
-        if self._algebra != other._algebra:
+        if self.algebra != other.algebra:
             raise ValueError("multivectors from different algebras")
 
     def __eq__(self, other):
         if isinstance(other, Multivector):
             return (
-                self._algebra == other._algebra
+                self.algebra == other.algebra
                 and self._coeffs == other._coeffs
             )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._algebra, frozenset(self._coeffs.items())))
+        return hash((self.algebra, frozenset(self._coeffs.items())))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self._algebra.scalar(other)
+            other = self.algebra.scalar(other)
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_same(other)
         out = dict(self._coeffs)
         for mask, c in other._coeffs.items():
             out[mask] = out.get(mask, Fraction(0)) + c
-        return Multivector(self._algebra, out)
+        return Multivector(self.algebra, out)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__  # addition commutes
 
     def __neg__(self):
         return Multivector(
-            self._algebra, {m: -c for m, c in self._coeffs.items()}
+            self.algebra, {m: -c for m, c in self._coeffs.items()}
         )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self._algebra.scalar(other)
+            other = self.algebra.scalar(other)
         if not isinstance(other, Multivector):
             return NotImplemented
         return self.__add__(-other)
@@ -215,18 +203,18 @@ class Multivector(Frozen):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             return Multivector(
-                self._algebra, {m: v * c for m, v in self._coeffs.items()}
+                self.algebra, {m: v * c for m, v in self._coeffs.items()}
             )
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_same(other)
-        mu = self._algebra.mu
+        mu = self.algebra.mu
         out: Dict[int, Fraction] = {}
         for p, cp in self._coeffs.items():
             for q, cq in other._coeffs.items():
                 sign, mask = blade_product(p, q, mu)
                 out[mask] = out.get(mask, Fraction(0)) + sign * cp * cq
-        return Multivector(self._algebra, out)
+        return Multivector(self.algebra, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -245,7 +233,7 @@ class Multivector(Frozen):
         if type(n) is not int or n < 0:
             raise ValueError("only non-negative integer powers")
         # by repeated squaring: the product is associative
-        result = self._algebra.scalar(1)
+        result = self.algebra.scalar(1)
         square = self
         while n:
             if n & 1:

@@ -344,6 +344,14 @@ def run_selftest(n: int = kernel.DEFAULT_N, algorithms=None) -> SelftestReport:
         )
     elif not algorithms:
         raise ValueError("algorithms must name at least one sign function")
+    # every entry, before any suite runs: a report names each function
+    # by its key, as ``--algo <name>``
+    for name, func in algorithms.items():
+        if type(name) is not str or not callable(func):
+            raise TypeError(
+                "algorithms must map str names to sign functions,"
+                f" got {name!r}: {func!r}"
+            )
     size = 1 << n
     # the cocycle suite checks the closed form's table, if it is there
     kept = "closed" if "closed" in algorithms else next(iter(algorithms))

@@ -83,7 +83,7 @@ _VALUE = {1: (1, -1, 1, -1), -1: (1, -1, -1, 1)}
 class SymbolicSign(Frozen):
     """One of {1, -1, m, -m}: a sign times an optional factor of mu."""
 
-    __slots__ = ("_code",)
+    __slots__ = ("code",)
 
     def __init__(self, sign: int = 1, mu_power: int = 0):
         # Exactly int: a float, a bool or a numpy integer is turned away.
@@ -91,10 +91,10 @@ class SymbolicSign(Frozen):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         if type(mu_power) is not int or mu_power not in (0, 1):
             raise ValueError(f"mu_power must be 0 or 1, got {mu_power!r}")
-        object.__setattr__(self, "_code", (sign < 0) | (mu_power << 1))
+        object.__setattr__(self, "code", (sign < 0) | (mu_power << 1))
 
     def __reduce__(self):
-        return SymbolicSign.from_code, (self._code,)
+        return SymbolicSign.from_code, (self.code,)
 
     @classmethod
     def from_code(cls, code: int) -> "SymbolicSign":
@@ -104,39 +104,35 @@ class SymbolicSign(Frozen):
 
     @property
     def sign(self) -> int:
-        return -1 if self._code & 1 else 1
+        return -1 if self.code & 1 else 1
 
     @property
     def mu_power(self) -> int:
-        return (self._code >> 1) & 1
-
-    @property
-    def code(self) -> int:
-        return self._code
+        return (self.code >> 1) & 1
 
     def __mul__(self, other):
         if not isinstance(other, SymbolicSign):
             return NotImplemented
-        return SymbolicSign.from_code(self._code ^ other._code)
+        return SymbolicSign.from_code(self.code ^ other.code)
 
     def __neg__(self):
-        return SymbolicSign.from_code(self._code ^ 1)
+        return SymbolicSign.from_code(self.code ^ 1)
 
     def substitute(self, mu: int) -> int:
         """Numeric value once mu is fixed to +1 or -1."""
         _check_mu(mu)
-        return _VALUE[mu][self._code]
+        return _VALUE[mu][self.code]
 
     def __eq__(self, other):
         if isinstance(other, SymbolicSign):
-            return self._code == other._code
+            return self.code == other.code
         return NotImplemented
 
     def __hash__(self):
-        return hash((SymbolicSign, self._code))
+        return hash((SymbolicSign, self.code))
 
     def __str__(self):
-        return _SPELL[self._code]
+        return _SPELL[self.code]
 
     def __repr__(self):
         return f"SymbolicSign(sign={self.sign:+d}, mu_power={self.mu_power})"

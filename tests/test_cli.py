@@ -10,6 +10,8 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cltwist import bench, cli, kernel
 from cltwist.multivector import Algebra
@@ -712,3 +714,169 @@ def test_unknown_name_raises_attribute_error(child_env):
         child_env,
     )
     assert "no_such_name" in out
+
+
+# --- the CLI contract, fuzzed ---------------------------------------------
+
+#: Masks near both ends of the 64-bit range, a few past each end.
+_MASKS = st.integers(-2, 1 << 10) | st.integers((1 << 64) - (1 << 10), (1 << 64) + 2)
+
+#: Table and self-test widths: every accepted one up to 10, so that an
+#: example stays fast, and out-of-range ones on both sides.
+_WIDTHS = st.integers(0, 10) | st.just(13)
+
+#: Each numeric ``--mu`` spelling with the mu it means, and the
+#: symbolic ones, which only ``table`` takes.
+_MU_FLAGS = [
+    ([], -1), (["--mu", "+1"], 1), (["--mu", "-1"], -1), (["--mu=+1"], 1),
+    (["--mu=-1"], -1),
+]
+_SYMBOLIC_MU_FLAGS = [([], None), (["--mu", "sym"], None), (["--mu=sym"], None)]
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                              "\u0665\u0666\u0667\u0668\u0669")
+
+_GENERATORS = "123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def _usually(draw, right, wrong):
+    """One of ``right``, or one of ``wrong`` in one example in 16."""
+    return draw(st.sampled_from(wrong if draw(st.integers(0, 15)) == 15 else right))
+
+
+@st.composite
+def _int_arg(draw, values):
+    """An int argument: mostly a spelling that ``int()``, and so
+    argparse, reads; now and then one it refuses."""
+    value = draw(values)
+    return _usually(draw, [
+        str(value), f" {value} ", f"{value:_}", f"0{value}", f"+{value}",
+        str(value).translate(_ARABIC_INDIC),
+    ], ["", "x", hex(value), f"{value}.0"])
+
+
+@st.composite
+def _expression(draw):
+    """Text from the notation grammar, with a noise character inserted
+    into one example in three."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["rational", "e", "i", "both"]))
+            factor = []
+            if kind in ("rational", "both"):
+                num = draw(st.integers(0, 99))
+                den = draw(st.integers(0, 9))
+                factor.append(f"{num}/{den}" if den != 1 else str(num))
+            if kind == "i":
+                factor.append(f"i_{draw(_MASKS)}")
+            elif kind != "rational":
+                gens = draw(st.sets(st.sampled_from(_GENERATORS), min_size=1, max_size=5))
+                factor.append("e_{%s}" % "".join(sorted(gens, key=_GENERATORS.index)))
+            factors.append(" ".join(factor))
+        terms.append(" * ".join(factors))
+    # a leading "-" with no space after it reads as an option to argparse
+    text = draw(st.sampled_from(["", "- ", "-"])) + draw(
+        st.sampled_from([" + ", " - ", "+"])).join(terms)
+    if draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(text)))
+        noise = draw(st.sampled_from(list("+-*/_{}()eiz0 \t\n?\xa0\u212a")))
+        text = text[:at] + noise + text[at:]
+    return text
+
+
+def _arranged(draw, positionals, options):
+    """argv tail: the option chunks in any order, split around the
+    positionals, which keep theirs."""
+    chunks = draw(st.permutations(options))
+    cut = draw(st.integers(0, len(chunks)))
+    head = [arg for chunk in chunks[:cut] for arg in chunk]
+    tail = [arg for chunk in chunks[cut:] for arg in chunk]
+    return head + positionals + tail
+
+
+@st.composite
+def _cli_cases(draw):
+    """(argv, check): check(stdout) holds of any run that exits 0, whose
+    int arguments ``int()`` reads, as argparse does."""
+    command = draw(st.sampled_from(["sign", "mul", "trace", "table", "selftest"]))
+    flags = _MU_FLAGS + _SYMBOLIC_MU_FLAGS if command == "table" else _MU_FLAGS
+    mu_flag, mu = _usually(draw, flags, [(["--mu=1"], 1), (["--mu", "m"], None)])
+    if command in ("sign", "trace"):
+        p, q = draw(_int_arg(_MASKS)), draw(_int_arg(_MASKS))
+        options = [mu_flag]
+        if command == "sign":
+            algo = _usually(draw, sorted(kernel.ALGORITHMS), ["fast", "Closed"])
+            options.append(["--algo", algo])
+
+            def check(out):
+                assert out == f"{kernel.twist(int(p), int(q), mu):+d}\n"
+        else:
+            def check(out):
+                sign = kernel.twist_tree(int(p), int(q), mu)
+                assert out.splitlines()[-1] == f"clf = {sign:+d}"
+        return [command] + _arranged(draw, [p, q], options), check
+    if command == "mul":
+        expr = draw(_expression())
+        options = [mu_flag] + draw(st.sampled_from([[], [["--i-form"]]]))
+
+        def check(out):
+            algebra = Algebra(mu)
+            assert algebra.parse(out) == algebra.parse(expr)
+
+        return [command] + _arranged(draw, [expr], options), check
+    n = draw(_int_arg(_WIDTHS))
+    if command == "selftest":
+        def check(out):
+            assert out == (
+                f"ok: 4x{4 ** int(n)} pairs x 2 mu, 0 mismatches\n"
+                f"ok: {8 ** int(n)} triples x 2 mu, 0 mismatches\n"
+            )
+
+        return [command, "--n", n], check
+    blocks = draw(st.booleans())
+    fmt = _usually(draw, ["text", "csv"], ["tsv"])
+    options = [mu_flag, ["--format", fmt]] + [["--blocks"]] * blocks
+
+    def check(out):
+        assert out.count("\n") == 1 << (int(n) - blocks)
+
+    return [command] + _arranged(draw, [n], options), check
+
+
+def test_cli_contract_fuzz(capsys):
+    """argv from each command's grammar, run in process: argparse errors
+    exit 2 by SystemExit; the library's refusals return 2 with nothing
+    on stdout and one ``cltwist <command>: `` line on stderr; a success
+    prints what the library computes.  A fixed 300 examples, widths up
+    to 10 and no ``bench`` keep this to a few seconds of tier-1."""
+    codes = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_cli_cases())
+    def run(case):
+        argv, check = case
+        capsys.readouterr()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            out, err = capsys.readouterr()
+            assert exc.code == 2 and out == "" and err.startswith("usage: ")
+            codes.append("argparse")
+            return
+        out, err = capsys.readouterr()
+        codes.append(code)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == ""
+            assert err.startswith(f"cltwist {argv[0]}: ")
+            assert err.endswith("\n") and err.count("\n") == 1
+        elif code == 0:
+            assert err == ""
+            check(out)
+
+    run()
+    # most examples get past argparse, and many of them succeed
+    assert codes.count("argparse") < len(codes) / 3
+    assert codes.count(0) > len(codes) / 4

@@ -291,6 +291,34 @@ def test_algorithms_that_are_not_a_mapping_rejected(algorithms):
         run_selftest(3, algorithms=algorithms)
 
 
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "algorithms, entry",
+    [
+        ({"x": []}, "'x': []"),
+        ({"closed": kernel.twist_closed, "x": 5}, "'x': 5"),
+        ({1: kernel.twist_closed}, "1: <function twist_closed"),
+        ({_Name("closed"): kernel.twist_closed}, "'closed': <function"),
+    ],
+    ids=["unhashable-value", "int-value", "int-name", "str-subclass-name"],
+)
+def test_algorithm_entries_checked_before_any_suite(algorithms, entry):
+    calls = []
+
+    def counted(p, q, mu):
+        calls.append((p, q, mu))
+        return kernel.twist_closed(p, q, mu)
+
+    message = "algorithms must map str names to sign functions, got "
+    with pytest.raises(TypeError) as info:
+        run_selftest(2, algorithms={"counted": counted, **algorithms})
+    assert str(info.value).startswith(message + entry)
+    assert calls == []
+
+
 def test_algorithms_in_a_dict_subclass_accepted():
     class Algorithms(dict):
         pass
