@@ -22,9 +22,10 @@ cross-check:
 * :func:`closed_parity`    one ``kernel._parity_above`` per row
 
 The tree form's step is the algebraic normal form (the XOR of ANDs) of
-the transitions of ``kernel._FLAT_TREES``, the automaton ``twist_tree``
-walks, computed from that table alone, so the form stays independent
-of the other three.
+the transitions of ``kernel._RULE``, the rule table ``twist_tree``
+walks, with the sign of each code read off ``kernel._VALUE``, computed
+from those tables alone, so the form stays independent of the other
+three.
 
 :func:`first_difference` is the bilinearity test on planes: the
 self-test's certificate puts a parity plane to it.  Tables, whose
@@ -180,13 +181,14 @@ def _anf(values) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-#: One automaton step of ``kernel._FLAT_TREES[mu]`` as two polynomials
-#: in the bits of its index ``letter << 2 | p_bit << 1 | q_bit``: the
-#: next letter's, and the sign flip's.
+#: One step of the rule table ``kernel._RULE`` at each mu as two
+#: polynomials in the bits of its index ``letter << 2 | p_bit << 1 |
+#: q_bit``: the next letter's, and the sign flip's, which is 1 where the
+#: code's value at mu (``kernel._VALUE``) is -1.
 _TREE_ANF = {
-    mu: (_anf(letter for letter, _ in flat),
-         _anf(sign < 0 for _, sign in flat))
-    for mu, flat in kernel._FLAT_TREES.items()
+    mu: (_anf(letter for letter, _ in kernel._RULE),
+         _anf(value[code] < 0 for _, code in kernel._RULE))
+    for mu, value in kernel._VALUE.items()
 }
 
 

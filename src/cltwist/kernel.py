@@ -14,23 +14,28 @@ twist is a sign.  Four independent algorithms compute that sign:
                            adjacent swaps, then cancels equal neighbours
                            in one pass (ground truth)
 * :func:`twist_recursive` strips one low bit pair per step
-* :func:`twist_tree`      4-state automaton over bit pairs, high bit first
+* :func:`twist_tree`      walks the twist tree over bit pairs, high bit
+                           first, by the rule table of the block
+                           substitution
 * :func:`twist_closed`    popcount formula; the fastest, and the default
 
 They are checked against each other exhaustively by the self-test and
 acceptance suites up to 12 bits.  At every 64-bit pair, two tests
-prove the tree and closed forms: ``test_tree_transitions`` checks all
-16 transitions of the tree automaton against the rule they encode,
-which proves :func:`twist_tree` by induction on the bits read, and
-``test_closed_every_fold_stage`` checks :func:`twist_closed` on every
-pair of generators, which fixes it everywhere because the closed form
-is GF(2)-bilinear by construction (a parity fold, AND and a popcount
-parity).  Everything here is a pure function on Python ints, and this
-module never imports numpy.  Each algorithm also has a plane form,
-following the same method on bit planes, Python ints with one bit per
-blade pair of a whole grid, in the private :mod:`cltwist._batch`; the
-self-test uses those for the built-in functions, while ``ALGORITHMS``
-and the acceptance suites stay scalar.
+prove the tree and closed forms: ``test_tree_transitions`` checks the
+8 entries of the rule table ``_RULE`` against the rule they encode, at
+both mu, which proves :func:`twist_tree` by induction on the bits
+read, and ``test_closed_every_fold_stage`` checks :func:`twist_closed`
+on every pair of generators, which fixes it everywhere because the
+closed form is GF(2)-bilinear by construction (a parity fold, AND and
+a popcount parity).  ``_RULE`` is the paper's block substitution, one
+symbolic table that :mod:`cltwist.tables` grows its block tables by,
+and ``_VALUE`` the value of a symbolic code at each mu; both are
+written only here.  Everything here is a pure function on Python ints,
+and this module never imports numpy.  Each algorithm also has a plane
+form, following the same method on bit planes, Python ints with one bit
+per blade pair of a whole grid, in the private :mod:`cltwist._batch`;
+the self-test uses those for the built-in functions, while
+``ALGORITHMS`` and the acceptance suites stay scalar.
 
 Mask contract: blades are plain ints in ``[0, 2**64)``, one bit per
 generator e_1 through e_64.  Every function that takes a blade pair
@@ -178,25 +183,27 @@ def twist_recursive(p: int, q: int, mu: int) -> int:
     return sign
 
 
-# The twist tree consists of four components, one per signed letter,
-# repeating indefinitely; walking it is a 4-state automaton on states
-# {A, -A, B, -B}.  Consuming the bit pair (p-bit, q-bit) moves
-# p-bit-th branch then q-bit-th leaf.  A negated state behaves like
-# the positive one with the running sign flipped, so the tables below
-# carry (next letter, sign factor).  Letter A (0) means an even number
-# of p-bits consumed so far, B (1) odd.  The component shape depends
-# on mu, so both automata ship and are picked at call time.
-# Index: letter << 2 | p_bit << 1 | q_bit.
-_FLAT_TREES = {
-    1: (
-        (0, 1), (0, 1), (1, 1), (1, 1),  # A: 00 01 10 11
-        (1, 1), (1, -1), (0, 1), (0, -1),  # B: 00 01 10 11
-    ),
-    -1: (
-        (0, 1), (0, 1), (1, 1), (1, -1),  # A: 00 01 10 11
-        (1, 1), (1, -1), (0, 1), (0, 1),  # B: 00 01 10 11
-    ),
-}
+#: Value of each symbolic code once mu is fixed: ``_VALUE[mu][code]``.
+#: A code is a sign times a power of mu, bit 0 the negation and bit 1
+#: the power (mu**2 = 1), so the codes multiply by XOR.
+_VALUE = {1: (1, -1, 1, -1), -1: (1, -1, -1, 1)}
+
+# The twist tree and the block substitution are one rule on the signed
+# letters: each letter is rewritten into a 2x2 block of coefficiented
+# letters,
+#
+#     c*A  ->  [[cA,  cA], [cB,  mcB]]
+#     c*B  ->  [[cB, -cB], [cA, -mcA]]
+#
+# and the block's cell (p_bit, q_bit) is the tree's branch for that bit
+# pair.  Entry ``letter << 2 | p_bit << 1 | q_bit`` (A is 0, B is 1) is
+# the (next letter, code) of that cell, for c = 1; the letter is the
+# parity of the p bits read.  ``twist_tree`` walks it, high bit first,
+# and ``tables._block_rounds`` grows every cell by it.
+_RULE = (
+    (0, 0), (0, 0), (1, 0), (1, 2),  # A: 00 01 10 11
+    (1, 0), (1, 1), (0, 0), (0, 3),  # B: 00 01 10 11
+)
 
 
 class TraceStep(NamedTuple):
@@ -223,13 +230,13 @@ def twist_tree(p: int, q: int, mu: int) -> int:
     """
     _check_mu(mu)
     _check_masks(p, q)
-    flat = _FLAT_TREES[mu]
-    letter = 0
-    sign = 1
+    letter = code = 0
+    # the index letter << 2 | p_bit << 1 | q_bit, spelled with + and *:
+    # CPython specialises int + and *, not shifts and ORs
     for k in range(max(p.bit_length(), q.bit_length()) - 1, -1, -1):
-        letter, s = flat[letter << 2 | ((p >> k) & 1) << 1 | ((q >> k) & 1)]
-        sign *= s
-    return sign
+        letter, c = _RULE[letter * 4 + ((p >> k) & 1) * 2 + ((q >> k) & 1)]
+        code ^= c
+    return _VALUE[mu][code]
 
 
 def tree_trace(p: int, q: int, mu: int) -> List[TraceStep]:
@@ -240,16 +247,15 @@ def tree_trace(p: int, q: int, mu: int) -> List[TraceStep]:
     """
     _check_mu(mu)
     _check_masks(p, q)
-    flat = _FLAT_TREES[mu]
-    letter = 0
-    sign = 1
+    value = _VALUE[mu]
+    letter = code = 0
     steps: List[TraceStep] = []
     for k in range(max(p.bit_length(), q.bit_length()) - 1, -1, -1):
         a = (p >> k) & 1
         b = (q >> k) & 1
-        letter, s = flat[letter << 2 | a << 1 | b]
-        sign *= s
-        steps.append(TraceStep("AB"[letter], sign, a, b))
+        letter, c = _RULE[letter * 4 + a * 2 + b]
+        code ^= c
+        steps.append(TraceStep("AB"[letter], value[code], a, b))
     return steps
 
 

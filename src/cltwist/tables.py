@@ -15,7 +15,10 @@ provided and cross-checked by the test suite:
   pairs (e_j, e_i) only and XORs every other cell together from them,
   since the twist is bilinear;
 * :func:`table_blocks` grows the table by block substitution, doubling
-  the resolution per round starting from the single letter A.
+  the resolution per round starting from the single letter A.  The
+  substitution is the rule table ``kernel._RULE``, the one that
+  :func:`cltwist.kernel.twist_tree` walks: n rounds from A put at cell
+  (p, q) the final state of the tree walk over (p, q).
 
 :func:`render_block_letters` shows that block construction after
 n - 1 rounds: a half-resolution grid in which each cell is a
@@ -52,15 +55,16 @@ index, so its grid is never built.
 Fixing mu maps the four codes onto {1, -1}, and the map is a
 homomorphism, so a numeric table is a bilinear form with one bit per
 cell.  The renderer reads it through that fold (:func:`_fold`, derived
-from ``_VALUE``): leading blocks that spell alike are one block, with 2
-shifted copies, not 4.
+from ``kernel._VALUE``): leading blocks that spell alike are one block,
+with 2 shifted copies, not 4.
 """
 
 import numpy as np
 
 from ._record import Frozen
 from .kernel import (
-    MAX_DIM, _check_dim, _check_masks, _check_mu, _parity_above, twist_closed,
+    MAX_DIM, _RULE, _VALUE, _check_dim, _check_masks, _check_mu,
+    _parity_above, twist_closed,
 )
 
 __all__ = [
@@ -75,9 +79,6 @@ __all__ = [
 ]
 
 _SPELL = ("1", "-1", "m", "-m")
-
-#: Value of each code once mu is fixed: ``_VALUE[mu][code]``.
-_VALUE = {1: (1, -1, 1, -1), -1: (1, -1, -1, 1)}
 
 
 class SymbolicSign(Frozen):
@@ -154,7 +155,9 @@ class TwistTable(Frozen):
     ``codes`` is a 2**n square numpy int8 array of codes in 0..3,
     bilinear in p and in q under XOR as every twist is; anything else
     raises TypeError (not exactly a numpy array: a subclass such as a
-    masked array is turned away) or ValueError.
+    masked array is turned away) or ValueError.  A code out of range,
+    or off the bilinear table that the generator entries (e_j, e_i)
+    fix, is named by its first cell (p, q) in row-major order.
     """
 
     __slots__ = ("n", "codes")
@@ -166,14 +169,22 @@ class TwistTable(Frozen):
             )
         # a copy, so that the caller's array cannot change the table
         self._hold(n, codes.copy())
-        if (self.codes & ~3).any():
-            raise ValueError("codes must be in 0..3")
+        bad = self.codes & ~3
+        if bad.any():
+            raise ValueError("codes must be in 0..3" + self._first_cell(bad))
         # bilinear exactly when the codes equal the extension of their own
         # generator entries; the XOR, in place, compares both code bits
         gens = 1 << np.arange(n)
         rebuilt = _extension(self.codes[np.ix_(gens, gens)])
         if np.bitwise_xor(rebuilt, self.codes, out=rebuilt).any():
-            raise ValueError("codes must be bilinear in p and in q under XOR")
+            raise ValueError("codes must be bilinear in p and in q under XOR"
+                             + self._first_cell(rebuilt))
+
+    def _first_cell(self, off: np.ndarray) -> str:
+        """The code at the first nonzero cell (p, q) of ``off``, in
+        row-major order, spelled for an error message."""
+        p, q = np.argwhere(off)[0]
+        return f", got {self.codes[p, q]} at (p, q) = ({p}, {q})"
 
     @classmethod
     def _adopt(cls, n: int, codes: np.ndarray) -> "TwistTable":
@@ -266,28 +277,35 @@ def _doubled(factors: np.ndarray, count: int) -> np.ndarray:
 #: letter in bit 2 (0 is A, 1 is B).
 _LETTER_SPELL = ("A", "-A", "mA", "-mA", "B", "-B", "mB", "-mB")
 
+#: ``_HALVES[a, cell]``: row a of the 2x2 block that ``kernel._RULE``
+#: grows the coefficiented letter ``cell`` into, its two cells packed
+#: as the bytes of one little-endian int16.  The 4 entries of letter X,
+#: as cells, are X's block in row-major order, and the block of c*X is
+#: that of X with c XORed into every cell.
+_HALVES = np.array(
+    [[letter << 2 | code ^ c for letter, code in _RULE[x:x + 4]]
+     for x in (0, 4) for c in range(4)], np.int8
+).view("<i2").T.copy()
+
 
 def _block_rounds(cells: np.ndarray, rounds: int) -> np.ndarray:
     """Coefficiented letters after ``rounds`` rounds of block substitution.
 
-    Each round turns every cell into a 2x2 block:
+    Each round turns every cell into a 2x2 block, by ``kernel._RULE``:
 
         c*A  ->  [[cA,  cA], [cB,  mcB]]
         c*B  ->  [[cB, -cB], [cA, -mcA]]
 
-    The right column negates exactly the B cells, which is
-    ``cells ^ (cells >> 2)``; the bottom row swaps the letter (xor 4)
-    and its right cell also takes a factor mu (xor 6).
+    Viewed as int16 words, row a of every block is one word, so a round
+    is one gather of ``_HALVES`` straight into the grown grid.
     """
     for _ in range(rounds):
         rows, cols = cells.shape
-        right = cells >> 2
-        right ^= cells
         grown = np.empty((2 * rows, 2 * cols), dtype=np.int8)
-        grown[0::2, 0::2] = cells
-        grown[0::2, 1::2] = right
-        np.bitwise_xor(cells, 4, out=grown[1::2, 0::2])
-        np.bitwise_xor(right, 6, out=grown[1::2, 1::2])
+        # word (a, R, Q) is row a of the block of cell (R, Q); every code
+        # is in range, and "clip", unlike "raise", writes straight into it
+        words = grown.view("<i2").reshape(rows, 2, cols).transpose(1, 0, 2)
+        _HALVES.take(cells, axis=1, out=words, mode="clip")
         cells = grown
     return cells
 

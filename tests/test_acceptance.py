@@ -3,7 +3,9 @@
 One test per shipped guarantee, each with its stated budget.  Every
 test announces itself with a single PASS line (printed straight to the
 terminal, bypassing capture); a missing PASS line plus a pytest
-failure is the fail signal.
+failure is the fail signal.  A failing count names its first
+counterexample and the ``cltwist sign`` calls that rerun it; the tests
+at the end check those messages on injected faults.
 """
 
 import random
@@ -23,6 +25,7 @@ from cltwist.kernel import (
     twist_closed,
 )
 from cltwist.multivector import Algebra
+from cltwist.selftest import Mismatch
 from cltwist.tables import (
     render_block_letters,
     render_table,
@@ -121,15 +124,22 @@ def test_criterion_3_golden_tables(announce):
     announce(f"PASS 3: golden tables n=1,2,3 and n=4 letters ({elapsed:.3f}s)")
 
 
-def test_criterion_4_four_way_equivalence(announce):
-    funcs = list(ALGORITHMS.values())
-    assert len(funcs) == 4
+def _pair_mismatch(algorithms, p, q, mu):
+    """The four signs of (p, q) and their ``cltwist sign`` reruns, as
+    ``run_selftest`` reports a mismatch."""
+    signs = {name: f(p, q, mu) for name, f in algorithms.items()}
+    return Mismatch("pairs", mu, (p, q), signs).describe()
 
-    t0 = time.perf_counter()
+
+def _four_way(algorithms, width):
+    """Pairs below 2**width, at both mu, where the four sign functions
+    disagree: their count, and the first one described (None if none)."""
+    funcs = list(algorithms.values())
     mismatches = 0
+    first = None
     for mu in (1, -1):
-        for p in range(1 << 10):
-            for q in range(1 << 10):
+        for p in range(1 << width):
+            for q in range(1 << width):
                 s0 = funcs[0](p, q, mu)
                 if (
                     funcs[1](p, q, mu) != s0
@@ -137,8 +147,19 @@ def test_criterion_4_four_way_equivalence(announce):
                     or funcs[3](p, q, mu) != s0
                 ):
                     mismatches += 1
+                    if first is None:
+                        first = _pair_mismatch(algorithms, p, q, mu)
+    return mismatches, first
+
+
+def test_criterion_4_four_way_equivalence(announce):
+    funcs = list(ALGORITHMS.values())
+    assert len(funcs) == 4
+
+    t0 = time.perf_counter()
+    mismatches, first = _four_way(ALGORITHMS, 10)
     elapsed = time.perf_counter() - t0
-    assert mismatches == 0
+    assert mismatches == 0, f"{mismatches} mismatches, first {first}"
     assert elapsed < 60.0
 
     rng = random.Random(SEED)
@@ -147,9 +168,11 @@ def test_criterion_4_four_way_equivalence(announce):
         q = rng.getrandbits(64)
         mu = rng.choice((1, -1))
         s0 = funcs[0](p, q, mu)
-        assert funcs[1](p, q, mu) == s0
-        assert funcs[2](p, q, mu) == s0
-        assert funcs[3](p, q, mu) == s0
+        assert (
+            funcs[1](p, q, mu) == s0
+            and funcs[2](p, q, mu) == s0
+            and funcs[3](p, q, mu) == s0
+        ), _pair_mismatch(ALGORITHMS, p, q, mu)
 
     announce(
         "PASS 4: four-way agreement, exhaustive 2x2^20 pairs"
@@ -241,6 +264,25 @@ _QUATERNION = {
 }
 
 
+def _cocycle_violations(table, mu):
+    """Triples (p, q, r) of the square sign ``table`` of the closed form
+    at ``mu`` whose cocycle identity fails: their count, and the first
+    in row-major order described (None if none)."""
+    size = len(table)
+    violations = 0
+    first = None
+    for p in range(size):
+        for q in range(size):
+            for r in range(size):
+                lhs = table[p, q] * table[p ^ q, r]
+                rhs = table[q, r] * table[p, q ^ r]
+                if lhs != rhs:
+                    violations += 1
+                    if first is None:
+                        first = (p, q, r)
+    return violations, first and Mismatch("triples", mu, first, {}).describe()
+
+
 def test_criterion_8_complex_and_quaternion_tables(announce):
     t0 = time.perf_counter()
 
@@ -258,16 +300,8 @@ def test_criterion_8_complex_and_quaternion_tables(announce):
 
     # three generators stay associative: every cocycle triple holds,
     # so this is not an octonion table
-    table = _sign_table(3, -1)
-    violations = 0
-    for p in range(8):
-        for q in range(8):
-            for r in range(8):
-                lhs = table[p, q] * table[p ^ q, r]
-                rhs = table[q, r] * table[p, q ^ r]
-                if lhs != rhs:
-                    violations += 1
-    assert violations == 0
+    violations, first = _cocycle_violations(_sign_table(3, -1), -1)
+    assert violations == 0, f"{violations} violations, first {first}"
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -303,3 +337,28 @@ def test_criterion_9_multivector_ring_laws(announce):
         "PASS 9: associativity and distributivity on 1000 random"
         f" triples, both mu, exact ({elapsed:.1f}s)"
     )
+
+
+# --- the gate's failure messages ---------------------------------------------
+
+def test_criterion_4_names_its_first_mismatch():
+    def faulty(p, q, mu):
+        sign = kernel.twist_tree(p, q, mu)
+        return -sign if (p, q) in ((5, 3), (6, 2)) else sign
+
+    algorithms = dict(ALGORITHMS, tree=faulty)
+    assert _four_way(algorithms, 3) == (4, (
+        "mismatch: p=5 q=3 mu=+1 oracle=+1 recursive=+1 tree=-1 closed=+1"
+        " rerun: cltwist sign 5 3 --algo oracle --mu +1;"
+        " cltwist sign 5 3 --algo recursive --mu +1;"
+        " cltwist sign 5 3 --algo tree --mu +1;"
+        " cltwist sign 5 3 --algo closed --mu +1"
+    ))
+
+
+def test_criterion_8_names_its_first_violating_triple():
+    table = _sign_table(3, -1)
+    table[3, 5] *= -1
+    violations, first = _cocycle_violations(table, -1)
+    assert violations > 0
+    assert first.startswith("cocycle violation: p=1 q=2 r=5 mu=-1 rerun:")

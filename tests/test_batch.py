@@ -37,16 +37,15 @@ def test_plane_forms_match_scalar_on_every_pair_below_width_8(n, mu):
 
 @pytest.mark.parametrize("mu", [1, -1])
 def test_anf_tree_step_reproduces_every_transition(mu):
-    # the 8 transitions of one mu at once: bit i of each variable plane
-    # is that variable's bit in the table index i
-    flat = kernel._FLAT_TREES[mu]
+    # the 8 entries of the rule table at once: bit i of each variable
+    # plane is that variable's bit in the table index i
     letter_poly, sign_poly = _batch._TREE_ANF[mu]
     variables = (0b11110000, 0b11001100, 0b10101010)  # letter, p, q
     letters = _batch._anf_value(letter_poly, variables, 0xFF)
     flips = _batch._anf_value(sign_poly, variables, 0xFF)
-    for index, (letter, sign) in enumerate(flat):
+    for index, (letter, code) in enumerate(kernel._RULE):
         assert letters >> index & 1 == letter, index
-        assert flips >> index & 1 == (sign < 0), index
+        assert flips >> index & 1 == (kernel._VALUE[mu][code] < 0), index
 
 
 @pytest.mark.parametrize("mu", [1, -1])

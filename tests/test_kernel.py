@@ -80,17 +80,23 @@ def test_exhaustive_agreement_small():
 
 def test_tree_transitions():
     # letter A (0) or B (1) is the parity of the p bits read so far, high
-    # bit first: a p bit toggles it, a q bit passes exactly those p bits,
-    # and a p bit and a q bit at the same place square to mu.  By
-    # induction on the bits read, twist_tree is then the inversion parity
-    # times mu**popcount(p & q) at every width.
+    # bit first: a p bit toggles it, a q bit passes exactly those p bits
+    # (the code's negation bit), and a p bit and a q bit at the same place
+    # square to mu (its mu bit).  By induction on the bits read,
+    # twist_tree is then the inversion parity times mu**popcount(p & q) at
+    # every width, and at both mu, which only the code's value reads.
+    assert len(kernel._RULE) == 8
+    for letter in (0, 1):
+        for a in (0, 1):
+            for b in (0, 1):
+                step = kernel._RULE[letter << 2 | a << 1 | b]
+                code = (b & letter) | (a & b) << 1
+                assert step == (letter ^ a, code), (letter, a, b)
+    # a code's value: its negation bit, times mu for its mu bit
     for mu in (1, -1):
-        for letter in (0, 1):
-            for a in (0, 1):
-                for b in (0, 1):
-                    step = kernel._FLAT_TREES[mu][letter << 2 | a << 1 | b]
-                    factor = (-1) ** (b & letter) * mu ** (a & b)
-                    assert step == (letter ^ a, factor), (mu, letter, a, b)
+        assert kernel._VALUE[mu] == tuple(
+            (-1) ** (code & 1) * mu ** (code >> 1) for code in range(4)
+        )
 
 
 @pytest.mark.parametrize("name", list(ALGORITHMS))
@@ -351,7 +357,7 @@ def test_oracle_shares_nothing_with_the_other_algorithms():
     # lists alone: no popcount, parity fold, tree table, library sort or
     # other algorithm
     banned = {f.__name__ for f in ALGORITHMS.values() if f is not twist_oracle}
-    banned |= {"bit_count", "_parity_above", "_FLAT_TREES", "twist",
+    banned |= {"bit_count", "_parity_above", "_RULE", "twist",
                "blade_product", "sorted", "sort"}
     for f in (twist_oracle, kernel._generators):
         assert not _names(f.__code__) & banned, f.__name__

@@ -319,6 +319,18 @@ def test_algorithm_entries_checked_before_any_suite(algorithms, entry):
     assert calls == []
 
 
+def test_unhashable_algorithm_called_pair_by_pair():
+    # the plane forms are looked up by identity, which needs no hash
+    class Unhashable:
+        __hash__ = None
+
+        def __call__(self, p, q, mu):
+            return kernel.twist_closed(p, q, mu)
+
+    report = run_selftest(2, {"f": Unhashable()})
+    assert report.ok and report.algorithm_count == 1
+
+
 def test_algorithms_in_a_dict_subclass_accepted():
     class Algorithms(dict):
         pass

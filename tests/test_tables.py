@@ -383,6 +383,22 @@ def test_one_substitution_round(letter, c):
     assert [[_LETTER_SPELL[x] for x in row] for row in grown.tolist()] == rule
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_substitution_is_the_tree_walk(n):
+    # one rule: cell (p, q) after n rounds from A is the final state of
+    # the tree walk over (p, q), letter and sign, at both mu (+A for the
+    # empty walk of (0, 0))
+    grown = _block_rounds(np.zeros((1, 1), dtype=np.int8), n).tolist()
+    for mu in (1, -1):
+        for p, row in enumerate(grown):
+            for q, cell in enumerate(row):
+                steps = kernel.tree_trace(p, q, mu)
+                state = steps[-1].state if steps else "A"
+                value = kernel._VALUE[mu][cell & 3]
+                expected = ("-" if value < 0 else "") + "AB"[cell >> 2]
+                assert state == expected, (p, q, mu)
+
+
 class TestValidation:
     @pytest.mark.parametrize("bad", [0, 13, -1, 2.0, "3", True])
     def test_dimension_range(self, bad):
@@ -465,6 +481,30 @@ class TestValidation:
         with pytest.raises(ValueError, match="codes must be bilinear"):
             TwistTable(2, np.full((4, 4), 3, dtype=np.int8))
         assert TwistTable(2, table_direct(2).codes).codes.max() == 3
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_bad_codes_named_by_their_first_cell(self, n):
+        # two bad cells, at (5, 6) and (6, 3): the first in row-major
+        # order is named, not the first in column-major order
+        direct = table_direct(n).codes
+        codes = direct.copy()
+        codes[5, 6] = 7
+        codes[6, 3] = 4
+        with pytest.raises(ValueError) as info:
+            TwistTable(n, codes)
+        message = "codes must be in 0..3, got 7 at (p, q) = (5, 6)"
+        assert str(info.value) == message
+        # neither index is a generator, so each flip leaves the generator
+        # entries, and the table they fix, as they are
+        codes = direct.copy()
+        codes[5, 6] ^= 1
+        codes[6, 3] ^= 2
+        with pytest.raises(ValueError) as info:
+            TwistTable(n, codes)
+        assert str(info.value) == (
+            "codes must be bilinear in p and in q under XOR, got"
+            f" {direct[5, 6] ^ 1} at (p, q) = (5, 6)"
+        )
 
     def test_codes_must_be_exactly_a_numpy_array(self):
         # a subclass keeps its own behaviour: with cell (1, 1) masked,
@@ -749,7 +789,11 @@ def test_constructor_decides_as_the_plane_rebuild_at_top_widths(n, row):
         TwistTable(n, codes)
         accepted = True
     except ValueError as exc:
-        assert str(exc) == "codes must be bilinear in p and in q under XOR"
+        # neither index is a generator, so the flip is the one cell off
+        assert str(exc) == (
+            "codes must be bilinear in p and in q under XOR, got"
+            f" {codes[p, size // 3]} at (p, q) = ({p}, {size // 3})"
+        )
         accepted = False
     assert accepted == _planes_rebuild(codes) == (row is None)
 
