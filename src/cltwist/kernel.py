@@ -259,14 +259,14 @@ def tree_trace(p: int, q: int, mu: int) -> List[TraceStep]:
     return steps
 
 
-def _parity_above(p):
+def _parity_above(p: int) -> int:
     """Mask whose bit k is the parity of the bits of ``p`` above k.
 
-    A parallel-prefix XOR (Warren, *Hacker's Delight*): six folds reach
-    across all 64 bits, so the cost does not depend on how wide ``p``
-    is.  A wider mask would come out wrong, hence the mask contract.
-    Only ``>>`` and ``^`` are used, so ``p`` may be a Python int or a
-    numpy ``uint64`` array.
+    A parallel-prefix XOR (Warren, *Hacker's Delight*) on a Python int:
+    six folds reach across all 64 bits, so the cost does not depend on
+    how wide ``p`` is.  A wider mask would come out wrong, hence the
+    mask contract.  :func:`twist_closed` and the plane form
+    ``_batch.closed_parity`` are its only callers.
     """
     x = p >> 1
     x ^= x >> 1
@@ -297,6 +297,37 @@ def twist_closed(p: int, q: int, mu: int) -> int:
     if mu < 0:
         x ^= p
     return -1 if (x & q).bit_count() & 1 else 1
+
+
+#: The identity each kind of bilinearity failure breaks, as the
+#: self-test's report and the ``TwistTable`` constructor spell it.
+_LINEAR_IN = {
+    "linear-p": "s(p^e_k,q) != s(p,q)*s(e_k,q)",
+    "linear-q": "s(p,q^e_k) != s(p,q)*s(p,e_k)",
+}
+
+
+def _failing_identity(p: int, q: int) -> tuple:
+    """The identity of ``_LINEAR_IN`` that fails at (p, q), the first
+    cell, in row-major order, where a table differs from the bilinear
+    form of its own generator entries: ``(kind, (p', k, q'))``, with
+    generator e_k the mask ``1 << (k - 1)``.
+
+    Every earlier cell matches the bilinear form, so the identity
+    through (p, q) whose other cells are all earlier fails, named by
+    the lowest bit: for p of two or more bits, linear-p at
+    (p ^ e_k, k, q), with rows p ^ e_k and e_k both earlier; for p = 0,
+    linear-p at (0, 1, q); for a generator p, linear-q at (p, 1, 0) if
+    q = 0, else at (p, i, q ^ e_i), with both columns earlier (a
+    generator cell rebuilds by construction).
+    """
+    if p & (p - 1):
+        e = p & -p
+        return "linear-p", (p ^ e, e.bit_length(), q)
+    if p == 0:
+        return "linear-p", (0, 1, q)
+    e = q & -q
+    return "linear-q", (p, 1, 0) if q == 0 else (p, e.bit_length(), q ^ e)
 
 
 #: Default sign kernel (the fastest validated one).

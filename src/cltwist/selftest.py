@@ -46,7 +46,9 @@ from them and compares, with ``_batch.first_difference``; the
 the array extension of its own module, ``tables._extension``.  A plane
 that does not rebuild names the identity that fails at its first
 difference, a (p, k, q), followed by the first violating triple among
-the rows involved, if they hold one.
+the rows involved, if they hold one; one function,
+``kernel._failing_identity``, turns a first difference into that
+identity for both formats.
 Each reported line ends with the ``cltwist sign`` calls that rerun it.
 """
 
@@ -62,12 +64,6 @@ from ._batch import (
 from ._record import Record
 
 __all__ = ["Mismatch", "SelftestReport", "run_selftest"]
-
-#: The identity each certificate kind checks, as ``describe`` spells it.
-_LINEAR_IN = {
-    "linear-p": "s(p^e_k,q) != s(p,q)*s(e_k,q)",
-    "linear-q": "s(p,q^e_k) != s(p,q)*s(p,e_k)",
-}
 
 
 def _signed(value) -> str:
@@ -103,7 +99,8 @@ class Mismatch(Record):
         """One line naming the failure, ending in the ``cltwist sign``
         calls that rerun it (none for algorithms the CLI does not
         know)."""
-        names = ("p", "k", "q") if self.kind in _LINEAR_IN else ("p", "q", "r")
+        identity = kernel._LINEAR_IN.get(self.kind)
+        names = ("p", "q", "r") if identity is None else ("p", "k", "q")
         idx = " ".join(
             f"{name}={value}" for name, value in zip(names, self.indices)
         )
@@ -116,7 +113,7 @@ class Mismatch(Record):
             text = f"cocycle violation: {idx} mu={self.mu:+d}"
         else:
             text = (
-                f"bilinearity violation: {_LINEAR_IN[self.kind]} at {idx}"
+                f"bilinearity violation: {identity} at {idx}"
                 f" mu={self.mu:+d}"
             )
         calls = "; ".join(
@@ -304,32 +301,18 @@ def _certificate(table: int, n: int, mu: int, algo: str) -> List[Mismatch]:
     algorithm ``algo``.
 
     Returns no mismatch if the table rebuilds from its generator
-    entries.  Otherwise every cell before its first difference (p, q)
-    matches the bilinear form, so one identity through that cell fails,
-    named by the lowest bit: for p of two or more bits, linear-p at
-    (p ^ e_k, k, q), with rows p ^ e_k and e_k both earlier; for p = 0,
-    linear-p at (0, 1, q); for a generator p, linear-q at (p, 1, 0) if
-    q = 0, else at (p, i, q ^ e_i), with both columns earlier (a
-    generator cell rebuilds by construction).  The first cocycle
-    violation among the rows that identity involves follows it, if
-    those rows hold one.
+    entries.  Otherwise one identity through its first difference fails,
+    the one ``kernel._failing_identity`` names.  The first cocycle
+    violation among the rows that identity reads follows it, if those
+    rows hold one.
     """
     cell = first_difference(table, n)
     if cell is None:
         return []
-    p, q = cell
-    if p & (p - 1):
-        e = p & -p
-        found = Mismatch("linear-p", mu, (p ^ e, e.bit_length(), q), {}, algo)
-        involved = [e, p ^ e, p]
-    elif p == 0:
-        found = Mismatch("linear-p", mu, (0, 1, q), {}, algo)
-        involved = [0, 1]
-    else:
-        e = q & -q
-        indices = (p, 1, 0) if q == 0 else (p, e.bit_length(), q ^ e)
-        found = Mismatch("linear-q", mu, indices, {}, algo)
-        involved = [p]
+    kind, (p, k, q) = kernel._failing_identity(*cell)
+    found = Mismatch(kind, mu, (p, k, q), {}, algo)
+    e = 1 << (k - 1)
+    involved = {p, e, p ^ e} if kind == "linear-p" else {p}
     triple = _cocycle_suite(table, n, mu, sorted(involved), algo)
     return [found] if triple is None else [found, triple]
 

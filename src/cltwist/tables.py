@@ -9,11 +9,14 @@ whole table sit in a numpy int8 array of two-bit codes:
     bit 1   power of mu (mu**2 = 1)
 
 and entry products become XOR.  Two independent constructions are
-provided and cross-checked by the test suite:
+provided and cross-checked by the test suite, with each other and with
+the kernel's closed form:
 
-* :func:`table_direct` evaluates the closed form on the n*n generator
-  pairs (e_j, e_i) only and XORs every other cell together from them,
-  since the twist is bilinear;
+* :func:`table_direct` writes the defining relations as the n*n
+  generator entries (e_j, e_i), e_j e_i = -e_i e_j for i < j and
+  e_i e_i = mu, and XORs every other cell together from them, since
+  the twist is the one bicharacter with those entries; it evaluates
+  no sign formula;
 * :func:`table_blocks` grows the table by block substitution, doubling
   the resolution per round starting from the single letter A.  The
   substitution is the rule table ``kernel._RULE``, the one that
@@ -63,8 +66,8 @@ import numpy as np
 
 from ._record import Frozen
 from .kernel import (
-    MAX_DIM, _RULE, _VALUE, _check_dim, _check_masks, _check_mu,
-    _parity_above, twist_closed,
+    _LINEAR_IN, MAX_DIM, _RULE, _VALUE, _check_dim, _check_masks, _check_mu,
+    _failing_identity, twist_closed,
 )
 
 __all__ = [
@@ -157,7 +160,9 @@ class TwistTable(Frozen):
     raises TypeError (not exactly a numpy array: a subclass such as a
     masked array is turned away) or ValueError.  A code out of range,
     or off the bilinear table that the generator entries (e_j, e_i)
-    fix, is named by its first cell (p, q) in row-major order.
+    fix, is named by its first cell (p, q) in row-major order; codes off
+    it also by the identity that fails there, as the self-test's
+    certificate names it (``kernel._failing_identity``).
     """
 
     __slots__ = ("n", "codes")
@@ -177,8 +182,10 @@ class TwistTable(Frozen):
         gens = 1 << np.arange(n)
         rebuilt = _extension(self.codes[np.ix_(gens, gens)])
         if np.bitwise_xor(rebuilt, self.codes, out=rebuilt).any():
+            kind, pkq = _failing_identity(*np.argwhere(rebuilt)[0].tolist())
             raise ValueError("codes must be bilinear in p and in q under XOR"
-                             + self._first_cell(rebuilt))
+                             + self._first_cell(rebuilt) + f", so {kind} fails"
+                             f" at (p, k, q) = {pkq}: {_LINEAR_IN[kind]}")
 
     def _first_cell(self, off: np.ndarray) -> str:
         """The code at the first nonzero cell (p, q) of ``off``, in
@@ -234,18 +241,16 @@ class TwistTable(Frozen):
 
 
 def table_direct(n: int) -> TwistTable:
-    """Twist table from the closed form on its generator pairs.
+    """Twist table from the defining relations of the algebra.
 
-    The code of (p, q) is bilinear over GF(2): its negation bit is the
-    parity of ``_parity_above(p) & q`` and its mu bit that of ``p & q``,
-    both linear in p and in q.  So the closed form gives the n*n
-    entries (e_j, e_i), and :func:`_extension` every other cell.
+    The relations are the generator entries: e_j e_i = -e_i e_j for
+    i < j puts code 1 (a negation) at (e_j, e_i), strictly below the
+    diagonal, and e_i e_i = mu puts code 2 (one factor of mu) on it.
+    The twist is the one bicharacter with those entries, so
+    :func:`_extension` gives every other cell.
     """
     _check_dim(n)
-    gens = np.left_shift(1, np.arange(n, dtype=np.uint64))
-    neg = np.bitwise_count(_parity_above(gens[:, None]) & gens) & 1
-    mu_power = np.bitwise_count(gens[:, None] & gens) & 1
-    entries = (neg | mu_power << 1).astype(np.int8)
+    entries = np.tri(n, k=-1, dtype=np.int8) | np.eye(n, dtype=np.int8) << 1
     return TwistTable._adopt(n, _extension(entries))
 
 

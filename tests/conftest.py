@@ -32,3 +32,24 @@ def default_int_digit_limit():
     sys.set_int_max_str_digits(4300)
     yield
     sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture
+def table_difference():
+    """A function naming where two twist tables differ, for an assert
+    message: n, the first differing cell (p, q) in row-major order and
+    both codes there (the two widths, if those differ)."""
+
+    def describe(got, want):
+        if got.n != want.n:
+            return f"n = {got.n} against n = {want.n}"
+        off = got.codes != want.codes
+        if not off.any():
+            return f"n = {got.n}: every cell is equal"
+        p, q = divmod(int(off.argmax()), 1 << got.n)
+        return (
+            f"n = {got.n}: first differing cell (p, q) = ({p}, {q}),"
+            f" code {got.codes[p, q]} against {want.codes[p, q]}"
+        )
+
+    return describe

@@ -9,6 +9,7 @@ at the end check those messages on injected faults.
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -189,29 +190,48 @@ def _sign_table(n, mu):
     return table
 
 
-def test_criterion_5_cocycle(announce):
-    t0 = time.perf_counter()
-    size = 1 << 6
+def _first_cocycle_violation(table, mu):
+    """The first triple (p, q, r), in row-major order, of the square
+    sign ``table`` at ``mu`` whose cocycle identity fails, described
+    (None if none).  Each p checks every (q, r) at once."""
+    size = len(table)
     idx = np.arange(size)
     xor_grid = idx[:, None] ^ idx[None, :]
-    for mu in (1, -1):
-        table = _sign_table(6, mu)
-        for p in range(size):
-            lhs = table[p, :, None] * table[p ^ idx, :]
-            rhs = table * table[p][xor_grid]
-            assert np.array_equal(lhs, rhs), (p, mu)
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 30.0
+    for p in range(size):
+        lhs = table[p, :, None] * table[p ^ idx, :]
+        rhs = table * table[p][xor_grid]
+        if not np.array_equal(lhs, rhs):
+            q, r = np.argwhere(lhs != rhs)[0].tolist()
+            return Mismatch("triples", mu, (p, q, r), {}).describe()
+    return None
 
-    rng = random.Random(SEED + 5)
-    for _ in range(100_000):
+
+def _random_cocycle_violation(sign, rng, count):
+    """The first of ``count`` random 64-bit triples, each at a random
+    mu, whose cocycle identity fails under the sign function ``sign``,
+    described (None if none)."""
+    for _ in range(count):
         p = rng.getrandbits(64)
         q = rng.getrandbits(64)
         r = rng.getrandbits(64)
         mu = rng.choice((1, -1))
-        lhs = twist(p, q, mu) * twist(p ^ q, r, mu)
-        rhs = twist(q, r, mu) * twist(p, q ^ r, mu)
-        assert lhs == rhs
+        lhs = sign(p, q, mu) * sign(p ^ q, r, mu)
+        rhs = sign(q, r, mu) * sign(p, q ^ r, mu)
+        if lhs != rhs:
+            return Mismatch("triples", mu, (p, q, r), {}).describe()
+    return None
+
+
+def test_criterion_5_cocycle(announce):
+    t0 = time.perf_counter()
+    for mu in (1, -1):
+        first = _first_cocycle_violation(_sign_table(6, mu), mu)
+        assert first is None, first
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0
+
+    first = _random_cocycle_violation(twist, random.Random(SEED + 5), 100_000)
+    assert first is None, first
 
     announce(
         "PASS 5: cocycle identity, exhaustive 2x2^18 triples"
@@ -235,7 +255,7 @@ def test_criterion_6_first_generator_lemmas(announce):
     )
 
 
-def test_criterion_7_block_law(announce):
+def test_criterion_7_block_law(announce, table_difference):
     t0 = time.perf_counter()
     for mu in (1, -1):
         for p in range(1 << 8):
@@ -247,7 +267,8 @@ def test_criterion_7_block_law(announce):
                 assert twist(2 * p, 2 * q + 1, mu) == sp * base
                 assert twist(2 * p + 1, 2 * q + 1, mu) == sp * mu * base
     for n in range(1, 9):
-        assert table_blocks(n) == table_direct(n)
+        blocks, direct = table_blocks(n), table_direct(n)
+        assert blocks == direct, table_difference(blocks, direct)
     elapsed = time.perf_counter() - t0
     announce(
         "PASS 7: halving block law for p,q < 2^8 and"
@@ -362,3 +383,27 @@ def test_criterion_8_names_its_first_violating_triple():
     violations, first = _cocycle_violations(table, -1)
     assert violations > 0
     assert first.startswith("cocycle violation: p=1 q=2 r=5 mu=-1 rerun:")
+
+
+def test_criterion_5_names_its_first_violating_triple():
+    # the exhaustive part names the triple criterion 8's search finds
+    table = _sign_table(3, -1)
+    table[3, 5] *= -1
+    first = _first_cocycle_violation(table, -1)
+    assert first == _cocycle_violations(table, -1)[1]
+    assert first.startswith("cocycle violation: p=1 q=2 r=5 mu=-1 rerun:")
+
+    # the random part names a triple that violates it, with its reruns
+    def faulty(p, q, mu):
+        sign = twist(p, q, mu)
+        return -sign if p % 3 == 0 else sign
+
+    first = _random_cocycle_violation(faulty, random.Random(SEED + 5), 1000)
+    found = re.fullmatch(
+        r"cocycle violation: p=(\d+) q=(\d+) r=(\d+) mu=([+-]1) rerun: .*",
+        first,
+    )
+    p, q, r, mu = map(int, found.groups())
+    lhs = faulty(p, q, mu) * faulty(p ^ q, r, mu)
+    assert lhs != faulty(q, r, mu) * faulty(p, q ^ r, mu)
+    assert f"cltwist sign {p} {q} --algo closed --mu {mu:+d};" in first

@@ -375,3 +375,30 @@ def test_mu_only_flips_on_shared_bits(p, q):
     # the two conventions differ exactly by the parity of p & q
     flip = -1 if (p & q).bit_count() & 1 else 1
     assert twist(p, q, 1) == twist(p, q, -1) * flip
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_failing_identity_reads_the_first_difference(n):
+    # where a table first differs from the bilinear form of its own
+    # generator entries, the named identity reads that cell once, and
+    # every other cell it reads once is earlier in row-major order or a
+    # generator entry, so it holds there: the identity fails
+    def generator_cell(p, q):
+        return p.bit_count() == 1 and q.bit_count() == 1
+
+    size = 1 << n
+    for p in range(size):
+        for q in range(size):
+            if generator_cell(p, q):
+                continue
+            kind, (a, k, b) = kernel._failing_identity(p, q)
+            assert kind in kernel._LINEAR_IN and 1 <= k <= n
+            e = 1 << (k - 1)
+            if kind == "linear-p":
+                cells = [(a ^ e, b), (a, b), (e, b)]
+            else:
+                cells = [(a, b ^ e), (a, b), (a, e)]
+            odd = {cell for cell in cells if cells.count(cell) % 2}
+            assert (p, q) in odd, (p, q)
+            assert all(cell < (p, q) or generator_cell(*cell)
+                       for cell in odd - {(p, q)}), (p, q)

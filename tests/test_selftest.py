@@ -360,7 +360,7 @@ def test_mismatch_describe_triple():
 def test_mismatch_describe_certificate_rerun(kind, calls):
     # (p, k, q) = (5, 4, 9): e_4 is the mask 8
     text = Mismatch(kind, 1, (5, 4, 9), {}).describe()
-    identity = selftest._LINEAR_IN[kind]
+    identity = kernel._LINEAR_IN[kind]
     assert text.startswith(f"bilinearity violation: {identity} at p=5 k=4 q=9")
     assert text.endswith(" rerun: " + "; ".join(
         f"cltwist sign {pq} --algo closed --mu +1" for pq in calls

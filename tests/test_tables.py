@@ -198,12 +198,27 @@ class TestGoldenTables:
 
 
 @pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
-def test_blocks_equal_direct(n):
-    assert table_blocks(n) == table_direct(n)
+def test_blocks_equal_direct(n, table_difference):
+    blocks, direct = table_blocks(n), table_direct(n)
+    assert blocks == direct, table_difference(blocks, direct)
 
 
-def test_blocks_equal_direct_n8():
-    assert table_blocks(8) == table_direct(8)
+def test_blocks_equal_direct_n8(table_difference):
+    blocks, direct = table_blocks(8), table_direct(8)
+    assert blocks == direct, table_difference(blocks, direct)
+
+
+def test_table_difference_names_the_first_differing_cell(table_difference):
+    direct = table_direct(3)
+    codes = direct.codes.copy()
+    codes[6, 3] ^= 2
+    codes[5, 6] ^= 1
+    flipped = TwistTable._adopt(3, codes)
+    assert table_difference(flipped, direct) == (
+        "n = 3: first differing cell (p, q) = (5, 6),"
+        f" code {codes[5, 6]} against {direct.codes[5, 6]}"
+    )
+    assert table_difference(direct, table_direct(4)) == "n = 3 against n = 4"
 
 
 def test_blocks_peak_memory():
@@ -503,8 +518,33 @@ class TestValidation:
             TwistTable(n, codes)
         assert str(info.value) == (
             "codes must be bilinear in p and in q under XOR, got"
-            f" {direct[5, 6] ^ 1} at (p, q) = (5, 6)"
+            f" {direct[5, 6] ^ 1} at (p, q) = (5, 6), so linear-p fails at"
+            " (p, k, q) = (4, 1, 6): s(p^e_k,q) != s(p,q)*s(e_k,q)"
         )
+
+    @pytest.mark.parametrize("n, cell, flip, first, identity", [
+        (3, (1, 2), 1, (1, 3), (1, 1, 2)),
+        (12, (4, 64), 2, (4, 65), (4, 1, 64)),
+    ], ids=["n=3", "n=12"])
+    def test_a_flipped_generator_entry_is_named_by_its_identity(
+        self, n, cell, flip, first, identity
+    ):
+        # a generator entry is its own extension, so the first cell off
+        # is a later one that the entry fixes; the identity named there
+        # reads the entry itself
+        codes = table_direct(n).codes.copy()
+        codes[cell] ^= flip
+        with pytest.raises(ValueError) as info:
+            TwistTable(n, codes)
+        p, q = first
+        assert str(info.value) == (
+            "codes must be bilinear in p and in q under XOR, got"
+            f" {codes[p, q]} at (p, q) = ({p}, {q}), so linear-q fails at"
+            f" (p, k, q) = {identity}: s(p,q^e_k) != s(p,q)*s(p,e_k)"
+        )
+        p, k, q = identity
+        e = 1 << (k - 1)
+        assert cell in {(p, q ^ e), (p, q), (p, e)}
 
     def test_codes_must_be_exactly_a_numpy_array(self):
         # a subclass keeps its own behaviour: with cell (1, 1) masked,
@@ -789,10 +829,14 @@ def test_constructor_decides_as_the_plane_rebuild_at_top_widths(n, row):
         TwistTable(n, codes)
         accepted = True
     except ValueError as exc:
-        # neither index is a generator, so the flip is the one cell off
+        # neither index is a generator, so the flip is the one cell off,
+        # and linear-p by the lowest bit of p fails there
+        q = size // 3
+        identity = (p ^ 1, 1, q) if p else (0, 1, q)
         assert str(exc) == (
             "codes must be bilinear in p and in q under XOR, got"
-            f" {codes[p, size // 3]} at (p, q) = ({p}, {size // 3})"
+            f" {codes[p, q]} at (p, q) = ({p}, {q}), so linear-p fails at"
+            f" (p, k, q) = {identity}: s(p^e_k,q) != s(p,q)*s(e_k,q)"
         )
         accepted = False
     assert accepted == _planes_rebuild(codes) == (row is None)
@@ -834,3 +878,30 @@ def test_block_builder_shares_nothing_with_the_direct_one():
     banned = {"_extension", "_doubled", "_parity_above", "twist_closed"}
     for f in (table_blocks, tables._tiling, tables._block_rounds):
         assert not _names(f.__code__) & banned, f.__name__
+
+
+def _closed_form_table(n):
+    """Every cell of the twist table by the closed form, on numpy
+    arrays: the negation bit is the parity of the inversions, the
+    generators of p above one of q, and the mu bit that of the shared
+    generators."""
+    masks = np.arange(1 << n, dtype=np.uint16)
+    above = np.zeros_like(masks)  # bit k: parity of the bits above k
+    for shift in range(1, n):
+        above ^= masks >> shift
+    neg = np.bitwise_count(above[:, None] & masks) & 1
+    mu_power = np.bitwise_count(masks[:, None] & masks) & 1
+    return TwistTable(n, (neg | mu_power << 1).astype(np.int8))
+
+
+def test_direct_builder_shares_nothing_with_the_others(table_difference):
+    # the direct table extends the defining relations; the cross-checks
+    # compare three independent derivations only while it uses neither
+    # the closed form nor the block substitution
+    banned = {"_parity_above", "twist_closed", "bitwise_count", "_RULE",
+              "_block_rounds", "_tiling"}
+    for f in (table_direct, tables._extension, tables._doubled):
+        assert not _names(f.__code__) & banned, f.__name__
+    for n in range(1, 11):
+        direct, closed = table_direct(n), _closed_form_table(n)
+        assert direct == closed, table_difference(direct, closed)
