@@ -163,9 +163,18 @@ class TwistTable(Frozen):
     fix, is named by its first cell (p, q) in row-major order; codes off
     it also by the identity that fails there, as the self-test's
     certificate names it (``kernel._failing_identity``).
+
+    A table also keeps its generator rows ``codes[e_j, :]``, an n by
+    2**n array that fixes every cell, and the renderer reads nothing
+    else.  A table from :func:`table_direct` holds only those rows
+    until ``codes`` is first read: that read builds the grid and sets
+    the ``codes`` slot once, so it is the same read-only array on every
+    read after, and nothing but time and memory tells the two apart.
+    (Threads racing on that first read may each build one; each gets an
+    equal array.)
     """
 
-    __slots__ = ("n", "codes")
+    __slots__ = ("n", "codes", "_gen_rows")
 
     def __init__(self, n: int, codes: np.ndarray):
         if type(codes) is not np.ndarray:
@@ -179,8 +188,7 @@ class TwistTable(Frozen):
             raise ValueError("codes must be in 0..3" + self._first_cell(bad))
         # bilinear exactly when the codes equal the extension of their own
         # generator entries; the XOR, in place, compares both code bits
-        gens = 1 << np.arange(n)
-        rebuilt = _extension(self.codes[np.ix_(gens, gens)])
+        rebuilt = _extension(self._gen_rows[:, 1 << np.arange(n)])
         if np.bitwise_xor(rebuilt, self.codes, out=rebuilt).any():
             kind, pkq = _failing_identity(*np.argwhere(rebuilt)[0].tolist())
             raise ValueError("codes must be bilinear in p and in q under XOR"
@@ -201,14 +209,43 @@ class TwistTable(Frozen):
         table._hold(n, codes)
         return table
 
+    @classmethod
+    def _from_rows(cls, n: int, gen_rows: np.ndarray) -> "TwistTable":
+        """Table over the generator rows ``gen_rows`` alone, for rows a
+        builder has just made: ``codes`` is built from them on its first
+        read (:meth:`__getattr__`)."""
+        table = object.__new__(cls)
+        table._hold_rows(n, gen_rows)
+        return table
+
     def _hold(self, n: int, codes: np.ndarray):
         _check_dim(n)
         size = 1 << n
         if codes.shape != (size, size) or codes.dtype != np.int8:
             raise ValueError("codes must be a 2**n square int8 array")
         codes.setflags(write=False)
-        object.__setattr__(self, "n", n)
+        # a fancy index copies, so the rows share no memory with codes
+        self._hold_rows(n, codes[1 << np.arange(n)])
         object.__setattr__(self, "codes", codes)
+
+    def _hold_rows(self, n: int, gen_rows: np.ndarray):
+        gen_rows.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_gen_rows", gen_rows)
+
+    def __getattr__(self, name):
+        # reached only when the normal lookup fails, which for ``codes``
+        # means its slot is still empty: build the grid, the second
+        # doubling pass of _extension, and fill the slot, so that every
+        # later read finds it there
+        if name != "codes":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        codes = _doubled(self._gen_rows, 1 << self.n)
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
+        return codes
 
     def __reduce__(self):
         # through the constructor, so a copy is checked as any input is
@@ -237,7 +274,8 @@ class TwistTable(Frozen):
         return NotImplemented
 
     def __repr__(self):
-        return f"<TwistTable n={self.n} ({self.codes.shape[0]}x{self.codes.shape[1]})>"
+        size = 1 << self.n
+        return f"<TwistTable n={self.n} ({size}x{size})>"
 
 
 def table_direct(n: int) -> TwistTable:
@@ -247,22 +285,31 @@ def table_direct(n: int) -> TwistTable:
     i < j puts code 1 (a negation) at (e_j, e_i), strictly below the
     diagonal, and e_i e_i = mu puts code 2 (one factor of mu) on it.
     The twist is the one bicharacter with those entries, so
-    :func:`_extension` gives every other cell.
+    :func:`_extension` gives every other cell.  The table is built as
+    far as its generator rows (:func:`_generator_rows`, 48 KiB at
+    n = 12); its 2**n square grid is built on the first read of
+    ``codes``, which rendering never makes.
     """
     _check_dim(n)
     entries = np.tri(n, k=-1, dtype=np.int8) | np.eye(n, dtype=np.int8) << 1
-    return TwistTable._adopt(n, _extension(entries))
+    return TwistTable._from_rows(n, _generator_rows(entries))
+
+
+def _generator_rows(entries: np.ndarray) -> np.ndarray:
+    """The n by 2**n generator rows, row j the codes of (e_j, q) for
+    every q, of the bilinear table whose generator entry (e_j, e_i) is
+    ``entries[j, i]``, for the n by n ``entries``: the first doubling
+    pass of :func:`_extension`, along q."""
+    # contiguous, so that each doubling along p XORs a contiguous row
+    return np.ascontiguousarray(_doubled(entries.T, 1 << len(entries)).T)
 
 
 def _extension(entries: np.ndarray) -> np.ndarray:
     """The 2**n square int8 table, bilinear in p and in q under XOR,
     whose generator entry (e_j, e_i) is ``entries[j, i]``, for the n by
-    n ``entries``: the generator rows by doublings along q, then every
-    row by doublings along p."""
-    size = 1 << entries.shape[0]
-    # contiguous, so that each doubling along p XORs a contiguous row
-    gen_rows = np.ascontiguousarray(_doubled(entries.T, size).T)
-    return _doubled(gen_rows, size)
+    n ``entries``: the generator rows by doublings along q
+    (:func:`_generator_rows`), then every row by doublings along p."""
+    return _doubled(_generator_rows(entries), 1 << len(entries))
 
 
 def _doubled(factors: np.ndarray, count: int) -> np.ndarray:
@@ -376,21 +423,49 @@ def _fold(mu: int) -> np.ndarray:
     return np.array([value < 0 for value in _VALUE[mu]], np.int8)
 
 
-def _row_keys(codes: np.ndarray, width: int, fold=None) -> np.ndarray:
-    """An int64 per row of the twist table ``codes``, equal for two rows
-    exactly when their first ``width`` columns are, for a power of two
-    ``width``; with a ``fold`` (:func:`_fold`), when the folded columns
-    are.
+def _row_reads(gen_rows: np.ndarray, width: int, fold=None):
+    """The columns of a twist table that the renderer reads, for every
+    row p, from the table's generator rows ``gen_rows`` (``codes[e_j,
+    :]``), for a power of two ``width``: ``(keys, gen_codes, shifts)``.
 
-    The key packs, 2 bits each, the row's codes at the generator columns
-    1, 2, 4, ... below ``width``.  By linearity in q those codes fix the
-    whole first block (column 0 is 0), and the block holds them.
+    ``keys`` holds an int64 per row, equal for two rows exactly when
+    their first ``width`` columns are; ``gen_codes[p]`` holds the row's
+    codes at the generator columns 1, 2, 4, ... below ``width``, which
+    by linearity in q fix its whole first block (column 0 is 0); and
+    ``shifts[p, j]`` is the row's code at column ``j * width``.  With a
+    ``fold`` (:func:`_fold`), every code read is folded.
+
+    A table is linear in p too, so row p of the columns read is the XOR
+    of those of the generator rows at the bits of p: one
+    :func:`_doubled` of the generator rows' columns gives every row's.
+    The key is the row's generator codes, one byte each, padded to 8
+    bytes with column 0 and read as one int64 (``width`` is at most
+    2**7 for n <= 12, so 8 bytes hold them); the shifts follow, padded
+    with column 0 to whole int64 words, so that the rows are read as
+    int64 in place.
     """
-    columns = [1 << i for i in range(width.bit_length() - 1)]
-    fields = codes[:, columns]
+    size = gen_rows.shape[1]
+    w = width.bit_length() - 1
+    count = size // width
+    columns = ([1 << i for i in range(w)] + [0] * (8 - w)
+               + list(range(0, size, width)) + [0] * (-count % 8))
+    picked = gen_rows[:, columns]
     if fold is not None:
-        fields = fold.take(fields)
-    return fields @ (1 << 2 * np.arange(len(columns), dtype=np.int64))
+        picked = fold.take(picked)
+    reads = _doubled(picked, size)
+    return reads.view(np.int64)[:, 0], reads[:, :w], reads[:, 8:8 + count]
+
+
+#: ``_WORDS[spell, sep]``: the little-endian uint32 word of each
+#: ``entry + sep``, padded with NUL, for every spelling and separator
+#: that :func:`_spelled` is given.
+_WORDS = {
+    (spell, sep): np.array(
+        [int.from_bytes((s + sep).encode("ascii"), "little") for s in spell],
+        "<u4",
+    )
+    for spell in (_SPELL, _SPELL[:2], _LETTER_SPELL) for sep in " ,"
+}
 
 
 def _spelled(blocks: np.ndarray, index: np.ndarray, spell, sep: str):
@@ -402,20 +477,19 @@ def _spelled(blocks: np.ndarray, index: np.ndarray, spell, sep: str):
     per text row, whose row p concatenates to row p of the text, newline
     included.
 
-    Every block is spelled once, in one pass: every code indexes a table
-    of little-endian uint32 words, each ``entry + sep`` padded with NUL,
-    every block row is closed by a newline word, and deleting the NULs
-    from the words' bytes leaves one line per block, ending in ``sep``.
-    The palette holds those lines, then each again with a newline for
-    its final ``sep``, so a row's last piece is the one half a palette
-    further on.  One gather of the palette picks every row's pieces.
+    Every block is spelled once, in one pass: every code indexes the
+    table ``_WORDS[spell, sep]`` of little-endian uint32 words, each
+    ``entry + sep`` padded with NUL, every block row is closed by a
+    newline word, and deleting the NULs from the words' bytes leaves one
+    line per block, ending in ``sep``.  The palette holds those lines,
+    then each again with a newline for its final ``sep``, so a row's
+    last piece is the one half a palette further on.  One gather of the
+    palette picks every row's pieces.
     """
-    words = np.array([int.from_bytes((s + sep).encode("ascii"), "little")
-                      for s in spell], "<u4")
     cells = np.empty((len(blocks), blocks.shape[1] + 1), "<u4")
     # every code is in range; "clip", unlike "raise", writes straight
     # into the column slice
-    words.take(blocks, out=cells[:, :-1], mode="clip")
+    _WORDS[spell, sep].take(blocks, out=cells[:, :-1], mode="clip")
     cells[:, -1] = ord("\n")
     text = cells.tobytes().translate(None, b"\0").decode("ascii")
     lines = text.split("\n")[:-1]
@@ -428,7 +502,8 @@ def _spelled(blocks: np.ndarray, index: np.ndarray, spell, sep: str):
 def _table_pieces(table: TwistTable, format: str, mu):
     """:func:`render_table` as a :func:`_spelled` piece grid, with code c
     spelled ``_SPELL[c]`` (``_SPELL[fold[c]]`` for a numeric table, whose
-    ``fold`` is :func:`_fold`).
+    ``fold`` is :func:`_fold`), read from the table's generator rows
+    alone.
 
     Each row is split into blocks B = 2**min(n, n // 2 + 1) columns wide.
     A twist row is linear in q, so ``codes[p, 0]`` is 0 and block j of
@@ -438,10 +513,11 @@ def _table_pieces(table: TwistTable, format: str, mu):
     read below, never to the whole table.
 
     So rows are classed by their first block, through one int key per
-    row (:func:`_row_keys`) that ``np.unique`` sorts, and each distinct
-    first block is spelled in each of its XOR variants (4, or 2
-    folded): block j of row p is block ``variants * class + shift`` of
-    those.
+    row (:func:`_row_reads`, which also gives the shifts) that
+    ``np.unique`` sorts.  Each distinct first block is the XOR extension
+    along q of its codes at the generator columns, and is spelled in
+    each of its XOR variants (4, or 2 folded): block j of row p is block
+    ``variants * class + shift`` of those.
     """
     # the renderer relies on bilinearity, which only the class vouches for
     if not isinstance(table, TwistTable):
@@ -449,20 +525,17 @@ def _table_pieces(table: TwistTable, format: str, mu):
             f"table must be a TwistTable, got {type(table).__name__}"
         )
     sep = _separator(format)
-    codes, n = table.codes, table.n
+    n = table.n
     width = 1 << min(n, n // 2 + 1)
-    shifts = codes[:, ::width]
     fold = None
     if mu is not None:
         _check_mu(mu)
         fold = _fold(mu)
-        shifts = fold.take(shifts)
+    keys, gen_codes, shifts = _row_reads(table._gen_rows, width, fold)
     _, first_rows, row_class = np.unique(
-        _row_keys(codes, width, fold), return_index=True, return_inverse=True
+        keys, return_index=True, return_inverse=True
     )
-    first = codes[first_rows, :width]
-    if fold is not None:
-        first = fold.take(first)
+    first = _doubled(gen_codes[first_rows].T, width).T
     # a fold is onto {0, 1}, whose values are 1 and -1 at either mu
     variants = 4 if fold is None else 2
     blocks = (first[:, None, :]

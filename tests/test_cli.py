@@ -238,6 +238,31 @@ class TestTable:
         assert all(text.endswith("\n") for text in stdout.writes)
         assert sum(lines) == (512 if "--blocks" in argv else 1024)
 
+    @pytest.mark.parametrize("argv", [
+        ["--mu", "sym"], ["--mu", "sym", "--format", "csv"],
+        ["--mu", "+1"], ["--mu", "-1", "--format", "csv"],
+    ])
+    def test_table_12_never_builds_the_grid(self, monkeypatch, argv):
+        # the direct table is rendered from its generator rows, so the
+        # command's peak stays below the 16 MiB grid it never builds
+        import tracemalloc
+
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        tracemalloc.start()
+        try:
+            assert run_cli("table", str(MAX_DIM), *argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 2 * MAX_DIM
+
     def test_closed_pipe_exits_141_silently(self, child_env):
         # the reader takes one line and goes away while the writer still
         # has megabytes of table to send

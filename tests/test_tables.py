@@ -1,7 +1,10 @@
 import copy
+import hashlib
+import json
 import re
 import pickle
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -234,14 +237,35 @@ def test_blocks_peak_memory():
 
 
 def test_direct_peak_memory():
-    # the 16 MiB result plus one row
+    # the 48 KiB generator rows and the doubling they come from; the
+    # first read of codes builds the 16 MiB grid, plus one row
     tracemalloc.start()
     try:
-        table_direct(MAX_DIM)
+        table = table_direct(MAX_DIM)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        table.codes
+        _, read = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built < 1 << 18
+    assert read <= 20 << 20
+
+
+@pytest.mark.parametrize("format, mu", [
+    ("text", None), ("csv", None), ("text", 1), ("csv", -1),
+])
+def test_direct_table_renders_without_its_grid(format, mu):
+    # the renderer reads the generator rows alone, so the 16 MiB grid
+    # of a direct table is never built: the key, shift and generator
+    # columns of every row, the spelled blocks and the piece grid
+    tracemalloc.start()
+    try:
+        tables._table_pieces(table_direct(MAX_DIM), format, mu)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 20 << 20
+    assert peak < 1 << 2 * MAX_DIM
 
 
 def test_letters_peak_memory():
@@ -603,6 +627,57 @@ def test_table_repr():
     assert repr(table_direct(3)) == "<TwistTable n=3 (8x8)>"
 
 
+def _cells(n):
+    return [(p, q) for p in range(1 << n) for q in range(1 << n)]
+
+
+#: What a caller can read of a twist table, other than time and memory.
+_OBSERVATIONS = {
+    "repr": repr,
+    "equal to blocks": lambda t: t == table_blocks(t.n),
+    "blocks equal to it": lambda t: table_blocks(t.n) == t,
+    "unequal": lambda t: (t != table_blocks(t.n), table_blocks(t.n) != t),
+    "copies": lambda t: [
+        (type(twin), twin == table_blocks(t.n), twin.codes.flags.writeable)
+        for twin in _copies(t)
+    ],
+    "entry": lambda t: [t.entry(p, q) for p, q in _cells(t.n)],
+    "getitem": lambda t: [t[p, q] for p, q in _cells(t.n)],
+    "substitute": lambda t: [t.substitute(mu).tolist() for mu in (1, -1)],
+    "codes": lambda t: t.codes.tolist(),
+}
+
+
+@pytest.mark.parametrize("observe", _OBSERVATIONS.values(), ids=_OBSERVATIONS)
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_the_deferred_grid_cannot_be_observed(n, observe):
+    # a direct table builds its grid on the first read of codes: each
+    # read, as that first read and after it, sees what a built table shows
+    read = table_direct(n)
+    read.codes
+    expected = observe(table_blocks(n))
+    assert observe(table_direct(n)) == expected
+    assert observe(read) == expected
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["fresh", "read"])
+def test_deferred_codes_are_one_read_only_slot(read_first):
+    table = table_direct(4)
+    if read_first:
+        table.codes
+    with pytest.raises(AttributeError, match="immutable: cannot set 'codes'"):
+        table.codes = table_blocks(4).codes
+    with pytest.raises(AttributeError, match="immutable: cannot delete"):
+        del table.codes
+    with pytest.raises(AttributeError, match="no attribute 'grid'"):
+        table.grid
+    codes = table.codes
+    assert table.codes is codes and not codes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        codes[0, 0] = 1
+    assert table == table_blocks(4)
+
+
 def test_large_table_row_zero():
     # the generator keeps working at the cap; spot-check the frame
     t = table_blocks(10)
@@ -612,6 +687,29 @@ def test_large_table_row_zero():
 
 
 # --- the renderer against a per-cell reference -----------------------------
+
+#: sha256 of every render at n = 1..12, recorded before the renderer
+#: read a table's generator rows in place of its grid.
+_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCH_27.json").read_text()
+)["output_sha256"]["digests"]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("format", ["text", "csv"])
+@pytest.mark.parametrize("n", [11, 12])
+def test_top_width_renders_keep_their_digests(n, format):
+    # every cell, at the widths the other render tests only sample
+    for name, build in (("direct", table_direct), ("blocks", table_blocks)):
+        for mu in (None, 1, -1):
+            key = f"render_table {name} n={n} mu={mu} {format}"
+            assert _sha256(render_table(build(n), format, mu)) == _DIGESTS[key]
+    key = f"render_block_letters n={n} {format}"
+    assert _sha256(render_block_letters(n, format)) == _DIGESTS[key]
+
 
 def _reference_render(cells, spell, sep):
     return "".join(
@@ -704,15 +802,22 @@ def test_real_tables_take_the_block_path(n):
 def test_row_keys_class_rows_as_their_first_blocks(n):
     # equal keys mean equal first blocks, and there are as many keys as
     # distinct first blocks: thousands for a random bilinear table at
-    # n = 11 and 12; with a numeric table's fold, the folded blocks
-    twists = (table_direct(n).codes, table_blocks(n).codes,
-              _random_bilinear(n).codes)
-    cases = [(codes, None) for codes in twists]
-    cases += [(codes, tables._fold(mu)) for mu in (1, -1) for codes in twists]
-    for codes, fold in cases:
-        cells = codes if fold is None else fold[codes]
-        first, _ = _first_blocks(cells)
-        keys = tables._row_keys(codes, first.shape[1], fold)
+    # n = 11 and 12; with a numeric table's fold, the folded blocks.
+    # The keys and the other columns read come from the generator rows
+    # alone, and must be the grid's own columns
+    twists = (table_direct(n), table_blocks(n), _random_bilinear(n))
+    cases = [(table, None) for table in twists]
+    cases += [(table, tables._fold(mu)) for mu in (1, -1) for table in twists]
+    for table, fold in cases:
+        cells = table.codes if fold is None else fold[table.codes]
+        first, shifts = _first_blocks(cells)
+        width = first.shape[1]
+        keys, gen_codes, read_shifts = tables._row_reads(
+            table._gen_rows, width, fold
+        )
+        generators = [1 << i for i in range(width.bit_length() - 1)]
+        assert np.array_equal(gen_codes, cells[:, generators])
+        assert np.array_equal(read_shifts, shifts)
         _, rows, row_key = np.unique(
             keys, return_index=True, return_inverse=True
         )
