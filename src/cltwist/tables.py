@@ -39,11 +39,15 @@ The twist is a bicharacter, so a row's codes are linear in q as well:
 ``codes[p, q ^ r] == codes[p, q] ^ codes[p, r]``, and its n*n
 generator entries fix the whole table.  One function,
 :func:`_extension`, builds the table that a set of generator entries
-fixes: :func:`table_direct` builds with it, and the :class:`TwistTable`
-constructor checks with it, since codes are bilinear exactly when they
-equal the extension of their own generator entries.  So every table is
-bilinear.  (The self-test, whose format is the bit plane, not the
-array, has its own extension: :func:`cltwist._batch.first_difference`.)
+fixes, in two doubling passes: the generator rows ``codes[e_j, :]``
+along q (:func:`_generator_rows`), then every row along p.
+:func:`table_direct` runs the first pass and keeps its rows; the
+second builds its grid on the first read of ``codes``.  The
+:class:`TwistTable` constructor checks with it, since codes are
+bilinear exactly when they equal the extension of their own generator
+entries.  So every table is bilinear, and its n generator rows fix it.
+(The self-test, whose format is the bit plane, not the array, has its
+own extension: :func:`cltwist._batch.first_difference`.)
 
 One helper, :func:`_spelled`, spells a set of column blocks once each
 and gathers every row's pieces from them into one piece grid, a row of
@@ -51,7 +55,9 @@ str pieces per text row; both renderers join it, and the CLI writes it
 a run of rows at a time.  :func:`render_table` relies on bilinearity:
 :func:`_table_pieces` classes a table's rows by their leading block of
 columns and builds every row from shifted copies of its block, so it
-takes nothing but a :class:`TwistTable`.  :func:`render_block_letters`
+takes nothing but a :class:`TwistTable`.  It reads the columns it
+needs off the table's generator rows, so rendering never builds a
+direct table's grid.  :func:`render_block_letters`
 spells the tile rows of :func:`_tiling` and places them by its gather
 index, so its grid is never built.
 
@@ -224,8 +230,8 @@ class TwistTable(Frozen):
         if codes.shape != (size, size) or codes.dtype != np.int8:
             raise ValueError("codes must be a 2**n square int8 array")
         codes.setflags(write=False)
-        # a fancy index copies, so the rows share no memory with codes
-        self._hold_rows(n, codes[1 << np.arange(n)])
+        # take copies, so the rows share no memory with codes
+        self._hold_rows(n, codes.take([1 << j for j in range(n)], axis=0))
         object.__setattr__(self, "codes", codes)
 
     def _hold_rows(self, n: int, gen_rows: np.ndarray):
@@ -426,34 +432,38 @@ def _fold(mu: int) -> np.ndarray:
 def _row_reads(gen_rows: np.ndarray, width: int, fold=None):
     """The columns of a twist table that the renderer reads, for every
     row p, from the table's generator rows ``gen_rows`` (``codes[e_j,
-    :]``), for a power of two ``width``: ``(keys, gen_codes, shifts)``.
+    :]``), for a power of two ``width``: ``(keys, first, shifts)``.
 
     ``keys`` holds an int64 per row, equal for two rows exactly when
-    their first ``width`` columns are; ``gen_codes[p]`` holds the row's
-    codes at the generator columns 1, 2, 4, ... below ``width``, which
-    by linearity in q fix its whole first block (column 0 is 0); and
-    ``shifts[p, j]`` is the row's code at column ``j * width``.  With a
-    ``fold`` (:func:`_fold`), every code read is folded.
+    their first ``width`` columns are; ``first[p]`` is that first block,
+    ``codes[p, :width]``; and ``shifts[p, j]`` is the row's code at
+    column ``j * width``.  With a ``fold`` (:func:`_fold`), every code
+    read is folded.
 
     A table is linear in p too, so row p of the columns read is the XOR
     of those of the generator rows at the bits of p: one
     :func:`_doubled` of the generator rows' columns gives every row's.
-    The key is the row's generator codes, one byte each, padded to 8
-    bytes with column 0 and read as one int64 (``width`` is at most
-    2**7 for n <= 12, so 8 bytes hold them); the shifts follow, padded
-    with column 0 to whole int64 words, so that the rows are read as
-    int64 in place.
+    The key is the row's codes at the generator columns 1, 2, 4, ...
+    below ``width``, which by linearity in q fix its first block (column
+    0 is 0), one byte each, padded to 8 bytes with column 0 (``width``
+    is at most 2**7 for n <= 12, so 8 bytes hold them).  The first block
+    and the shifts follow, padded with column 0 to whole int64 words, so
+    that the doubling XORs int64 words and the key is read in place.
     """
     size = gen_rows.shape[1]
     w = width.bit_length() - 1
     count = size // width
     columns = ([1 << i for i in range(w)] + [0] * (8 - w)
-               + list(range(0, size, width)) + [0] * (-count % 8))
-    picked = gen_rows[:, columns]
+               + list(range(width)) + list(range(0, size, width))
+               + [0] * (-(width + count) % 8))
+    # take, unlike a fancy index along axis 1, keeps the rows contiguous
+    picked = gen_rows.take(columns, axis=1)
     if fold is not None:
         picked = fold.take(picked)
-    reads = _doubled(picked, size)
-    return reads.view(np.int64)[:, 0], reads[:, :w], reads[:, 8:8 + count]
+    reads = _doubled(picked.view(np.int64), size)
+    codes = reads.view(np.int8)
+    return (reads[:, 0], codes[:, 8:8 + width],
+            codes[:, 8 + width:8 + width + count])
 
 
 #: ``_WORDS[spell, sep]``: the little-endian uint32 word of each
@@ -513,9 +523,9 @@ def _table_pieces(table: TwistTable, format: str, mu):
     read below, never to the whole table.
 
     So rows are classed by their first block, through one int key per
-    row (:func:`_row_reads`, which also gives the shifts) that
-    ``np.unique`` sorts.  Each distinct first block is the XOR extension
-    along q of its codes at the generator columns, and is spelled in
+    row that ``np.unique`` sorts; :func:`_row_reads` gives the keys, the
+    first blocks and the shifts from one XOR extension along p of the
+    generator rows' columns.  Each distinct first block is spelled in
     each of its XOR variants (4, or 2 folded): block j of row p is block
     ``variants * class + shift`` of those.
     """
@@ -531,11 +541,11 @@ def _table_pieces(table: TwistTable, format: str, mu):
     if mu is not None:
         _check_mu(mu)
         fold = _fold(mu)
-    keys, gen_codes, shifts = _row_reads(table._gen_rows, width, fold)
+    keys, first, shifts = _row_reads(table._gen_rows, width, fold)
     _, first_rows, row_class = np.unique(
         keys, return_index=True, return_inverse=True
     )
-    first = _doubled(gen_codes[first_rows].T, width).T
+    first = first[first_rows]
     # a fold is onto {0, 1}, whose values are 1 and -1 at either mu
     variants = 4 if fold is None else 2
     blocks = (first[:, None, :]
