@@ -57,9 +57,9 @@ a run of rows at a time.  :func:`render_table` relies on bilinearity:
 columns and builds every row from shifted copies of its block, so it
 takes nothing but a :class:`TwistTable`.  It reads the columns it
 needs off the table's generator rows, so rendering never builds a
-direct table's grid.  :func:`render_block_letters`
-spells the tile rows of :func:`_tiling` and places them by its gather
-index, so its grid is never built.
+direct table's grid.  :func:`render_block_letters` spells the tile
+rows of :func:`_tiling` and places them by its gather index, so its
+grid is never built.
 
 Fixing mu maps the four codes onto {1, -1}, and the map is a
 homomorphism, so a numeric table is a bilinear form with one bit per
