@@ -29,8 +29,9 @@ three.
 
 :func:`first_difference` is the bilinearity test on planes: the
 self-test's certificate puts a parity plane to it.  Tables, whose
-format is a numpy array, have their own, ``tables._extension``, and
-import nothing from here.
+format is a numpy array, have their own, the two doubling passes of
+``tables`` that build a direct table (``tables._generator_rows`` and
+``tables._doubled``), and import nothing from here.
 
 :data:`PLANE_FORMS` maps each scalar function in
 :data:`cltwist.kernel.ALGORITHMS` to its form.  A caller holding some

@@ -42,8 +42,9 @@ a value that is not a sign exactly as returned.  A parity plane
 passes every identity exactly when it is the bilinear form of its n*n
 generator entries s(e_j, e_i).  So the certificate rebuilds the plane
 from them and compares, with ``_batch.first_difference``; the
-``TwistTable`` constructor does the same to a caller's int8 codes with
-the array extension of its own module, ``tables._extension``.  A plane
+``TwistTable`` constructor does the same to a caller's int8 codes,
+rebuilding them as its own module builds a direct table
+(``tables._generator_rows``, then ``tables._doubled``).  A plane
 that does not rebuild names the identity that fails at its first
 difference, a (p, k, q), followed by the first violating triple among
 the rows involved, if they hold one; one function,

@@ -37,17 +37,18 @@ B, whose rows one gather index puts in place.
 
 The twist is a bicharacter, so a row's codes are linear in q as well:
 ``codes[p, q ^ r] == codes[p, q] ^ codes[p, r]``, and its n*n
-generator entries fix the whole table.  One function,
-:func:`_extension`, builds the table that a set of generator entries
-fixes, in two doubling passes: the generator rows ``codes[e_j, :]``
-along q (:func:`_generator_rows`), then every row along p.
-:func:`table_direct` runs the first pass and keeps its rows; the
-second builds its grid on the first read of ``codes``.  The
-:class:`TwistTable` constructor checks with it, since codes are
-bilinear exactly when they equal the extension of their own generator
-entries.  So every table is bilinear, and its n generator rows fix it.
-(The self-test, whose format is the bit plane, not the array, has its
-own extension: :func:`cltwist._batch.first_difference`.)
+generator entries fix the whole table.  The table that a set of
+generator entries fixes is built in two doubling passes: the generator
+rows ``codes[e_j, :]`` along q (:func:`_generator_rows`), then every
+row along p, which :class:`TwistTable` makes on the first read of
+``codes``.  :func:`table_direct` runs the first pass on the defining
+relations and keeps its rows.  The :class:`TwistTable` constructor
+runs both on a caller's own generator entries and compares the build
+with the caller's codes, since codes are bilinear exactly when they
+equal it; it keeps the build.  So every table is bilinear, and its n
+generator rows fix it.  (The self-test, whose format is the bit plane,
+not the array, has its own extension:
+:func:`cltwist._batch.first_difference`.)
 
 One helper, :func:`_spelled`, spells a set of column blocks once each
 and gathers every row's pieces from them into one piece grid, a row of
@@ -177,7 +178,9 @@ class TwistTable(Frozen):
     the ``codes`` slot once, so it is the same read-only array on every
     read after, and nothing but time and memory tells the two apart.
     (Threads racing on that first read may each build one; each gets an
-    equal array.)
+    equal array.)  The constructor builds its table that way too, from
+    the caller's generator entries, and keeps that build, so the
+    caller's array is neither copied nor kept.
     """
 
     __slots__ = ("n", "codes", "_gen_rows")
@@ -187,63 +190,45 @@ class TwistTable(Frozen):
             raise TypeError(
                 f"codes must be a numpy array, got {type(codes).__name__}"
             )
-        # a copy, so that the caller's array cannot change the table
-        self._hold(n, codes.copy())
-        bad = self.codes & ~3
-        if bad.any():
-            raise ValueError("codes must be in 0..3" + self._first_cell(bad))
-        # bilinear exactly when the codes equal the extension of their own
-        # generator entries; the XOR, in place, compares both code bits
-        rebuilt = _extension(self._gen_rows[:, 1 << np.arange(n)])
-        if np.bitwise_xor(rebuilt, self.codes, out=rebuilt).any():
-            kind, pkq = _failing_identity(*np.argwhere(rebuilt)[0].tolist())
-            raise ValueError("codes must be bilinear in p and in q under XOR"
-                             + self._first_cell(rebuilt) + f", so {kind} fails"
-                             f" at (p, k, q) = {pkq}: {_LINEAR_IN[kind]}")
-
-    def _first_cell(self, off: np.ndarray) -> str:
-        """The code at the first nonzero cell (p, q) of ``off``, in
-        row-major order, spelled for an error message."""
-        p, q = np.argwhere(off)[0]
-        return f", got {self.codes[p, q]} at (p, q) = ({p}, {q})"
-
-    @classmethod
-    def _adopt(cls, n: int, codes: np.ndarray) -> "TwistTable":
-        """Table over ``codes`` itself, for an array a builder has just
-        made and keeps no other reference to."""
-        table = object.__new__(cls)
-        table._hold(n, codes)
-        return table
-
-    @classmethod
-    def _from_rows(cls, n: int, gen_rows: np.ndarray) -> "TwistTable":
-        """Table over the generator rows ``gen_rows`` alone, for rows a
-        builder has just made: ``codes`` is built from them on its first
-        read (:meth:`__getattr__`)."""
-        table = object.__new__(cls)
-        table._hold_rows(n, gen_rows)
-        return table
-
-    def _hold(self, n: int, codes: np.ndarray):
         _check_dim(n)
         size = 1 << n
         if codes.shape != (size, size) or codes.dtype != np.int8:
             raise ValueError("codes must be a 2**n square int8 array")
-        codes.setflags(write=False)
-        # take copies, so the rows share no memory with codes
-        self._hold_rows(n, codes.take([1 << j for j in range(n)], axis=0))
-        object.__setattr__(self, "codes", codes)
+        if codes.min() < 0 or codes.max() > 3:
+            raise ValueError("codes must be in 0..3"
+                             + _first_cell(codes, codes & ~3))
+        # bilinear exactly when the codes equal the table that their own
+        # generator entries fix, built as a direct table's is
+        gens = 1 << np.arange(n)
+        gen_rows = _generator_rows(codes[gens[:, None], gens])
+        built = _doubled(gen_rows, size)
+        if not np.array_equal(built, codes):
+            off = built != codes
+            kind, pkq = _failing_identity(*np.argwhere(off)[0].tolist())
+            raise ValueError("codes must be bilinear in p and in q under XOR"
+                             + _first_cell(codes, off) + f", so {kind} fails"
+                             f" at (p, k, q) = {pkq}: {_LINEAR_IN[kind]}")
+        self._fill(n, gen_rows, built)
 
-    def _hold_rows(self, n: int, gen_rows: np.ndarray):
+    def _fill(self, n: int, gen_rows: np.ndarray, codes=None):
+        """Fill the slots of this table from a builder's generator rows
+        ``gen_rows`` and, if it has one, its grid ``codes``: arrays the
+        builder has just made and keeps no other reference to.  Without
+        a grid, ``codes`` is built on its first read
+        (:meth:`__getattr__`).  Returns the table."""
         gen_rows.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_gen_rows", gen_rows)
+        if codes is not None:
+            codes.setflags(write=False)
+            object.__setattr__(self, "codes", codes)
+        return self
 
     def __getattr__(self, name):
         # reached only when the normal lookup fails, which for ``codes``
-        # means its slot is still empty: build the grid, the second
-        # doubling pass of _extension, and fill the slot, so that every
-        # later read finds it there
+        # means its slot is still empty: build the grid, the doubling
+        # pass along p, and fill the slot, so that every later read
+        # finds it there
         if name != "codes":
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
@@ -290,32 +275,32 @@ def table_direct(n: int) -> TwistTable:
     The relations are the generator entries: e_j e_i = -e_i e_j for
     i < j puts code 1 (a negation) at (e_j, e_i), strictly below the
     diagonal, and e_i e_i = mu puts code 2 (one factor of mu) on it.
-    The twist is the one bicharacter with those entries, so
-    :func:`_extension` gives every other cell.  The table is built as
-    far as its generator rows (:func:`_generator_rows`, 48 KiB at
-    n = 12); its 2**n square grid is built on the first read of
-    ``codes``, which rendering never makes.
+    The twist is the one bicharacter with those entries, so they fix
+    every other cell.  The table is built as far as its generator rows
+    (:func:`_generator_rows`, 48 KiB at n = 12); its 2**n square grid
+    is built on the first read of ``codes``, which rendering never
+    makes.
     """
     _check_dim(n)
     entries = np.tri(n, k=-1, dtype=np.int8) | np.eye(n, dtype=np.int8) << 1
-    return TwistTable._from_rows(n, _generator_rows(entries))
+    return object.__new__(TwistTable)._fill(n, _generator_rows(entries))
+
+
+def _first_cell(codes: np.ndarray, off: np.ndarray) -> str:
+    """The code in ``codes`` at the first nonzero cell (p, q) of
+    ``off``, in row-major order, spelled for an error message."""
+    p, q = np.argwhere(off)[0]
+    return f", got {codes[p, q]} at (p, q) = ({p}, {q})"
 
 
 def _generator_rows(entries: np.ndarray) -> np.ndarray:
     """The n by 2**n generator rows, row j the codes of (e_j, q) for
     every q, of the bilinear table whose generator entry (e_j, e_i) is
-    ``entries[j, i]``, for the n by n ``entries``: the first doubling
-    pass of :func:`_extension`, along q."""
+    ``entries[j, i]``, for the n by n ``entries``: the doubling pass
+    along q.  The pass along p, :func:`_doubled` of these rows, gives
+    the whole table."""
     # contiguous, so that each doubling along p XORs a contiguous row
     return np.ascontiguousarray(_doubled(entries.T, 1 << len(entries)).T)
-
-
-def _extension(entries: np.ndarray) -> np.ndarray:
-    """The 2**n square int8 table, bilinear in p and in q under XOR,
-    whose generator entry (e_j, e_i) is ``entries[j, i]``, for the n by
-    n ``entries``: the generator rows by doublings along q
-    (:func:`_generator_rows`), then every row by doublings along p."""
-    return _doubled(_generator_rows(entries), 1 << len(entries))
 
 
 def _doubled(factors: np.ndarray, count: int) -> np.ndarray:
@@ -407,7 +392,7 @@ def table_blocks(n: int) -> TwistTable:
     (tile_rows & 3).take(
         index, axis=0, out=grid.reshape(index.shape + (-1,)), mode="clip"
     )
-    return TwistTable._adopt(n, grid)
+    return object.__new__(TwistTable)._fill(n, grid[1 << np.arange(n)], grid)
 
 
 # --- rendering -------------------------------------------------------------
@@ -429,16 +414,16 @@ def _fold(mu: int) -> np.ndarray:
     return np.array([value < 0 for value in _VALUE[mu]], np.int8)
 
 
-def _row_reads(gen_rows: np.ndarray, width: int, fold=None):
+def _row_reads(gen_rows: np.ndarray, width: int):
     """The columns of a twist table that the renderer reads, for every
     row p, from the table's generator rows ``gen_rows`` (``codes[e_j,
-    :]``), for a power of two ``width``: ``(keys, first, shifts)``.
+    :]``, or a numeric table's folded ones), for a power of two
+    ``width``: ``(keys, first, shifts)``.
 
     ``keys`` holds an int64 per row, equal for two rows exactly when
     their first ``width`` columns are; ``first[p]`` is that first block,
     ``codes[p, :width]``; and ``shifts[p, j]`` is the row's code at
-    column ``j * width``.  With a ``fold`` (:func:`_fold`), every code
-    read is folded.
+    column ``j * width``.
 
     A table is linear in p too, so row p of the columns read is the XOR
     of those of the generator rows at the bits of p: one
@@ -458,8 +443,6 @@ def _row_reads(gen_rows: np.ndarray, width: int, fold=None):
                + [0] * (-(width + count) % 8))
     # take, unlike a fancy index along axis 1, keeps the rows contiguous
     picked = gen_rows.take(columns, axis=1)
-    if fold is not None:
-        picked = fold.take(picked)
     reads = _doubled(picked.view(np.int64), size)
     codes = reads.view(np.int8)
     return (reads[:, 0], codes[:, 8:8 + width],
@@ -519,8 +502,8 @@ def _table_pieces(table: TwistTable, format: str, mu):
     A twist row is linear in q, so ``codes[p, 0]`` is 0 and block j of
     row p is its first block XORed by the shift ``codes[p, jB]``, a code
     in 0..3.  The fold is a homomorphism, so the same holds of folded
-    codes, with a shift in {0, 1}; it is applied only to the columns
-    read below, never to the whole table.
+    codes, with a shift in {0, 1}, and the folded generator rows fix
+    them; it is applied to those rows only, never to the whole table.
 
     So rows are classed by their first block, through one int key per
     row that ``np.unique`` sorts; :func:`_row_reads` gives the keys, the
@@ -537,17 +520,16 @@ def _table_pieces(table: TwistTable, format: str, mu):
     sep = _separator(format)
     n = table.n
     width = 1 << min(n, n // 2 + 1)
-    fold = None
+    gen_rows, variants = table._gen_rows, 4
     if mu is not None:
         _check_mu(mu)
-        fold = _fold(mu)
-    keys, first, shifts = _row_reads(table._gen_rows, width, fold)
+        # a fold is onto {0, 1}, whose values are 1 and -1 at either mu
+        gen_rows, variants = _fold(mu).take(gen_rows), 2
+    keys, first, shifts = _row_reads(gen_rows, width)
     _, first_rows, row_class = np.unique(
         keys, return_index=True, return_inverse=True
     )
     first = first[first_rows]
-    # a fold is onto {0, 1}, whose values are 1 and -1 at either mu
-    variants = 4 if fold is None else 2
     blocks = (first[:, None, :]
               ^ np.arange(variants, dtype=np.int8)[:, None]).reshape(-1, width)
     return _spelled(blocks, variants * row_class[:, None] + shifts,

@@ -216,7 +216,9 @@ def test_table_difference_names_the_first_differing_cell(table_difference):
     codes = direct.codes.copy()
     codes[6, 3] ^= 2
     codes[5, 6] ^= 1
-    flipped = TwistTable._adopt(3, codes)
+    # the fixture reads n and codes alone; the flipped codes are not a
+    # table the constructor would take
+    flipped = SimpleNamespace(n=3, codes=codes)
     assert table_difference(flipped, direct) == (
         "n = 3: first differing cell (p, q) = (5, 6),"
         f" code {codes[5, 6]} against {direct.codes[5, 6]}"
@@ -234,6 +236,21 @@ def test_blocks_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 20 << 20
+
+
+def test_constructor_peak_memory():
+    # the 16 MiB table built from the caller's generator entries and one
+    # full-size comparison with the caller's array: no copy of it, and
+    # no range mask while every code is in range
+    codes = table_blocks(MAX_DIM).codes.copy()
+    tracemalloc.start()
+    try:
+        table = TwistTable(MAX_DIM, codes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 34 << 20
+    assert not np.shares_memory(table.codes, codes)
 
 
 def test_direct_peak_memory():
@@ -658,6 +675,9 @@ def test_the_deferred_grid_cannot_be_observed(n, observe):
     expected = observe(table_blocks(n))
     assert observe(table_direct(n)) == expected
     assert observe(read) == expected
+    # the constructor rebuilds the caller's codes from their generator
+    # entries, as a direct table is built, and keeps that build
+    assert observe(TwistTable(n, table_blocks(n).codes)) == expected
 
 
 @pytest.mark.parametrize("read_first", [False, True], ids=["fresh", "read"])
@@ -809,12 +829,12 @@ def test_row_keys_class_rows_as_their_first_blocks(n):
     cases = [(table, None) for table in twists]
     cases += [(table, tables._fold(mu)) for mu in (1, -1) for table in twists]
     for table, fold in cases:
-        cells = table.codes if fold is None else fold[table.codes]
+        cells, gen_rows = table.codes, table._gen_rows
+        if fold is not None:
+            cells, gen_rows = fold[cells], fold[gen_rows]
         first, shifts = _first_blocks(cells)
         width = first.shape[1]
-        keys, read_first, read_shifts = tables._row_reads(
-            table._gen_rows, width, fold
-        )
+        keys, read_first, read_shifts = tables._row_reads(gen_rows, width)
         assert np.array_equal(read_first, first)
         assert np.array_equal(read_shifts, shifts)
         _, rows, row_key = np.unique(
@@ -979,7 +999,7 @@ def _names(code):
 def test_block_builder_shares_nothing_with_the_direct_one():
     # the cross-check of the two builders means something only while the
     # block construction uses neither the extension nor the closed form
-    banned = {"_extension", "_doubled", "_parity_above", "twist_closed"}
+    banned = {"_generator_rows", "_doubled", "_parity_above", "twist_closed"}
     for f in (table_blocks, tables._tiling, tables._block_rounds):
         assert not _names(f.__code__) & banned, f.__name__
 
@@ -1004,7 +1024,8 @@ def test_direct_builder_shares_nothing_with_the_others(table_difference):
     # the closed form nor the block substitution
     banned = {"_parity_above", "twist_closed", "bitwise_count", "_RULE",
               "_block_rounds", "_tiling"}
-    for f in (table_direct, tables._extension, tables._doubled):
+    for f in (table_direct, tables._generator_rows, tables._doubled,
+              TwistTable._fill, TwistTable.__getattr__):
         assert not _names(f.__code__) & banned, f.__name__
     for n in range(1, 11):
         direct, closed = table_direct(n), _closed_form_table(n)
