@@ -6,31 +6,20 @@ computed sign, the twist.  The package provides four independent
 implementations of the sign, exact rational multivectors, symbolic
 twist tables with a block-substitution generator, and a CLI.
 
-``import cltwist`` loads only the kernel.  Every other public name is
-resolved on first access, through ``_LAZY``: ``Algebra`` and
-``Multivector`` load the multivector layer, the notation names (and
-``fractions``) the notation layer, the table names the tables (and
-numpy), and ``run_selftest`` the self-test, which works on bit planes,
-Python ints.  So every layer but the tables runs without numpy, and a
-program that only computes signs compiles nothing else.
+``import cltwist`` loads only the kernel and binds its public names,
+``kernel.__all__``.  Every other public name is resolved on first
+access, through ``_LAZY``: ``Algebra`` and ``Multivector`` load the
+multivector layer, the notation names (and ``fractions``) the notation
+layer, the table names the tables (and numpy), and ``run_selftest``
+the self-test, which works on bit planes, Python ints.  So every
+layer but the tables runs without numpy, and a program that only
+computes signs compiles nothing else.
 """
 
 from importlib import import_module
 
-from .kernel import (
-    ALGORITHMS,
-    MAX_DIM,
-    TraceStep,
-    blade_product,
-    grade,
-    grade_sign,
-    tree_trace,
-    twist,
-    twist_closed,
-    twist_oracle,
-    twist_recursive,
-    twist_tree,
-)
+from . import kernel
+from .kernel import *  # noqa: F403  the kernel publishes its own names
 
 #: Public names loaded on first access, by the submodule defining them.
 _LAZY = {
@@ -55,38 +44,8 @@ _LAZY = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "Algebra",
-    "ExpressionSyntaxError",
-    "MAX_DIM",
-    "MalformedBladeError",
-    "Multivector",
-    "NotationError",
-    "SymbolicSign",
-    "TraceStep",
-    "TwistTable",
-    "UnrepresentableError",
-    "blade_product",
-    "format_blade",
-    "grade",
-    "grade_sign",
-    "parse_blade",
-    "parse_expression",
-    "render_block_letters",
-    "render_table",
-    "run_selftest",
-    "table_blocks",
-    "table_direct",
-    "tree_trace",
-    "twist",
-    "twist_closed",
-    "twist_oracle",
-    "twist_recursive",
-    "twist_symbolic",
-    "twist_tree",
-    "__version__",
-]
+#: Every public name, each written once: in ``kernel.__all__`` or ``_LAZY``.
+__all__ = sorted([*kernel.__all__, *_LAZY]) + ["__version__"]
 
 
 def __getattr__(name):

@@ -41,7 +41,7 @@ and nothing here imports numpy.
 """
 
 from functools import lru_cache
-from typing import Iterator, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import kernel
 
@@ -90,16 +90,16 @@ def joined(rows, n: int) -> int:
     )
 
 
-def split(plane: int, n: int) -> Iterator[int]:
+def split(plane: int, n: int) -> List[int]:
     """The 2**n rows of a plane of width n, row 0 first: the inverse of
-    :func:`joined`."""
-    size = 1 << n
-    if n < 3:
-        return (plane >> (p << n) & ((1 << size) - 1) for p in range(size))
-    width = size >> 3
-    data = plane.to_bytes(width << n, "little")
-    return (int.from_bytes(data[start:start + width], "little")
-            for start in range(0, len(data), width))
+    :func:`joined`.  Each pass splits every part into its low and high
+    halves, until the parts are rows."""
+    parts = [plane]
+    for level in reversed(range(n, 2 * n)):
+        bits = 1 << level  # bits in each half
+        low = (1 << bits) - 1
+        parts = [half for part in parts for half in (part & low, part >> bits)]
+    return parts
 
 
 def first_set(plane: int, n: int) -> Optional[Tuple[int, int]]:

@@ -2,16 +2,19 @@
 
 :class:`Frozen` raises ``AttributeError`` on setting or deleting any
 attribute.  It declares no slots of its own, so a subclass with
-``__slots__`` keeps no instance ``__dict__``; a constructor sets its
-fields with ``object.__setattr__``.
+``__slots__`` keeps no instance ``__dict__``.  A subclass builds its
+value in ``__new__``, setting its fields with ``object.__setattr__``,
+and defines no ``__init__``: a second ``value.__init__(...)`` call is
+``object.__init__``, which changes nothing.
 
 :class:`Record` is a frozen base for small records.  A subclass
 declares its fields as annotations, in order, with any default as a
 class attribute, as for a frozen dataclass, and gets what a frozen
-dataclass gives: ``__init__`` (positional and keyword), a ``repr``
-naming every field, ``==`` field by field against the same class only,
-a hash of the field tuple, ``__match_args__``, and the ``Frozen``
-guard.  Copy, deepcopy and pickle go through the instance ``__dict__``.
+dataclass gives: a constructor (positional and keyword, in
+``__new__``), a ``repr`` naming every field, ``==`` field by field
+against the same class only, a hash of the field tuple,
+``__match_args__``, and the ``Frozen`` guard.  Copy, deepcopy and
+pickle call the constructor with the field values.
 The stdlib ``dataclasses`` module is not used because importing it
 loads ``inspect``, ``ast``, ``dis`` and ``tokenize``, which took about
 half the time of ``import cltwist``.
@@ -43,18 +46,23 @@ class Record(Frozen):
         super().__init_subclass__()
         own = tuple(cls.__dict__.get("__annotations__", ()))
         fields = cls.__match_args__ + own
-        # the body of a generated dataclass __init__, so just as fast
+        # the body of a generated dataclass __init__, in __new__
         params = ", ".join(
             f"{name}=_cls.{name}" if hasattr(cls, name) else name
             for name in fields
         )
         body = "".join(f"\n _set(self, {name!r}, {name})" for name in fields)
-        namespace = {"_cls": cls, "_set": object.__setattr__}
-        exec(f"def __init__(self, {params}):{body}", namespace)
-        init = namespace["__init__"]
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = init
+        namespace = {"_cls": cls, "_new": object.__new__,
+                     "_set": object.__setattr__}
+        exec(f"def __new__(cls, {params}):\n self = _new(cls){body}"
+             "\n return self", namespace)
+        new = namespace["__new__"]
+        new.__qualname__ = f"{cls.__qualname__}.__new__"
+        cls.__new__ = staticmethod(new)
         cls.__match_args__ = fields
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

@@ -52,6 +52,7 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 
 __all__ = [
     "ALGORITHMS",
+    "MAX_DIM",
     "TraceStep",
     "blade_product",
     "grade",

@@ -36,9 +36,11 @@ class Algebra(Frozen):
 
     __slots__ = ("mu",)
 
-    def __init__(self, mu: int = -1):
+    def __new__(cls, mu: int = -1):
         _check_mu(mu)
+        self = object.__new__(cls)
         object.__setattr__(self, "mu", mu)
+        return self
 
     def __reduce__(self):
         # through the constructor, so a copy checks mu as any input is
@@ -105,7 +107,7 @@ class Multivector(Frozen):
     # scalar operand is a TypeError on either side
     __array_ufunc__ = None
 
-    def __init__(self, algebra: Algebra, coeffs: Dict[int, Scalar]):
+    def __new__(cls, algebra: Algebra, coeffs: Dict[int, Scalar]):
         if not isinstance(algebra, Algebra):
             raise TypeError(f"algebra must be an Algebra, got {algebra!r}")
         if not isinstance(coeffs, Mapping):
@@ -119,8 +121,10 @@ class Multivector(Frozen):
             c = _as_fraction(value)
             if c:  # canonical: zero coefficients never stored
                 table[mask] = c
+        self = object.__new__(cls)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "_coeffs", table)
+        return self
 
     def __reduce__(self):
         return Multivector, (self.algebra, self._coeffs)

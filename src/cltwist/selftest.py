@@ -278,7 +278,7 @@ def _cocycle_suite(
     fails in the parity plane of width n of algorithm ``algo``, with p
     in the ascending ``ps``; the certificate's reporter.  Each (p, q)
     checks every r at once, on rows."""
-    rows = list(split(table, n))
+    rows = split(table, n)
     ones = (1 << (1 << n)) - 1
     for p in ps:
         # shifted[q] is row p with bit q ^ r at r: s(p, q^r)

@@ -96,13 +96,15 @@ class SymbolicSign(Frozen):
 
     __slots__ = ("code",)
 
-    def __init__(self, sign: int = 1, mu_power: int = 0):
+    def __new__(cls, sign: int = 1, mu_power: int = 0):
         # Exactly int: a float, a bool or a numpy integer is turned away.
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         if type(mu_power) is not int or mu_power not in (0, 1):
             raise ValueError(f"mu_power must be 0 or 1, got {mu_power!r}")
+        self = object.__new__(cls)
         object.__setattr__(self, "code", (sign < 0) | (mu_power << 1))
+        return self
 
     def __reduce__(self):
         return SymbolicSign.from_code, (self.code,)
@@ -185,7 +187,7 @@ class TwistTable(Frozen):
 
     __slots__ = ("n", "codes", "_gen_rows")
 
-    def __init__(self, n: int, codes: np.ndarray):
+    def __new__(cls, n: int, codes: np.ndarray):
         if type(codes) is not np.ndarray:
             raise TypeError(
                 f"codes must be a numpy array, got {type(codes).__name__}"
@@ -208,7 +210,7 @@ class TwistTable(Frozen):
             raise ValueError("codes must be bilinear in p and in q under XOR"
                              + _first_cell(codes, off) + f", so {kind} fails"
                              f" at (p, k, q) = {pkq}: {_LINEAR_IN[kind]}")
-        self._fill(n, gen_rows, built)
+        return object.__new__(cls)._fill(n, gen_rows, built)
 
     def _fill(self, n: int, gen_rows: np.ndarray, codes=None):
         """Fill the slots of this table from a builder's generator rows

@@ -58,7 +58,7 @@ def test_tree_form_matches_twist_tree_at_widths_off_the_step(width, mu):
     assert got == _scalar_plane(kernel.twist_tree, mu, width)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_split_inverts_joined(n):
     rng = random.Random(n)
     rows = [rng.getrandbits(1 << n) for _ in range(1 << n)]

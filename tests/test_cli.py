@@ -684,23 +684,23 @@ def test_star_import_and_dir_cover_all(child_env):
 
 
 def test_lazy_name_is_the_submodule_object(child_env):
+    # every public name, read from the package, is the object of its
+    # defining module: the kernel for the kernel's names, the module
+    # _LAZY names for the rest
     out = _fresh_python(
-        "import cltwist\n"
-        "table_direct = cltwist.table_direct\n"
-        "names = ['Algebra', 'Multivector', 'parse_expression',"
-        " 'NotationError', 'ExpressionSyntaxError', 'MalformedBladeError',"
-        " 'UnrepresentableError']\n"
-        "values = [getattr(cltwist, name) for name in names]\n"
-        "import cltwist.selftest, cltwist.tables\n"
-        "import cltwist.multivector, cltwist.notation\n"
-        "print(table_direct is cltwist.tables.table_direct,"
-        " cltwist.run_selftest is cltwist.selftest.run_selftest)\n"
-        "print([value is getattr(cltwist.multivector if name in"
-        " cltwist.multivector.__all__ else cltwist.notation, name)"
-        " for name, value in zip(names, values)])\n",
+        "import importlib, cltwist\n"
+        "values = {name: getattr(cltwist, name) for name in cltwist.__all__}\n"
+        "homes = {name: cltwist.kernel for name in cltwist.kernel.__all__}\n"
+        "homes.update((name, importlib.import_module(f'cltwist.{module}'))"
+        " for name, module in cltwist._LAZY.items())\n"
+        "homes['__version__'] = cltwist\n"
+        "print(len(cltwist.__all__) == len(set(cltwist.__all__)),"
+        " sorted(homes) == sorted(cltwist.__all__))\n"
+        "print([name for name, value in values.items()"
+        " if value is not getattr(homes[name], name)])\n",
         child_env,
     )
-    assert out == "True True\n" + str([True] * 7) + "\n"
+    assert out == "True True\n[]\n"
 
 
 def test_lazy_error_class_catches_the_notation_error(child_env):

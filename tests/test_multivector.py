@@ -337,13 +337,13 @@ def test_float_mu_is_stored_as_int():
 
 def _count_constructions(monkeypatch):
     calls = []
-    real = Multivector.__init__
+    real = Multivector.__new__
 
-    def counting(self, algebra, coeffs):
+    def counting(cls, algebra, coeffs):
         calls.append(1)
-        real(self, algebra, coeffs)
+        return real(cls, algebra, coeffs)
 
-    monkeypatch.setattr(Multivector, "__init__", counting)
+    monkeypatch.setattr(Multivector, "__new__", counting)
     return calls
 
 

@@ -105,6 +105,9 @@ def test_fields_cannot_be_set_or_deleted(record, fields, text):
             setattr(record, name, None)
         with pytest.raises(AttributeError):
             delattr(record, name)
+    # a record is built in __new__: calling __init__ again changes nothing
+    record.__init__(*[None] * len(fields))
+    assert {name: getattr(record, name) for name in fields} == fields
     assert repr(record) == text
 
 
@@ -135,27 +138,31 @@ def test_records_match_by_position():
 
 ALGEBRA = Algebra(1)
 
-#: (value, its attribute names): each value type on the records' frozen
-#: base, whose records test_fields_cannot_be_set_or_deleted covers
+#: (value, its attribute names, other valid constructor arguments): each
+#: value type on the records' frozen base, whose records
+#: test_fields_cannot_be_set_or_deleted covers
 VALUES = [
-    (SymbolicSign(-1, 1), ["_code", "sign", "mu_power", "code"]),
-    (table_direct(2), ["n", "codes"]),
-    (ALGEBRA.parse("3/4 e_12 - e_3"), ["_algebra", "_coeffs", "algebra"]),
-    (ALGEBRA, ["_mu", "mu"]),
+    (SymbolicSign(-1, 1), ["_code", "sign", "mu_power", "code"], (1, 0)),
+    (table_direct(2), ["n", "codes"], (1, table_direct(1).codes)),
+    (ALGEBRA.parse("3/4 e_12 - e_3"), ["_algebra", "_coeffs", "algebra"],
+     (Algebra(-1), {})),
+    (ALGEBRA, ["_mu", "mu"], (-1,)),
 ]
 
 
 @pytest.mark.parametrize(
-    "value, names", VALUES,
-    ids=[type(value).__name__ for value, _ in VALUES],
+    "value, names, args", VALUES,
+    ids=[type(value).__name__ for value, _, _ in VALUES],
 )
-def test_values_cannot_be_set_or_deleted(value, names):
+def test_values_cannot_be_set_or_deleted(value, names, args):
     before = copy.deepcopy(value)
     for name in names + ["extra"]:
         with pytest.raises(AttributeError):
             setattr(value, name, 5)
         with pytest.raises(AttributeError):
             delattr(value, name)
+    # a value is built in __new__: calling __init__ again changes nothing
+    value.__init__(*args)
     assert type(value) is type(before) and value == before
     assert repr(value) == repr(before)
 
