@@ -11,9 +11,11 @@ fits the twist, whose sign parity is a GF(2) bicharacter.
 Each form takes a :class:`Grid` of width n and the generator square
 ``mu`` and returns the plane of sign parities: 1 where the scalar
 algorithm gives -1.  P_i is the plane of bit i of p, Q_j that of bit
-j of q, and R_j the 2**n-bit row pattern of Q_j.  Each form follows its
-own scalar algorithm's method, so agreement between them is still a
-cross-check:
+j of q, and R_j the 2**n-bit row pattern of Q_j.  A grid holds the
+planes P_i and Q_j for as long as it lives; the row patterns R_j, and
+the XOR of them over every mask, are built once per width.  Each form
+follows its own scalar algorithm's method, so agreement between them
+is still a cross-check:
 
 * :func:`oracle_parity`    the XOR of P_i & Q_j over the inversion pairs
                            i > j, and i = j when mu < 0
@@ -65,6 +67,16 @@ def row_patterns(n: int) -> Tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def row_combos(n: int) -> Tuple[int, ...]:
+    """The XOR of the row patterns R_j over the set bits j of each mask
+    m below 2**n: bit q of entry m is the parity of ``m & q``."""
+    combos = [0]
+    for row in row_patterns(n):
+        combos += [x ^ row for x in combos]
+    return tuple(combos)
+
+
 def _doubled(factors, n: int) -> int:
     """The plane of width n whose row m is the XOR of ``factors[j]``
     over every bit j of m (0 for m = 0), for the n factors, rows of
@@ -113,27 +125,24 @@ def first_set(plane: int, n: int) -> Optional[Tuple[int, int]]:
 class Grid:
     """The grid of blade pairs (p, q) below 2**n, as bit planes.
 
-    ``q`` holds the n planes Q_j, ``rows`` their row patterns R_j, and
-    ``ones`` the plane of every cell.  A plane P_i is a row pattern
-    along p, so :meth:`p` builds it on demand rather than holding n of
-    them.
+    ``p`` holds the n planes P_i, whole rows of ones where bit i of p
+    is set, ``q`` the n planes Q_j, the row patterns R_j repeated down
+    every row, and ``ones`` the plane of every cell.  Each plane is
+    4**n bits, so a grid of width 12 holds 24 planes of 2 MiB: a
+    self-test builds one, and nothing keeps it after.
     """
 
-    __slots__ = ("n", "size", "ones", "rows", "q")
+    __slots__ = ("n", "size", "ones", "p", "q")
 
     def __init__(self, n: int):
         self.n = n
         self.size = 1 << n
         cells = self.size << n
         self.ones = (1 << cells) - 1
-        self.rows = row_patterns(n)
-        self.q = [_tiled(row, self.size, cells) for row in self.rows]
-
-    def p(self, i: int) -> int:
-        """P_i: whole rows of ones where bit i of p is set."""
-        block = 1 << i << self.n  # 2**i rows
-        cells = self.size << self.n
-        return _tiled(((1 << block) - 1) << block, 2 * block, cells)
+        # P_i: runs of 2**i whole rows, every other run set
+        self.p = [_tiled(((1 << run) - 1) << run, 2 * run, cells)
+                  for run in (1 << i << n for i in range(n))]
+        self.q = [_tiled(row, self.size, cells) for row in row_patterns(n)]
 
 
 def oracle_parity(grid: Grid, mu: int) -> int:
@@ -142,7 +151,7 @@ def oracle_parity(grid: Grid, mu: int) -> int:
     mu < 0: O(n**2) plane steps, straight from the definition."""
     parity = 0
     for i in range(grid.n):
-        p_i = grid.p(i)
+        p_i = grid.p[i]
         # j == i is a shared generator: a factor mu, not an inversion
         for q_j in grid.q[:i + (mu < 0)]:
             parity ^= p_i & q_j
@@ -155,11 +164,10 @@ def recursive_parity(grid: Grid, mu: int) -> int:
     set too.  ``rest`` is the running XOR of the p planes not yet
     stripped: the parity of the generators left in p."""
     rest = 0
-    for i in range(grid.n):
-        rest ^= grid.p(i)
+    for p_i in grid.p:
+        rest ^= p_i
     parity = 0
-    for k in range(grid.n):
-        a = grid.p(k)
+    for k, a in enumerate(grid.p):
         rest ^= a
         flip = rest ^ a if mu < 0 else rest
         parity ^= grid.q[k] & flip
@@ -216,7 +224,7 @@ def tree_parity(grid: Grid, mu: int) -> int:
     letter_poly, sign_poly = _TREE_ANF[mu]
     letter = sign = 0
     for k in range(grid.n - 1, -1, -1):
-        variables = (letter, grid.p(k), grid.q[k])
+        variables = (letter, grid.p[k], grid.q[k])
         letter = _anf_value(letter_poly, variables, grid.ones)
         sign ^= _anf_value(sign_poly, variables, grid.ones)
     return sign
@@ -225,10 +233,9 @@ def tree_parity(grid: Grid, mu: int) -> int:
 def closed_parity(grid: Grid, mu: int) -> int:
     """Row p is the parity of ``_parity_above(p) & q``, and also of
     ``p & q`` when mu < 0: the XOR of the row patterns R_j over the set
-    bits j of that mask, looked up among every such XOR."""
-    combos = [0]  # the XOR of R_j over the bits j of each mask
-    for row in grid.rows:
-        combos += [x ^ row for x in combos]
+    bits j of that mask, looked up in :func:`row_combos`, the table of
+    every such XOR, built once per width."""
+    combos = row_combos(grid.n)
     shared = mu < 0
     return joined(
         (combos[kernel._parity_above(p) ^ (p if shared else 0)]

@@ -31,9 +31,9 @@ the cell's indices and the letter records the row's grade parity.
 Block substitution is a morphism: n rounds from A are k rounds applied
 cell by cell to the grid of n - k rounds, and a coefficient rides
 along, sigma**k(c*X) = c * sigma**k(X).  So both grids are built in two
-levels (:func:`_tiling`): a coarse grid of n - k rounds, k =
-ceil(n / 2), and the 8 coefficiented tiles of k rounds from A and from
-B, whose rows one gather index puts in place.
+levels (:func:`_tiling`, built once per width): a coarse grid of n - k
+rounds, k = ceil(n / 2), and the 8 coefficiented tiles of k rounds
+from A and from B, whose rows one gather index puts in place.
 
 The twist is a bicharacter, so a row's codes are linear in q as well:
 ``codes[p, q ^ r] == codes[p, q] ^ codes[p, r]``, and its n*n
@@ -68,6 +68,8 @@ cell.  The renderer reads it through that fold (:func:`_fold`, derived
 from ``kernel._VALUE``): leading blocks that spell alike are one block,
 with 2 shifted copies, not 4.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -355,10 +357,12 @@ def _block_rounds(cells: np.ndarray, rounds: int) -> np.ndarray:
     return cells
 
 
+@lru_cache(maxsize=None)
 def _tiling(rounds: int):
     """:func:`_block_rounds` from the letter A, ``rounds`` rounds, in two
     levels: ``(tile_rows, index)``, whose grid row p is the tile rows
-    ``index[p]`` side by side, letters kept.
+    ``index[p]`` side by side, letters kept.  Built once per width and
+    shared by every caller, so both arrays are read-only.
 
     With k = ceil(rounds / 2), k rounds from the column [A, B] give the
     tiles of A and of B, one above the other, and tile
@@ -377,7 +381,10 @@ def _tiling(rounds: int):
     tiles = letters.reshape(2, 1, -1) ^ np.arange(4, dtype=np.int8)[:, None]
     index = ((coarse.astype(np.intp) << k)[:, None, :]
              + np.arange(size)[:, None])
-    return tiles.reshape(-1, size), index.reshape(-1, len(coarse))
+    tiling = tiles.reshape(-1, size), index.reshape(-1, len(coarse))
+    for array in tiling:
+        array.setflags(write=False)
+    return tiling
 
 
 def table_blocks(n: int) -> TwistTable:
@@ -388,12 +395,16 @@ def table_blocks(n: int) -> TwistTable:
     """
     _check_dim(n)
     tile_rows, index = _tiling(n)
+    codes = tile_rows & 3
     grid = np.empty((len(index),) * 2, dtype=np.int8)
+    rows = grid.reshape(index.shape + (-1,))
     # every index is in range; any mode but "raise" writes straight
-    # into ``out``, where "raise" would gather into a buffer and copy it
-    (tile_rows & 3).take(
-        index, axis=0, out=grid.reshape(index.shape + (-1,)), mode="clip"
-    )
+    # into ``out``, where "raise" would gather into a buffer and copy it.
+    # take copies an index it may not write, as this shared one, so it
+    # is given 1,024 rows at a time: at most 512 KiB of copy at n = 12
+    for start in range(0, len(index), 1024):
+        block = slice(start, start + 1024)
+        codes.take(index[block], axis=0, out=rows[block], mode="clip")
     return object.__new__(TwistTable)._fill(n, grid[1 << np.arange(n)], grid)
 
 
@@ -466,7 +477,7 @@ _WORDS = {
 def _spelled(blocks: np.ndarray, index: np.ndarray, spell, sep: str):
     """Text whose row p is the blocks ``index[p]`` side by side: code c
     of a row of ``blocks`` spelled ``spell[c]``, entries separated by
-    ``sep``.  Adds the offset of the newline copies to ``index[:, -1]``.
+    ``sep``.
 
     Returns the piece grid: a 2-d object array of str pieces, one row
     per text row, whose row p concatenates to row p of the text, newline
@@ -479,7 +490,8 @@ def _spelled(blocks: np.ndarray, index: np.ndarray, spell, sep: str):
     line per block, ending in ``sep``.  The palette holds those lines,
     then each again with a newline for its final ``sep``, so a row's
     last piece is the one half a palette further on.  One gather of the
-    palette picks every row's pieces.
+    palette picks every row's pieces, and a second its last pieces from
+    that half; ``index``, which may be shared, is only read.
     """
     cells = np.empty((len(blocks), blocks.shape[1] + 1), "<u4")
     # every code is in range; "clip", unlike "raise", writes straight
@@ -490,8 +502,9 @@ def _spelled(blocks: np.ndarray, index: np.ndarray, spell, sep: str):
     lines = text.split("\n")[:-1]
     palette = np.array(lines + [line[:-1] + "\n" for line in lines],
                        dtype=object)
-    index[:, -1] += len(lines)
-    return palette[index]
+    pieces = palette[index]
+    pieces[:, -1] = palette[index[:, -1] + len(lines)]
+    return pieces
 
 
 def _table_pieces(table: TwistTable, format: str, mu):

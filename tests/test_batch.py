@@ -18,6 +18,31 @@ def test_every_algorithm_has_an_array_form():
     assert set(PLANE_FORMS) == set(kernel.ALGORITHMS.values())
 
 
+def _bits(plane, n):
+    """The cells of a plane of width n as a str of digits, cell
+    ``p << n | q`` at position ``p << n | q``."""
+    return format(plane, f"0{4 ** n}b")[::-1]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_grid_planes_by_their_definition(n):
+    cells = [(p, q) for p in range(1 << n) for q in range(1 << n)]
+    grid = Grid(n)
+    assert len(grid.p) == len(grid.q) == n
+    for i in range(n):
+        assert _bits(grid.p[i], n) == "".join(str(p >> i & 1)
+                                               for p, _ in cells), i
+        assert _bits(grid.q[i], n) == "".join(str(q >> i & 1)
+                                               for _, q in cells), i
+    assert grid.ones == (1 << 4 ** n) - 1
+    combos = _batch.row_combos(n)
+    assert len(combos) == 1 << n
+    for m, row in enumerate(combos):
+        assert row < 1 << (1 << n), m
+        for q in range(1 << n):
+            assert row >> q & 1 == (m & q).bit_count() & 1, (m, q)
+
+
 @pytest.mark.parametrize("mu", [1, -1])
 @pytest.mark.parametrize("name", list(kernel.ALGORITHMS))
 def test_array_form_matches_scalar_on_every_pair_at_width_8(name, mu):

@@ -749,8 +749,11 @@ def test_rebuild_accepts_exactly_the_bilinear_parity_tables():
 
 
 def test_selftest_peak_memory():
-    # the suites work on bit planes of 0.5 MiB at n = 11: the n planes
-    # of q's bits, one plane per algorithm and a few working ones
+    # the suites work on bit planes of 0.5 MiB at n = 11: the grid's 2n
+    # planes of p's and q's bits, one plane per algorithm and a few
+    # working ones, beside the 0.5 MiB table of row pattern XORs, built
+    # afresh as in a new process
+    _batch.row_combos.cache_clear()
     tracemalloc.start()
     try:
         run_selftest(11)

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import re
 import pickle
@@ -227,8 +228,10 @@ def test_table_difference_names_the_first_differing_cell(table_difference):
 
 
 def test_blocks_peak_memory():
-    # the 16 MiB result plus the 2 MiB gather index: no letters grid or
-    # copy at full size
+    # the 16 MiB result plus the 2 MiB gather index and a copy of a
+    # quarter of it: no letters grid or copy at full size; the tiling is
+    # built afresh, as in a new process
+    tables._tiling.cache_clear()
     tracemalloc.start()
     try:
         table_blocks(MAX_DIM)
@@ -287,7 +290,8 @@ def test_direct_table_renders_without_its_grid(format, mu):
 
 def test_letters_peak_memory():
     # the spelled tile rows, the gather index and the pieces: the 4 MiB
-    # letter grid is never built
+    # letter grid is never built; the tiling is built afresh
+    tables._tiling.cache_clear()
     tracemalloc.start()
     try:
         tables._letter_pieces(MAX_DIM, "text")
@@ -408,6 +412,32 @@ def test_two_level_build_is_the_round_by_round_substitution(n):
         tile_rows, index = tables._tiling(n - 1)
         placed = tile_rows[index].reshape(len(index), -1)
         assert np.array_equal(placed, rounds(n - 1))
+
+
+@pytest.mark.parametrize("n", range(2, MAX_DIM + 1))
+def test_tiling_memo_is_never_written(n):
+    # every builder and renderer at a width shares one tiling per round
+    # count; a caller that wrote into it would change the next output
+    table = table_blocks(n)
+    letters = render_block_letters(n)
+    assert table_blocks(n) == table
+    assert render_block_letters(n) == letters
+    for rounds in (n, n - 1):
+        fresh = inspect.unwrap(tables._tiling)(rounds)
+        for held, built in zip(tables._tiling(rounds), fresh):
+            assert not held.flags.writeable
+            assert np.array_equal(held, built)
+
+
+def test_spelled_reads_a_read_only_index():
+    blocks = np.array([[0, 1], [2, 3]], dtype=np.int8)
+    index = np.array([[0, 1], [1, 0]])
+    expected = tables._spelled(blocks, index.copy(), _SPELL, " ")
+    index.setflags(write=False)
+    got = tables._spelled(blocks, index, _SPELL, " ")
+    assert np.array_equal(got, expected)
+    assert "".join(got.ravel().tolist()) == "1 -1 m -m\nm -m 1 -1\n"
+    assert np.array_equal(index, [[0, 1], [1, 0]])
 
 
 def test_letter_assignment_follows_grade_parity():
@@ -1001,7 +1031,8 @@ def test_block_builder_shares_nothing_with_the_direct_one():
     # block construction uses neither the extension nor the closed form
     banned = {"_generator_rows", "_doubled", "_parity_above", "twist_closed"}
     for f in (table_blocks, tables._tiling, tables._block_rounds):
-        assert not _names(f.__code__) & banned, f.__name__
+        # unwrapped: the memo's wrapper has no code of its own
+        assert not _names(inspect.unwrap(f).__code__) & banned, f.__name__
 
 
 def _closed_form_table(n):
