@@ -417,7 +417,9 @@ def test_two_level_build_is_the_round_by_round_substitution(n):
 @pytest.mark.parametrize("n", range(2, MAX_DIM + 1))
 def test_tiling_memo_is_never_written(n):
     # every builder and renderer at a width shares one tiling per round
-    # count; a caller that wrote into it would change the next output
+    # count; a caller that wrote into it would change the next output.
+    # The letters renders hand its read-only index to _spelled, which
+    # raises if it writes there
     table = table_blocks(n)
     letters = render_block_letters(n)
     assert table_blocks(n) == table
@@ -427,17 +429,6 @@ def test_tiling_memo_is_never_written(n):
         for held, built in zip(tables._tiling(rounds), fresh):
             assert not held.flags.writeable
             assert np.array_equal(held, built)
-
-
-def test_spelled_reads_a_read_only_index():
-    blocks = np.array([[0, 1], [2, 3]], dtype=np.int8)
-    index = np.array([[0, 1], [1, 0]])
-    expected = tables._spelled(blocks, index.copy(), _SPELL, " ")
-    index.setflags(write=False)
-    got = tables._spelled(blocks, index, _SPELL, " ")
-    assert np.array_equal(got, expected)
-    assert "".join(got.ravel().tolist()) == "1 -1 m -m\nm -m 1 -1\n"
-    assert np.array_equal(index, [[0, 1], [1, 0]])
 
 
 def test_letter_assignment_follows_grade_parity():
