@@ -11,7 +11,9 @@ fits the twist, whose sign parity is a GF(2) bicharacter.
 Each form takes a :class:`Grid` of width n and the generator square
 ``mu`` and returns the plane of sign parities: 1 where the scalar
 algorithm gives -1.  P_i is the plane of bit i of p, Q_j that of bit
-j of q, and R_j the 2**n-bit row pattern of Q_j.  A grid holds the
+j of q, and R_j the 2**n-bit row pattern of Q_j.  P_i and R_j are one
+formula, :func:`_bit_pattern`, the int whose bit x is bit b of x: bit
+n + i of the cell index for P_i, bit j of q for R_j.  A grid holds the
 planes P_i and Q_j for as long as it lives; the row patterns R_j, and
 the XOR of them over every mask, are built once per width.  Each form
 follows its own scalar algorithm's method, so agreement between them
@@ -27,7 +29,8 @@ The tree form's step is the algebraic normal form (the XOR of ANDs) of
 the transitions of ``kernel._RULE``, the rule table ``twist_tree``
 walks, with the sign of each code read off ``kernel._VALUE``, computed
 from those tables alone, so the form stays independent of the other
-three.
+three.  ``_RULE`` keeps +A at the bit pair (0, 0), so neither
+polynomial has a constant term.
 
 :func:`first_difference` is the bilinearity test on planes: the
 self-test's certificate puts a parity plane to it.  Tables, whose
@@ -57,14 +60,19 @@ def _tiled(pattern: int, period: int, length: int) -> int:
     return pattern
 
 
+def _bit_pattern(b: int, length: int) -> int:
+    """The ``length``-bit int whose bit x is bit b of x: runs of 2**b
+    zeros and 2**b ones, for a power of two ``length`` of at least
+    2**(b + 1)."""
+    run = 1 << b
+    return _tiled(((1 << run) - 1) << run, 2 * run, length)
+
+
 @lru_cache(maxsize=None)
 def row_patterns(n: int) -> Tuple[int, ...]:
     """R_j for each j below n: bit q of it is bit j of q, for q below
     2**n."""
-    return tuple(
-        _tiled(((1 << (1 << j)) - 1) << (1 << j), 2 << j, 1 << n)
-        for j in range(n)
-    )
+    return tuple(_bit_pattern(j, 1 << n) for j in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -126,23 +134,20 @@ class Grid:
     """The grid of blade pairs (p, q) below 2**n, as bit planes.
 
     ``p`` holds the n planes P_i, whole rows of ones where bit i of p
-    is set, ``q`` the n planes Q_j, the row patterns R_j repeated down
-    every row, and ``ones`` the plane of every cell.  Each plane is
-    4**n bits, so a grid of width 12 holds 24 planes of 2 MiB: a
-    self-test builds one, and nothing keeps it after.
+    is set, and ``q`` the n planes Q_j, the row patterns R_j repeated
+    down every row.  Each plane is 4**n bits, so a grid of width 12
+    holds 24 planes of 2 MiB: a self-test builds one, and nothing keeps
+    it after.
     """
 
-    __slots__ = ("n", "size", "ones", "p", "q")
+    __slots__ = ("n", "p", "q")
 
     def __init__(self, n: int):
         self.n = n
-        self.size = 1 << n
-        cells = self.size << n
-        self.ones = (1 << cells) - 1
-        # P_i: runs of 2**i whole rows, every other run set
-        self.p = [_tiled(((1 << run) - 1) << run, 2 * run, cells)
-                  for run in (1 << i << n for i in range(n))]
-        self.q = [_tiled(row, self.size, cells) for row in row_patterns(n)]
+        cells = 1 << 2 * n
+        # bit i of p is bit n + i of the cell's index p * 2**n + q
+        self.p = [_bit_pattern(n + i, cells) for i in range(n)]
+        self.q = [_tiled(row, 1 << n, cells) for row in row_patterns(n)]
 
 
 def oracle_parity(grid: Grid, mu: int) -> int:
@@ -201,16 +206,15 @@ _TREE_ANF = {
 }
 
 
-def _anf_value(monomials, variables, ones: int) -> int:
-    """The plane of a polynomial from :func:`_anf`, on the three planes
-    ``variables``; ``ones`` is the constant 1."""
+def _anf_value(monomials, variables) -> int:
+    """The plane of a polynomial from :func:`_anf` with no constant
+    term, as every one in :data:`_TREE_ANF` is, on the three planes
+    ``variables``."""
     value = 0
     for monomial in monomials:
-        term = ones
-        if monomial:
-            term = variables[monomial[0]]
-            for k in monomial[1:]:
-                term &= variables[k]
+        term = variables[monomial[0]]
+        for k in monomial[1:]:
+            term &= variables[k]
         value ^= term
     return value
 
@@ -225,8 +229,8 @@ def tree_parity(grid: Grid, mu: int) -> int:
     letter = sign = 0
     for k in range(grid.n - 1, -1, -1):
         variables = (letter, grid.p[k], grid.q[k])
-        letter = _anf_value(letter_poly, variables, grid.ones)
-        sign ^= _anf_value(sign_poly, variables, grid.ones)
+        letter = _anf_value(letter_poly, variables)
+        sign ^= _anf_value(sign_poly, variables)
     return sign
 
 
@@ -239,7 +243,7 @@ def closed_parity(grid: Grid, mu: int) -> int:
     shared = mu < 0
     return joined(
         (combos[kernel._parity_above(p) ^ (p if shared else 0)]
-         for p in range(grid.size)),
+         for p in range(1 << grid.n)),
         grid.n,
     )
 

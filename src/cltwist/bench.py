@@ -36,8 +36,8 @@ def make_workload(pairs: int) -> Tuple[List[int], List[int]]:
     if pairs > MAX_PAIRS:
         raise ValueError(f"need at most {MAX_PAIRS} pairs, got {pairs!r}")
     rng = random.Random(_SEED)
-    ps = [rng.getrandbits(64) for _ in range(pairs)]
-    qs = [rng.getrandbits(64) for _ in range(pairs)]
+    ps = [rng.getrandbits(kernel.MASK_BITS) for _ in range(pairs)]
+    qs = [rng.getrandbits(kernel.MASK_BITS) for _ in range(pairs)]
     return ps, qs
 
 

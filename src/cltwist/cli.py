@@ -15,12 +15,13 @@ print), 74 (sysexits ``EX_IOERR``) when writing stdout fails, as on a
 full disk, 141 (128 + SIGPIPE) when stdout is closed before the output
 is written, as by ``| head``.
 
-argparse checks only the syntax of the arguments.  Their ranges are
-checked by the library itself: a handler that gets a ValueError
-(NotationError is one) writes nothing to stdout, and :func:`main`
-prints ``cltwist <command>: <message>`` on one stderr line.  The one
-check of the CLI's own, a numeric ``--mu`` with ``table --blocks``,
-raises the same way.
+argparse checks the syntax of the arguments, and that ``--mu``,
+``--format`` and ``--algo`` are among their choices.  The ranges of the
+other arguments are checked by the library itself: a handler that gets
+a ValueError (NotationError is one) writes nothing to stdout, and
+:func:`main` prints ``cltwist <command>: <message>`` on one stderr
+line.  The one check of the CLI's own, a numeric ``--mu`` with
+``table --blocks``, raises the same way.
 
 Building the parser needs only the kernel.  Each handler imports the
 layers it uses: ``mul`` the multivectors and the notation, ``table``

@@ -23,7 +23,10 @@ Expressions follow a small grammar with ``*`` binding tighter than
 
 Rationals are integers or integer/integer pairs such as ``3/4``.  The
 leading sign is accepted so that printed multivectors like ``-e_{12}``
-re-parse.  Whitespace is insignificant.
+re-parse.  Whitespace is insignificant.  A blade token is an e or i
+and every blade character after it; :func:`parse_blade` alone judges
+it, so a malformed blade is reported with parse_blade's message, at
+the token's byte offset.
 """
 
 import re
@@ -57,7 +60,7 @@ _CHAR_TO_GEN = {c: k for k, s in enumerate(_SUBSCRIPTS, start=1)
                 for c in (s, s.upper())}
 
 #: Largest generator the subscript alphabet can name.
-MAX_NAMED_GENERATOR = 35
+MAX_NAMED_GENERATOR = len(_SUBSCRIPTS)
 
 #: Decimal digits of 2**64 - 1, the longest index-form subscript.
 _MAX_INDEX_DIGITS = len(str((1 << MASK_BITS) - 1))
@@ -205,7 +208,7 @@ class Expression(Record):
 
 _TOKEN_RE = re.compile(
     r"""(?P<WS>\s+)
-      | (?P<BLADE>[ei](?:_?\{[0-9a-z]+\}|_?[0-9a-z]+)?)
+      | (?P<BLADE>[ei][_{}0-9a-z]*)  # judged by parse_blade
       | (?P<NUMBER>[0-9]+)
       | (?P<OP>[+*/-])
     """,

@@ -207,7 +207,7 @@ def _called_planes(grid: Grid, mu: int, called, planes, kept: str):
     read alongside, to tell.
     """
     n = grid.n
-    masks = range(grid.size)
+    masks = range(1 << n)
     formed = list(planes)
     rows = {name: ([], []) for name in called}
     held = None

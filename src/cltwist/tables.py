@@ -324,36 +324,31 @@ def _doubled(factors: np.ndarray, count: int) -> np.ndarray:
 #: letter in bit 2 (0 is A, 1 is B).
 _LETTER_SPELL = ("A", "-A", "mA", "-mA", "B", "-B", "mB", "-mB")
 
-#: ``_HALVES[a, cell]``: row a of the 2x2 block that ``kernel._RULE``
-#: grows the coefficiented letter ``cell`` into, its two cells packed
-#: as the bytes of one little-endian int16.  The 4 entries of letter X,
-#: as cells, are X's block in row-major order, and the block of c*X is
-#: that of X with c XORed into every cell.
-_HALVES = np.array(
+#: ``_BLOCKS[cell]``: the 2x2 block of int8 cells that ``kernel._RULE``
+#: grows the coefficiented letter ``cell`` into.  The block of
+#: ``cell = 4 * X + c`` is the rule's 4 cells for the letter X,
+#: row-major, with the code c XORed into each.
+_BLOCKS = np.array(
     [[letter << 2 | code ^ c for letter, code in _RULE[x:x + 4]]
      for x in (0, 4) for c in range(4)], np.int8
-).view("<i2").T.copy()
+).reshape(8, 2, 2)
 
 
 def _block_rounds(cells: np.ndarray, rounds: int) -> np.ndarray:
     """Coefficiented letters after ``rounds`` rounds of block substitution.
 
-    Each round turns every cell into a 2x2 block, by ``kernel._RULE``:
+    Each round turns every cell into its 2x2 block of ``_BLOCKS``, by
+    ``kernel._RULE``:
 
         c*A  ->  [[cA,  cA], [cB,  mcB]]
         c*B  ->  [[cB, -cB], [cA, -mcA]]
 
-    Viewed as int16 words, row a of every block is one word, so a round
-    is one gather of ``_HALVES`` straight into the grown grid.
+    so entry (a, b) of the block of cell (R, Q) lands at
+    (2R + a, 2Q + b) of the grown grid.
     """
     for _ in range(rounds):
         rows, cols = cells.shape
-        grown = np.empty((2 * rows, 2 * cols), dtype=np.int8)
-        # word (a, R, Q) is row a of the block of cell (R, Q); every code
-        # is in range, and "clip", unlike "raise", writes straight into it
-        words = grown.view("<i2").reshape(rows, 2, cols).transpose(1, 0, 2)
-        _HALVES.take(cells, axis=1, out=words, mode="clip")
-        cells = grown
+        cells = _BLOCKS[cells].swapaxes(1, 2).reshape(2 * rows, 2 * cols)
     return cells
 
 
@@ -470,7 +465,7 @@ _WORDS = {
         [int.from_bytes((s + sep).encode("ascii"), "little") for s in spell],
         "<u4",
     )
-    for spell in (_SPELL, _SPELL[:2], _LETTER_SPELL) for sep in " ,"
+    for spell in (_SPELL, _LETTER_SPELL) for sep in " ,"
 }
 
 
@@ -548,7 +543,7 @@ def _table_pieces(table: TwistTable, format: str, mu):
     blocks = (first[:, None, :]
               ^ np.arange(variants, dtype=np.int8)[:, None]).reshape(-1, width)
     return _spelled(blocks, variants * row_class[:, None] + shifts,
-                    _SPELL[:variants], sep)
+                    _SPELL, sep)
 
 
 def render_table(table: TwistTable, format: str = "text", mu=None) -> str:

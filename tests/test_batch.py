@@ -34,7 +34,6 @@ def test_grid_planes_by_their_definition(n):
                                                for p, _ in cells), i
         assert _bits(grid.q[i], n) == "".join(str(q >> i & 1)
                                                for _, q in cells), i
-    assert grid.ones == (1 << 4 ** n) - 1
     combos = _batch.row_combos(n)
     assert len(combos) == 1 << n
     for m, row in enumerate(combos):
@@ -66,11 +65,26 @@ def test_anf_tree_step_reproduces_every_transition(mu):
     # plane is that variable's bit in the table index i
     letter_poly, sign_poly = _batch._TREE_ANF[mu]
     variables = (0b11110000, 0b11001100, 0b10101010)  # letter, p, q
-    letters = _batch._anf_value(letter_poly, variables, 0xFF)
-    flips = _batch._anf_value(sign_poly, variables, 0xFF)
+    letters = _batch._anf_value(letter_poly, variables)
+    flips = _batch._anf_value(sign_poly, variables)
     for index, (letter, code) in enumerate(kernel._RULE):
         assert letters >> index & 1 == letter, index
         assert flips >> index & 1 == (kernel._VALUE[mu][code] < 0), index
+
+
+@pytest.mark.parametrize("mu", [1, -1])
+def test_tree_step_polynomials_have_no_constant_term(mu):
+    # _anf_value evaluates no empty monomial: the tree step maps the
+    # all-zero index, +A at the bit pair (0, 0), to +A with code 0
+    assert kernel._RULE[0] == (0, 0), (
+        "tree_parity starts its walk at the width's top pair, which"
+        " needs the zero pairs above it to leave +A as it is"
+    )
+    for poly in _batch._TREE_ANF[mu]:
+        assert () not in poly, (
+            f"{poly} has a constant term, so tree_parity's start at the"
+            " top pair of the width would not match twist_tree"
+        )
 
 
 @pytest.mark.parametrize("mu", [1, -1])

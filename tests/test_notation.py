@@ -1,7 +1,8 @@
+import string
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cltwist import kernel, notation
@@ -166,6 +167,35 @@ def test_parse_expression_raises_only_notation_errors(text):
         parse_expression(text)
     except NotationError:
         pass
+
+
+#: What a blade may hold after its e or i, and the two non-ASCII
+#: characters that fold onto it under IGNORECASE: the Kelvin sign onto
+#: k, and I with a dot above onto i.
+_BLADE_TAIL = "_{}" + string.digits + string.ascii_letters + "\u212a\u0130"
+
+
+@example("e_{}")
+@example("e_1_2")
+@example("e_{12")
+@given(st.builds(str.__add__, st.sampled_from("eEiI"),
+                 st.text(alphabet=_BLADE_TAIL)))
+def test_parse_blade_alone_judges_a_blade_token(text):
+    # the tokenizer takes the whole text as one blade lexeme, and the
+    # expression parser reports parse_blade's verdict on it at byte 0
+    try:
+        mask = parse_blade(text)
+    except NotationError as exc:
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_expression(text)
+        assert info.value.offset == 0
+        cause = info.value.__cause__
+        assert type(cause) is type(exc)
+        assert str(cause) == str(exc)
+    else:
+        assert parse_expression(text) == Expression(
+            (Term(1, (Factor(None, mask),)),)
+        )
 
 
 class TestParseExpression:
