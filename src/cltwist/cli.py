@@ -12,8 +12,9 @@ Subcommands:
 Exit codes: 0 success, 1 self-test failure, 2 usage error or input
 outside the library's contract (also a ``mul`` result too long to
 print), 74 (sysexits ``EX_IOERR``) when writing stdout fails, as on a
-full disk, 141 (128 + SIGPIPE) when stdout is closed before the output
-is written, as by ``| head``.
+full disk, or stdout is closed at start-up, 141 (128 + SIGPIPE) when
+the reader closes the pipe before the output is written, as ``| head``
+does.  Each holds with stderr closed too: the complaint is then lost.
 
 argparse checks the syntax of the arguments, and that ``--mu``,
 ``--format`` and ``--algo`` are among their choices.  The ranges of the
@@ -55,11 +56,11 @@ _WRITE_ROWS = 256
 
 
 def _add_mu(parser, symbolic: bool = False):
-    choices = ["+1", "-1", "sym"] if symbolic else ["+1", "-1"]
     # None where "sym" is a choice, so that a command can tell an
     # explicit --mu from the default
     parser.add_argument(
-        "--mu", choices=choices, default=None if symbolic else "-1",
+        "--mu", choices=[k for k, mu in _MU_VALUES.items() if symbolic or mu],
+        default=None if symbolic else "-1",
         help="generator square (default -1)",
     )
 
@@ -72,6 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sign = sub.add_parser("sign", help="twist sign of a blade pair")
+    p_sign.set_defaults(run=_cmd_sign)
     p_sign.add_argument("p", type=int)
     p_sign.add_argument("q", type=int)
     _add_mu(p_sign)
@@ -81,6 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_mul = sub.add_parser("mul", help="evaluate a multivector expression")
+    p_mul.set_defaults(run=_cmd_mul)
     p_mul.add_argument("expr")
     _add_mu(p_mul)
     p_mul.add_argument(
@@ -89,6 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_table = sub.add_parser("table", help="print a twist table")
+    p_table.set_defaults(run=_cmd_table)
     p_table.add_argument("n", type=int)
     _add_mu(p_table, symbolic=True)
     p_table.add_argument(
@@ -100,17 +104,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_trace = sub.add_parser("trace", help="tree walk of a blade pair")
+    p_trace.set_defaults(run=_cmd_trace)
     p_trace.add_argument("p", type=int)
     p_trace.add_argument("q", type=int)
     _add_mu(p_trace)
 
     p_self = sub.add_parser("selftest", help="exhaustive consistency suites")
+    p_self.set_defaults(run=_cmd_selftest)
     p_self.add_argument(
         "--n", type=int, default=DEFAULT_N,
         help=f"bit width: checks all pairs below 2**n (default {DEFAULT_N})",
     )
 
     p_bench = sub.add_parser("bench", help="time the sign algorithms")
+    p_bench.set_defaults(run=_cmd_bench)
     p_bench.add_argument(
         "--pairs", type=int, default=DEFAULT_PAIRS,
         help=f"workload size (default {DEFAULT_PAIRS})",
@@ -170,11 +177,9 @@ def _cmd_table(args) -> int:
 def _cmd_trace(args) -> int:
     mu = _MU_VALUES[args.mu]
     steps = tree_trace(args.p, args.q, mu)
-    sign = 1
     for step in steps:
         print(f"({step.bit_p},{step.bit_q}) -> {step.state}")
-        sign = step.sign
-    print(f"clf = {sign:+d}")
+    print(f"clf = {steps[-1].sign if steps else 1:+d}")
     return 0
 
 
@@ -199,35 +204,42 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "sign": _cmd_sign,
-    "mul": _cmd_mul,
-    "table": _cmd_table,
-    "trace": _cmd_trace,
-    "selftest": _cmd_selftest,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
+    if sys.stderr is None:  # fd 2 was closed when the interpreter started
+        # argparse would print a usage error on stdout (and on 3.10
+        # raise); as sys.stderr the file is closed at exit
+        sys.stderr = open(os.devnull, "w")
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        _complain(args, "stdout is closed")
+        return _EXIT_IO_ERROR
     try:
-        code = _DISPATCH[args.command](args)
+        code = args.run(args)
         # flush here, so that a closed pipe raises inside this try
         sys.stdout.flush()
     except ValueError as exc:
-        print(f"cltwist {args.command}: {exc}", file=sys.stderr)
+        _complain(args, exc)
         return 2
     except BrokenPipeError:
         # The reader went away.
         _drop_stdout()
         return _EXIT_BROKEN_PIPE
     except OSError as exc:
-        print(f"cltwist {args.command}: {exc}", file=sys.stderr)
+        _complain(args, exc)
         _drop_stdout()
         return _EXIT_IO_ERROR
     return code
+
+
+def _complain(args, message):
+    """Print ``cltwist <command>: <message>`` on one stderr line, if it
+    can: with stderr closed the line is lost, and the exit code says it
+    alone."""
+    try:
+        print(f"cltwist {args.command}: {message}", file=sys.stderr)
+    except OSError:  # fd 2 reused by a file not open for writing
+        pass
 
 
 def _drop_stdout():

@@ -89,7 +89,9 @@ class Algebra(Frozen):
 
 
 def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+    # Exactly int or Fraction: a subclass may order or print otherwise,
+    # and then format() would not parse back.
+    if type(value) is Fraction:
         return value
     if type(value) is int:
         return Fraction(value)
@@ -160,10 +162,6 @@ class Multivector(Frozen):
     def __len__(self):
         return len(self._coeffs)
 
-    def _check_same(self, other: "Multivector"):
-        if self.algebra != other.algebra:
-            raise ValueError("multivectors from different algebras")
-
     def __eq__(self, other):
         if isinstance(other, Multivector):
             return (
@@ -175,12 +173,21 @@ class Multivector(Frozen):
     def __hash__(self):
         return hash((self.algebra, frozenset(self._coeffs.items())))
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """``other`` as a multivector of this algebra, or None if it is
+        neither a multivector nor a scalar."""
         if isinstance(other, (int, Fraction)):
-            other = self.algebra.scalar(other)
+            return self.algebra.scalar(other)
         if not isinstance(other, Multivector):
+            return None
+        if self.algebra != other.algebra:
+            raise ValueError("multivectors from different algebras")
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check_same(other)
         out = dict(self._coeffs)
         for mask, c in other._coeffs.items():
             out[mask] = out.get(mask, Fraction(0)) + c
@@ -194,13 +201,13 @@ class Multivector(Frozen):
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.algebra.scalar(other)
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.__add__(-other)
+        # checked before negating: -True is an int, and the negation of
+        # a Fraction subclass a Fraction, which the check would let pass
+        other = self._operand(other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
+        # not -self + other, which would name "+" in the TypeError
         return (-self).__add__(other)
 
     def __mul__(self, other):
@@ -209,9 +216,9 @@ class Multivector(Frozen):
             return Multivector(
                 self.algebra, {m: v * c for m, v in self._coeffs.items()}
             )
-        if not isinstance(other, Multivector):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check_same(other)
         mu = self.algebra.mu
         out: Dict[int, Fraction] = {}
         for p, cp in self._coeffs.items():
@@ -220,10 +227,9 @@ class Multivector(Frozen):
                 out[mask] = out.get(mask, Fraction(0)) + sign * cp * cq
         return Multivector(self.algebra, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)  # scalars commute
-        return NotImplemented
+    # a multivector on the left takes its own __mul__, so only a scalar
+    # or a refused type gets here, and scalars commute
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

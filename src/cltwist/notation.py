@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from ._record import Record
-from .kernel import MASK_BITS, _check_masks
+from .kernel import MASK_BITS, _check_masks, _generators
 
 __all__ = [
     "Expression",
@@ -172,10 +172,7 @@ def format_blade(p: int, style: str = "e") -> str:
             f"blade {p} uses generators above {MAX_NAMED_GENERATOR};"
             " use the index form"
         )
-    chars = "".join(
-        _SUBSCRIPTS[k] for k in range(p.bit_length()) if (p >> k) & 1
-    )
-    return "e_{" + chars + "}"
+    return "e_{" + "".join(_SUBSCRIPTS[k] for k in _generators(p)) + "}"
 
 
 def _check_style(style: str):

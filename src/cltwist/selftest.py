@@ -233,12 +233,12 @@ def _called_planes(grid: Grid, mu: int, called, planes, kept: str):
 
 
 def _pairs_suite(
-    grid: Grid, mu: int, algorithms, forms, kept: str
+    grid: Grid, mu: int, algorithms, kept: str
 ) -> Tuple[Optional[Mismatch], int]:
     """Exhaustive four-way agreement below 2**n.
 
-    ``forms`` maps the ``id`` of each scalar function that has a plane
-    form to that form; every other algorithm is called pair by pair.
+    A scalar function that ``PLANE_FORMS`` holds runs as its plane form;
+    every other algorithm is called pair by pair.
     Returns the first mismatch in row-major order (or None) and the
     parity plane of the algorithm ``kept`` (its codes' low bit), reused
     by the bilinearity certificate so an injected fault in it
@@ -250,7 +250,8 @@ def _pairs_suite(
     planes = {}
     called = {}
     for name, f in algorithms.items():
-        form = forms.get(id(f))
+        # by identity: an injected callable need not be hashable
+        form = next((form for g, form in PLANE_FORMS.items() if g is f), None)
         if form is None:
             called[name] = f
         else:
@@ -342,11 +343,9 @@ def run_selftest(n: int = kernel.DEFAULT_N, algorithms=None) -> SelftestReport:
     # the cocycle suite checks the closed form's table, if it is there
     kept = "closed" if "closed" in algorithms else next(iter(algorithms))
     grid = Grid(n)
-    # plane forms by identity: an injected callable need not be hashable
-    forms = {id(g): form for g, form in PLANE_FORMS.items()}
     mismatches: List[Mismatch] = []
     for mu in (1, -1):
-        pair_miss, table = _pairs_suite(grid, mu, algorithms, forms, kept)
+        pair_miss, table = _pairs_suite(grid, mu, algorithms, kept)
         if pair_miss is not None:
             mismatches.append(pair_miss)
         mismatches += _certificate(table, n, mu, kept)

@@ -104,9 +104,7 @@ class SymbolicSign(Frozen):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         if type(mu_power) is not int or mu_power not in (0, 1):
             raise ValueError(f"mu_power must be 0 or 1, got {mu_power!r}")
-        self = object.__new__(cls)
-        object.__setattr__(self, "code", (sign < 0) | (mu_power << 1))
-        return self
+        return cls.from_code((sign < 0) | mu_power << 1)
 
     def __reduce__(self):
         return SymbolicSign.from_code, (self.code,)
@@ -115,15 +113,17 @@ class SymbolicSign(Frozen):
     def from_code(cls, code: int) -> "SymbolicSign":
         if type(code) is not int or not 0 <= code <= 3:
             raise ValueError(f"code must be in 0..3, got {code!r}")
-        return cls(-1 if code & 1 else 1, (code >> 1) & 1)
+        self = object.__new__(cls)
+        object.__setattr__(self, "code", code)
+        return self
 
     @property
     def sign(self) -> int:
-        return -1 if self.code & 1 else 1
+        return _VALUE[1][self.code]
 
     @property
     def mu_power(self) -> int:
-        return (self.code >> 1) & 1
+        return self.code >> 1
 
     def __mul__(self, other):
         if not isinstance(other, SymbolicSign):

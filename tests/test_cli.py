@@ -510,6 +510,54 @@ def test_write_error_exits_74_with_one_line(child_env, argv):
     assert proc.returncode == 74
 
 
+def _run_redirected(child_env, redirects, argv, **kwargs):
+    """Run ``python -m cltwist`` under sh with ``redirects`` applied to
+    it, so that ``>&-`` closes fd 1 before the interpreter starts."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirects}', "sh",
+         sys.executable, "-m", "cltwist", *argv],
+        env=child_env, timeout=60, **kwargs,
+    )
+
+
+needs_sh = pytest.mark.skipif(shutil.which("sh") is None, reason="needs sh")
+
+
+@needs_sh
+@pytest.mark.parametrize("argv", [
+    ["sign", "1", "2"], ["table", "3"], ["selftest", "--n", "3"],
+    ["mul", "e_1"],
+])
+def test_closed_stdout_exits_74_with_one_line(child_env, argv):
+    # the interpreter then has no sys.stdout to write to at all
+    proc = _run_redirected(child_env, ">&-", argv, stderr=subprocess.PIPE)
+    assert proc.stderr.decode() == f"cltwist {argv[0]}: stdout is closed\n"
+    assert proc.returncode == 74
+
+
+@needs_sh
+@pytest.mark.parametrize("argv", [["mul", "e_"], ["sign"]])
+def test_closed_stderr_keeps_the_exit_code_and_stdout_clean(child_env, argv):
+    # a complaint with nowhere to go is dropped, not printed on stdout;
+    # argparse's usage error too
+    proc = _run_redirected(child_env, "2>&-", argv, stdout=subprocess.PIPE)
+    assert proc.stdout == b""
+    assert proc.returncode == 2
+
+
+@needs_sh
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_error_with_closed_stderr_exits_74(child_env):
+    proc = _run_redirected(child_env, "2>&- >/dev/full", ["table", "3"])
+    assert proc.returncode == 74
+
+
+@needs_sh
+def test_closed_stdout_and_stderr_exit_74(child_env):
+    proc = _run_redirected(child_env, ">&- 2>&-", ["sign", "1", "2"])
+    assert proc.returncode == 74
+
+
 def test_console_script_installed(tmp_path, child_env):
     # What an install would put on PATH, built from the declaration in
     # pyproject.toml, so a source checkout checks it without installing.

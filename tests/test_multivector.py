@@ -14,6 +14,14 @@ neg = Algebra(mu=-1)
 pos = Algebra(mu=1)
 
 
+class _Unordered(Fraction):
+    """A Fraction subclass that orders otherwise: format() would print
+    its sign wrong, and the text would not parse back."""
+
+    def __lt__(self, other):
+        return not super().__lt__(other)
+
+
 def coeffs(draw_blades=st.integers(min_value=0, max_value=(1 << 10) - 1)):
     rationals = st.fractions(
         min_value=-8, max_value=8, max_denominator=6
@@ -152,6 +160,29 @@ class TestArithmetic:
                 op(v, scalar)
             with pytest.raises(TypeError):  # reflected
                 op(scalar, v)
+
+    @pytest.mark.parametrize(
+        "scalar", [True, _Unordered(1, 2)], ids=["bool", "Fraction-subclass"]
+    )
+    def test_scalars_not_exactly_int_or_fraction_raise(self, scalar):
+        # on the subtracted side too, where negating the scalar would
+        # give an exact int or Fraction
+        v = neg.blade(1)
+        ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(v, scalar)
+            with pytest.raises(TypeError):  # reflected
+                op(scalar, v)
+
+    def test_fraction_subclass_coefficients_raise(self):
+        half = _Unordered(1, 2)
+        with pytest.raises(TypeError):
+            Multivector(neg, {1: half})
+        with pytest.raises(TypeError):
+            neg.blade(1, half)
+        with pytest.raises(TypeError):
+            neg.scalar(half)
 
     def test_equality_with_a_number_is_false(self):
         assert not neg.scalar(1) == 1 and neg.scalar(1) != 1
