@@ -7,6 +7,11 @@ value in ``__new__``, setting its fields with ``object.__setattr__``,
 and defines no ``__init__``: a second ``value.__init__(...)`` call is
 ``object.__init__``, which changes nothing.
 
+A frozen class whose values are a fixed few builds each of them once,
+at import, with :func:`_shared`, and its constructor returns one of
+them: two such values are equal exactly when they are the same object,
+so the class needs no ``__eq__`` or ``__hash__`` of its own.
+
 :class:`Record` is a frozen base for small records.  A subclass
 declares its fields as annotations, in order, with any default as a
 class attribute, as for a frozen dataclass, and gets what a frozen
@@ -35,6 +40,15 @@ class Frozen:
         raise AttributeError(
             f"{type(self).__name__} is immutable: cannot delete {name!r}"
         )
+
+
+def _shared(cls, field: str, values) -> dict:
+    """One instance of ``cls`` per value in ``values``, with its one
+    field ``field`` set to that value, as a map from the value."""
+    shared = {value: object.__new__(cls) for value in values}
+    for value, self in shared.items():
+        object.__setattr__(self, field, value)
+    return shared
 
 
 class Record(Frozen):

@@ -14,7 +14,8 @@ outside the library's contract (also a ``mul`` result too long to
 print), 74 (sysexits ``EX_IOERR``) when writing stdout fails, as on a
 full disk, or stdout is closed at start-up, 141 (128 + SIGPIPE) when
 the reader closes the pipe before the output is written, as ``| head``
-does.  Each holds with stderr closed too: the complaint is then lost.
+does.  Each holds with stderr closed, or open only for reading, too:
+the complaint is then lost.
 
 argparse checks the syntax of the arguments, and that ``--mu``,
 ``--format`` and ``--algo`` are among their choices.  The ranges of the
@@ -205,9 +206,15 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    if sys.stderr is None:  # fd 2 was closed when the interpreter started
-        # argparse would print a usage error on stdout (and on 3.10
-        # raise); as sys.stderr the file is closed at exit
+    try:  # a write of no bytes fails where fd 2 is not open for writing
+        os.write(sys.stderr.fileno(), b"")
+    except ValueError:  # io.UnsupportedOperation: a stream with no fd
+        pass
+    except (AttributeError, OSError):
+        # sys.stderr is None (fd 2 was closed when the interpreter
+        # started) or cannot be written: argparse would print a usage
+        # error on stdout, or on 3.10 raise; as sys.stderr the file is
+        # closed at exit
         sys.stderr = open(os.devnull, "w")
     parser = _build_parser()
     args = parser.parse_args(argv)

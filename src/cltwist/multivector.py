@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple, Union
 
-from ._record import Frozen
+from ._record import Frozen, _shared
 from .kernel import _check_masks, _check_mu, blade_product
 from .notation import Expression, _check_style, format_blade, parse_expression
 
@@ -32,15 +32,20 @@ Scalar = Union[int, Fraction]
 
 
 class Algebra(Frozen):
-    """Context fixing the generator square; factory for multivectors."""
+    """Context fixing the generator square; factory for multivectors.
+
+    The two algebras, mu = +1 and mu = -1, are built once, at import,
+    and shared: the constructor, copies and pickles return one of them,
+    so two algebras are equal exactly when they are the same object.
+    The constructor returns that shared instance whatever class it is
+    called on, so a subclass gets none of its own.
+    """
 
     __slots__ = ("mu",)
 
     def __new__(cls, mu: int = -1):
         _check_mu(mu)
-        self = object.__new__(cls)
-        object.__setattr__(self, "mu", mu)
-        return self
+        return _ALGEBRAS[mu]
 
     def __reduce__(self):
         # through the constructor, so a copy checks mu as any input is
@@ -78,14 +83,12 @@ class Algebra(Frozen):
             out[mask] = out.get(mask, 0) + sign * coeff
         return Multivector(self, out)
 
-    def __eq__(self, other):
-        return isinstance(other, Algebra) and other.mu == self.mu
-
-    def __hash__(self):
-        return hash((Algebra, self.mu))
-
     def __repr__(self):
         return f"Algebra(mu={self.mu:+d})"
+
+
+#: The two algebras, keyed by mu.
+_ALGEBRAS = _shared(Algebra, "mu", (1, -1))
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -164,10 +167,8 @@ class Multivector(Frozen):
 
     def __eq__(self, other):
         if isinstance(other, Multivector):
-            return (
-                self.algebra == other.algebra
-                and self._coeffs == other._coeffs
-            )
+            return (self.algebra is other.algebra
+                    and self._coeffs == other._coeffs)
         return NotImplemented
 
     def __hash__(self):
@@ -180,7 +181,7 @@ class Multivector(Frozen):
             return self.algebra.scalar(other)
         if not isinstance(other, Multivector):
             return None
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra:
             raise ValueError("multivectors from different algebras")
         return other
 

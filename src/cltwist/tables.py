@@ -73,7 +73,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._record import Frozen
+from ._record import Frozen, _shared
 from .kernel import (
     _LINEAR_IN, MAX_DIM, _RULE, _VALUE, _check_dim, _check_masks, _check_mu,
     _failing_identity, twist_closed,
@@ -94,7 +94,15 @@ _SPELL = ("1", "-1", "m", "-m")
 
 
 class SymbolicSign(Frozen):
-    """One of {1, -1, m, -m}: a sign times an optional factor of mu."""
+    """One of {1, -1, m, -m}: a sign times an optional factor of mu.
+
+    The four values are built once, at import, and shared: the
+    constructor, :meth:`from_code`, products, negation, table entries,
+    copies and pickles all return one of them, so two signs are equal
+    exactly when they are the same object.  The constructors return that
+    shared instance whatever class they are called on, so a subclass
+    gets none of its own.
+    """
 
     __slots__ = ("code",)
 
@@ -104,7 +112,7 @@ class SymbolicSign(Frozen):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         if type(mu_power) is not int or mu_power not in (0, 1):
             raise ValueError(f"mu_power must be 0 or 1, got {mu_power!r}")
-        return cls.from_code((sign < 0) | mu_power << 1)
+        return _SIGNS[(sign < 0) | mu_power << 1]
 
     def __reduce__(self):
         return SymbolicSign.from_code, (self.code,)
@@ -113,9 +121,7 @@ class SymbolicSign(Frozen):
     def from_code(cls, code: int) -> "SymbolicSign":
         if type(code) is not int or not 0 <= code <= 3:
             raise ValueError(f"code must be in 0..3, got {code!r}")
-        self = object.__new__(cls)
-        object.__setattr__(self, "code", code)
-        return self
+        return _SIGNS[code]
 
     @property
     def sign(self) -> int:
@@ -128,29 +134,25 @@ class SymbolicSign(Frozen):
     def __mul__(self, other):
         if not isinstance(other, SymbolicSign):
             return NotImplemented
-        return SymbolicSign.from_code(self.code ^ other.code)
+        return _SIGNS[self.code ^ other.code]
 
     def __neg__(self):
-        return SymbolicSign.from_code(self.code ^ 1)
+        return _SIGNS[self.code ^ 1]
 
     def substitute(self, mu: int) -> int:
         """Numeric value once mu is fixed to +1 or -1."""
         _check_mu(mu)
         return _VALUE[mu][self.code]
 
-    def __eq__(self, other):
-        if isinstance(other, SymbolicSign):
-            return self.code == other.code
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((SymbolicSign, self.code))
-
     def __str__(self):
         return _SPELL[self.code]
 
     def __repr__(self):
         return f"SymbolicSign(sign={self.sign:+d}, mu_power={self.mu_power})"
+
+
+#: The four signs, indexed by code.
+_SIGNS = tuple(_shared(SymbolicSign, "code", range(4)).values())
 
 
 def twist_symbolic(p: int, q: int) -> SymbolicSign:
@@ -249,7 +251,7 @@ class TwistTable(Frozen):
     def entry(self, p: int, q: int) -> SymbolicSign:
         """Twist of (p, q); masks outside [0, 2**n) raise ValueError."""
         _check_masks(p, q, self.n)
-        return SymbolicSign.from_code(int(self.codes[p, q]))
+        return _SIGNS[self.codes[p, q]]
 
     def __getitem__(self, pq) -> SymbolicSign:
         if not isinstance(pq, tuple) or len(pq) != 2:

@@ -558,6 +558,18 @@ def test_closed_stdout_and_stderr_exit_74(child_env):
     assert proc.returncode == 74
 
 
+@needs_sh
+@pytest.mark.parametrize("argv", [["sign"], ["sign", "--bogus", "1", "2"]])
+def test_read_only_stderr_keeps_the_usage_exit_code(child_env, argv):
+    # fd 2 open but not for writing, as a launcher may leave it: the
+    # usage error is lost, not raised (argparse on 3.10 lets the write's
+    # OSError out) and not printed on stdout
+    proc = _run_redirected(child_env, "2</dev/null", argv,
+                           stdout=subprocess.PIPE)
+    assert proc.stdout == b""
+    assert proc.returncode == 2
+
+
 def test_console_script_installed(tmp_path, child_env):
     # What an install would put on PATH, built from the declaration in
     # pyproject.toml, so a source checkout checks it without installing.

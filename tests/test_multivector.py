@@ -124,6 +124,33 @@ class TestEquality:
         assert neg != pos
         assert Algebra(-1) == Algebra(-1)
 
+    @pytest.mark.parametrize("mu", [1, -1])
+    def test_each_algebra_is_one_shared_object(self, mu):
+        # the two algebras are built once, so a copy or a pickle gives
+        # the same object and equality is identity
+        algebra = Algebra(mu)
+        assert Algebra(mu=mu) is algebra
+        for twin in (copy.copy(algebra), copy.deepcopy(algebra),
+                     pickle.loads(pickle.dumps(algebra))):
+            assert twin is algebra
+        assert Algebra(1) is not Algebra(-1)
+
+    def test_pickles_of_the_earlier_instances_load_as_shared_ones(self):
+        # a pickle made before the algebras were shared: it calls the
+        # constructor, so it loads as the shared algebra
+        data = b"ccltwist.multivector\nAlgebra\np0\n(I-1\ntp1\nRp2\n."
+        assert pickle.loads(data) is Algebra(-1)
+
+    @pytest.mark.parametrize("algebra", [neg, pos])
+    def test_unpickled_multivector_mixes_with_its_original(self, algebra):
+        value = algebra.parse("1/2 e_{12} - 3 e_4 + 7")
+        for twin in (copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert twin.algebra is algebra
+            assert twin == value and value == twin
+            assert twin + value == value + twin == 2 * value
+            assert (twin - value).is_zero() and (value - twin).is_zero()
+
     def test_hashable(self):
         seen = {neg.parse("e_1 + e_2"), neg.parse("e_2 + e_1")}
         assert len(seen) == 1

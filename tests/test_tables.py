@@ -152,12 +152,44 @@ class TestSymbolicSign:
             assert type(twin) is SymbolicSign
             assert twin == sign and twin.code == code
 
+    @pytest.mark.parametrize("code", range(4))
+    def test_each_value_is_one_shared_object(self, code):
+        # the four signs are built once, so every source gives the same
+        # object and equality is identity
+        sign = SymbolicSign.from_code(code)
+        sources = [
+            SymbolicSign(sign.sign, sign.mu_power),
+            SymbolicSign.from_code(code),
+            SymbolicSign.from_code(code ^ 2) * SymbolicSign(1, 1),
+            SymbolicSign(-1, 0) * SymbolicSign.from_code(code ^ 1),
+            -SymbolicSign.from_code(code ^ 1),
+            *_copies(sign),
+        ]
+        assert all(source is sign for source in sources)
+        assert len({id(SymbolicSign.from_code(c)) for c in range(4)}) == 4
+
+    def test_pickles_of_the_earlier_instances_load_as_shared_ones(self):
+        # a pickle made before the signs were shared: it calls
+        # from_code, so it loads as the shared sign
+        data = (b"c__builtin__\ngetattr\np0\n(ccltwist.tables\nSymbolicSign"
+                b"\np1\nVfrom_code\np2\ntp3\nRp4\n(I3\ntp5\nRp6\n.")
+        assert pickle.loads(data) is SymbolicSign(-1, 1)
+
 
 @given(p=masks, q=masks)
 def test_twist_symbolic_matches_kernel(p, q):
     s = twist_symbolic(p, q)
     assert s.substitute(1) == kernel.twist(p, q, 1)
     assert s.substitute(-1) == kernel.twist(p, q, -1)
+
+
+@given(data=st.data())
+def test_twist_symbolic_is_the_table_entry(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    cell = st.integers(min_value=0, max_value=(1 << n) - 1)
+    p, q = data.draw(cell), data.draw(cell)
+    sign = twist_symbolic(p, q)
+    assert sign is table_direct(n)[p, q] is table_blocks(n).entry(p, q)
 
 
 class TestGoldenTables:
