@@ -17,10 +17,9 @@ handler), so no other command loads it.
 
 import random
 import time
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import kernel
-from ._record import Record
 
 __all__ = ["BenchResult", "format_report", "make_workload", "run_bench"]
 
@@ -41,7 +40,7 @@ def make_workload(pairs: int) -> Tuple[List[int], List[int]]:
     return ps, qs
 
 
-class BenchResult(Record):
+class BenchResult(NamedTuple):
     """Mean time of one algorithm over the workload."""
 
     name: str

@@ -12,10 +12,10 @@ Subcommands:
 Exit codes: 0 success, 1 self-test failure, 2 usage error or input
 outside the library's contract (also a ``mul`` result too long to
 print), 74 (sysexits ``EX_IOERR``) when writing stdout fails, as on a
-full disk, or stdout is closed at start-up, 141 (128 + SIGPIPE) when
-the reader closes the pipe before the output is written, as ``| head``
-does.  Each holds with stderr closed, or open only for reading, too:
-the complaint is then lost.
+full disk (``--help`` too), or stdout is closed at start-up, 141
+(128 + SIGPIPE) when the reader closes the pipe before the output is
+written, as ``| head`` does.  Each holds with stderr closed, or open
+only for reading, too: the complaint is then lost.
 
 argparse checks the syntax of the arguments, and that ``--mu``,
 ``--format`` and ``--algo`` are among their choices.  The ranges of the
@@ -216,8 +216,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         # error on stdout, or on 3.10 raise; as sys.stderr the file is
         # closed at exit
         sys.stderr = open(os.devnull, "w")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # --help buffers the help and exits 0: it is flushed below, as a
+    # command's output is
+    args = argparse.Namespace(command="--help", run=lambda args: 0)
+    try:
+        _build_parser().parse_args(argv, args)
+    except SystemExit as exc:
+        if exc.code:  # a usage error, printed on stderr
+            raise
     if sys.stdout is None:  # fd 1 was closed when the interpreter started
         _complain(args, "stdout is closed")
         return _EXIT_IO_ERROR

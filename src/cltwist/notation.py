@@ -31,9 +31,8 @@ the token's byte offset.
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
-from ._record import Record
 from .kernel import MASK_BITS, _check_masks, _generators
 
 __all__ = [
@@ -183,21 +182,21 @@ def _check_style(style: str):
 
 # --- expression parsing ---------------------------------------------------
 
-class Factor(Record):
+class Factor(NamedTuple):
     """One multiplicand: a rational, a blade, or a rational times a blade."""
 
     coeff: Optional[Fraction]
     blade: Optional[int]
 
 
-class Term(Record):
+class Term(NamedTuple):
     """A signed product chain of factors."""
 
     sign: int
     factors: Tuple[Factor, ...]
 
 
-class Expression(Record):
+class Expression(NamedTuple):
     """A sum of terms; the shape the multivector layer evaluates."""
 
     terms: Tuple[Term, ...]

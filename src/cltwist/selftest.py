@@ -55,14 +55,13 @@ Each reported line ends with the ``cltwist sign`` calls that rerun it.
 
 import warnings
 from collections.abc import Mapping
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import kernel
 from ._batch import (
     PLANE_FORMS, Grid, first_difference, first_set, joined, row_patterns,
     split,
 )
-from ._record import Record
 
 __all__ = ["Mismatch", "SelftestReport", "run_selftest"]
 
@@ -80,7 +79,7 @@ def _signed(value) -> str:
         return " ".join(line.strip() for line in repr(value).splitlines())
 
 
-class Mismatch(Record):
+class Mismatch(NamedTuple):
     """First failing case of a suite, with everything needed to rerun it.
 
     ``kind`` is "pairs" (indices (p, q)), "triples" (p, q, r), or one
@@ -94,7 +93,7 @@ class Mismatch(Record):
     # per-algorithm values for the pairs suite: +-1 for a plane form,
     # else exactly what the function returned
     signs: Dict[str, object]
-    _algo: str = "closed"  # whose table the cocycle and certificate check
+    algo: str = "closed"  # whose table the cocycle and certificate check
 
     def describe(self) -> str:
         """One line naming the failure, ending in the ``cltwist sign``
@@ -126,12 +125,12 @@ class Mismatch(Record):
     def _rerun(self) -> List[Tuple[int, int, str]]:
         """(p, q, algorithm) of each sign call that reproduces the
         failure.  The cocycle and the certificate check the table of
-        one algorithm, ``_algo``, so their calls use it."""
+        one algorithm, ``algo``, so their calls use it."""
         if self.kind == "pairs":
             p, q = self.indices
             known = [name for name in self.signs if name in kernel.ALGORITHMS]
             return [(p, q, name) for name in known]
-        if self._algo not in kernel.ALGORITHMS:
+        if self.algo not in kernel.ALGORITHMS:
             return []
         if self.kind == "triples":
             p, q, r = self.indices
@@ -143,10 +142,10 @@ class Mismatch(Record):
                 pairs = [(p ^ e, q), (p, q), (e, q)]
             else:
                 pairs = [(p, q ^ e), (p, q), (p, e)]
-        return [(a, b, self._algo) for a, b in pairs]
+        return [(a, b, self.algo) for a, b in pairs]
 
 
-class SelftestReport(Record):
+class SelftestReport(NamedTuple):
     """Outcome of :func:`run_selftest`.  ``triple_count`` counts the
     triples the cocycle suite covers through the bilinearity
     certificate."""

@@ -1,6 +1,7 @@
-"""The package's six immutable records behave as frozen dataclasses:
-construction, repr, equality, hash, immutability, pattern matching,
-copy and pickle.  The value types share their immutability guard."""
+"""The package's seven immutable records are ``typing.NamedTuple``
+classes: construction, repr, equality with the tuple of their fields,
+hash, immutability, pattern matching, copy and pickle.  The value types
+share their immutability guard."""
 
 import copy
 import pickle
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from cltwist.bench import BenchResult
+from cltwist.kernel import TraceStep
 from cltwist.multivector import Algebra
 from cltwist.notation import Expression, Factor, Term
 from cltwist.selftest import Mismatch, SelftestReport
@@ -29,9 +31,9 @@ CASES = [
      " blade=6), Factor(coeff=None, blade=1))),))"),
     (Mismatch("pairs", 1, (5, 9), {"closed": 1}),
      {"kind": "pairs", "mu": 1, "indices": (5, 9), "signs": {"closed": 1},
-      "_algo": "closed"},
+      "algo": "closed"},
      "Mismatch(kind='pairs', mu=1, indices=(5, 9), signs={'closed': 1},"
-     " _algo='closed')"),
+     " algo='closed')"),
     (SelftestReport(3, 64, 512, 4, ()),
      {"n": 3, "pair_count": 64, "triple_count": 512, "algorithm_count": 4,
       "mismatches": ()},
@@ -40,6 +42,9 @@ CASES = [
     (BenchResult("closed", 50, 812.5),
      {"name": "closed", "pairs": 50, "ns_per_op": 812.5},
      "BenchResult(name='closed', pairs=50, ns_per_op=812.5)"),
+    (TraceStep("B", -1, 1, 0),
+     {"letter": "B", "sign": -1, "bit_p": 1, "bit_q": 0},
+     "TraceStep(letter='B', sign=-1, bit_p=1, bit_q=0)"),
 ]
 IDS = [type(record).__name__ for record, _, _ in CASES]
 cases = pytest.mark.parametrize("record, fields, text", CASES, ids=IDS)
@@ -64,27 +69,18 @@ def test_construction_positional_and_by_keyword(record, fields, text):
 
 
 def test_mismatch_algorithm_defaults_to_closed():
-    assert Mismatch("triples", -1, (1, 2, 3), {})._algo == "closed"
-    tree = Mismatch("triples", -1, (1, 2, 3), {}, _algo="tree")
-    assert tree._algo == "tree"
+    assert Mismatch("triples", -1, (1, 2, 3), {}).algo == "closed"
+    tree = Mismatch("triples", -1, (1, 2, 3), {}, algo="tree")
+    assert tree.algo == "tree"
     assert tree != Mismatch("triples", -1, (1, 2, 3), {})
 
 
 @cases
-def test_equal_only_to_the_same_class(record, fields, text):
+def test_a_record_is_the_tuple_of_its_fields(record, fields, text):
     values = tuple(fields.values())
-    assert record == type(record)(*values)
-    assert record != values
-    assert record != list(values)
-    # a subclass is another record class with the same fields
-    twin = type("Twin", (type(record),), {})(*values)
-    assert record != twin and twin != record
-
-
-def test_equal_fields_of_another_record_class_are_not_equal():
-    assert Factor(-1, (FACTOR,)) != Term(-1, (FACTOR,))
-    fields = ("pairs", 1, (5, 9), {}, ())
-    assert Mismatch(*fields) != SelftestReport(*fields)
+    # and hashes as that tuple: test_hash_of_the_field_tuple
+    assert isinstance(record, tuple) and type(record)._fields == tuple(fields)
+    assert record == values and values == record
 
 
 @cases
@@ -139,8 +135,8 @@ def test_records_match_by_position():
 ALGEBRA = Algebra(1)
 
 #: (value, its attribute names, other valid constructor arguments): each
-#: value type on the records' frozen base, whose records
-#: test_fields_cannot_be_set_or_deleted covers
+#: value type on the frozen base of _record (the records are tuples, and
+#: test_fields_cannot_be_set_or_deleted covers them)
 VALUES = [
     (SymbolicSign(-1, 1), ["_code", "sign", "mu_power", "code"], (1, 0)),
     (table_direct(2), ["n", "codes"], (1, table_direct(1).codes)),
